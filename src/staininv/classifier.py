@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import persist
-from .dataset import Image, extract_patches, load_image, save_image
+from .dataset import Image, extract_patches, load_image, paint_blobs, save_image
 from .numerics import (
     adam_init,
     adam_step,
     conv2d_backward,
     conv2d_init,
     derive_seed,
-    flatten_grads,
+    minibatches,
     param_checksum,
     _conv2d_pre,
     apply_activation,
@@ -77,11 +77,11 @@ def _head_forward(head, x):
         logits = a2.mean(axis=(2, 3))
     else:
         logits = a2.max(axis=(2, 3))
-    return logits, (x, pre1, cols1, a1, pre2, cols2, a2)
+    return logits, (x, cols1, a1, cols2, a2)
 
 
 def _head_backward(head, caches, dlogits):
-    x, pre1, cols1, a1, pre2, cols2, a2 = caches
+    x, cols1, a1, cols2, a2 = caches
     b, _, h, w = a2.shape
     if head.pooling == "avg":
         da2 = np.broadcast_to(dlogits[:, :, None, None] / (h * w), a2.shape)
@@ -90,9 +90,9 @@ def _head_backward(head, caches, dlogits):
         mask = np.zeros_like(flat)
         np.put_along_axis(mask, flat.argmax(axis=2)[:, :, None], 1.0, axis=2)
         da2 = mask.reshape(a2.shape) * dlogits[:, :, None, None]
-    g2, da1 = conv2d_backward(head.conv2, a1, da2, pre=pre2, cols=cols2)
-    g1, _ = conv2d_backward(head.conv1, x, da1, pre=pre1, cols=cols1)
-    return flatten_grads([g1, g2])
+    g2, da1 = conv2d_backward(head.conv2, a1, da2, out=a2, cols=cols2)
+    g1, _ = conv2d_backward(head.conv1, x, da1, out=a1, cols=cols1)
+    return [g1.weights, g1.bias, g2.weights, g2.bias]
 
 
 def classify(head, features):
@@ -155,7 +155,6 @@ def generate_labeled_set(n_per_class, size=32, seed=0):
         (((190, 225), (195, 235), (140, 175)), ((90, 140), (130, 180), (60, 110))),
     ]
     class_names = ["eosin_rich", "haematoxylin_rich", "counterstain"]
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     images, labels = [], []
     for label, (bg, blob) in enumerate(palettes):
         for i in range(n_per_class):
@@ -163,13 +162,7 @@ def generate_labeled_set(n_per_class, size=32, seed=0):
             base = np.empty((size, size, 3))
             for ch in range(3):
                 base[..., ch] = rng.uniform(*bg[ch])
-            for _ in range(int(rng.integers(3, 9))):
-                cx, cy = rng.uniform(0, size, size=2)
-                radius = rng.uniform(0.08 * size, 0.22 * size)
-                colour = np.array([rng.uniform(*blob[ch]) for ch in range(3)])
-                d2 = (xx - cx) ** 2 + (yy - cy) ** 2
-                alpha = 0.8 * np.exp(-d2 / (2.0 * (radius / 2.0) ** 2))
-                base = (1.0 - alpha[..., None]) * base + alpha[..., None] * colour
+            base = paint_blobs(base, rng, (3, 9), (0.08, 0.22), blob, 0.8)
             base += rng.normal(0.0, 3.0, size=base.shape)
             images.append(Image(np.clip(np.rint(base), 2, 253).astype(np.uint8)))
             labels.append(label)
@@ -262,12 +255,8 @@ def train_classifier(extractor, head, train_set, val_set, config):
     n = x_train.shape[0]
     log = []
     for epoch in range(1, config.epochs + 1):
-        order = np.random.default_rng(
-            derive_seed(config.seed, f"clf-shuffle-{epoch}")
-        ).permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, config.batch):
-            idx = order[start : start + config.batch]
+        for idx in minibatches(n, config.batch, config.seed, f"clf-shuffle-{epoch}"):
             logits, caches = _head_forward(head, x_train[idx])
             loss, dlogits = _cross_entropy_batch(logits, y_train[idx])
             grads = _head_backward(head, caches, dlogits)

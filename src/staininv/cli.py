@@ -17,9 +17,10 @@ import time
 
 import numpy as np
 
-from . import __version__, classifier, cyclegan, dataset, mcae, metrics, stanosa
-from .metrics import _fmt
+from . import __version__, classifier, cyclegan, dataset, mcae, metrics, persist
+from . import stanosa
 from .numerics import derive_seed
+from .persist import format_float
 
 
 class UsageError(ValueError):
@@ -98,22 +99,25 @@ def _write_loss_csv(path, log, columns):
                 value = entry[col]
             else:
                 value = entry["losses"][col]
-            row.append(_fmt(value))
+            row.append(format_float(value))
         rows.append(row)
     _write_csv(path, ["epoch", *columns], rows)
 
 
 def _load_any_model(path):
-    doc = json.load(open(path))
-    kind = doc.get("format")
+    try:
+        doc = persist.load_json(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read model file {path}: {exc}") from None
+    kind = doc.get("format") if isinstance(doc, dict) else None
     if kind == "mcae-v1":
-        return "mcae", mcae.load_mcae(path)
+        return "mcae", mcae.mcae_from_doc(doc)
     if kind == "stanosa-v1":
-        return "stanosa", stanosa.load_stanosa(path)
+        return "stanosa", stanosa.stanosa_from_doc(doc)
     raise UsageError(f"unrecognised model format {kind!r} in {path}")
 
 
-def _extractors_for(path, domains, domain=None):
+def _extractors_for(path, domains):
     kind, model = _load_any_model(path)
     if kind == "mcae":
         return kind, {d: mcae.feature_extractor(model, d) for d in domains}
@@ -257,7 +261,7 @@ def _labeled_data(args, config, seed):
     )
 
 
-def _classifier_extractor(args, config, ds_domains=("A", "B", "C")):
+def _classifier_extractor(args, config):
     if args.model is None:
         raise UsageError("--model is required")
     kind, model = _load_any_model(args.model)
@@ -336,15 +340,18 @@ def cmd_train_cyclegan_toy(args, config, out_dir, seed):
         "l_total_gen", "l_disc_a", "l_disc_b",
     ]
     rows = [
-        [row["epoch"], row["batch"], *(_fmt(row[c]) for c in columns[2:])]
+        [row["epoch"], row["batch"], *(format_float(row[c]) for c in columns[2:])]
         for row in history
     ]
     _write_csv(os.path.join(out_dir, "cyclegan_history.csv"), columns, rows)
-    mapped = cyclegan.generate(f, domain_a)
+
+    def mean_colour(patches):
+        return [format_float(v) for v in patches.reshape(-1, 16, 3).mean((0, 1))]
+
     summary = {
-        "mean_colour_a": [_fmt(v) for v in domain_a.reshape(-1, 16, 3).mean((0, 1))],
-        "mean_colour_b": [_fmt(v) for v in domain_b.reshape(-1, 16, 3).mean((0, 1))],
-        "mean_colour_f_of_a": [_fmt(v) for v in mapped.reshape(-1, 16, 3).mean((0, 1))],
+        "mean_colour_a": mean_colour(domain_a),
+        "mean_colour_b": mean_colour(domain_b),
+        "mean_colour_f_of_a": mean_colour(cyclegan.generate(f, domain_a)),
     }
     with open(os.path.join(out_dir, "cyclegan_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -357,7 +364,7 @@ def cmd_grad_check(args, config, out_dir, seed):
 
     results = run_grad_checks(seed=derive_seed(seed, "grad-check"))
     rows = [
-        [name, _fmt(err), _fmt(1e-4), "pass" if err < 1e-4 else "FAIL"]
+        [name, format_float(err), format_float(1e-4), "pass" if err < 1e-4 else "FAIL"]
         for name, err in results
     ]
     _write_csv(

@@ -14,6 +14,7 @@ the saturating form from the min-max objective is available behind a flag.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .numerics import (
     adam_step,
     dense_init,
     derive_seed,
-    flatten_grads,
+    minibatches,
     mlp_backward,
     mlp_forward,
     mlp_params,
@@ -137,6 +138,8 @@ class CycleGanConfig:
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("loss weights must be non-negative")
+        if self.batch < 1:
+            raise ValueError(f"batch must be at least 1, got {self.batch}")
 
 
 def _dlog_scores(scores, n):
@@ -154,8 +157,8 @@ def _dlog_one_minus(scores, n):
 def _generator_pass(f, g, d_a, d_b, a, b, config):
     """Steps 1-4 for one minibatch: losses, and gradients for F and G."""
     n_a, n_b = a.shape[0], b.shape[0]
-    f_grads = zero_grads(f.layers)
-    g_grads = zero_grads(g.layers)
+    f_grads = zero_grads(mlp_params(f.layers))
+    g_grads = zero_grads(mlp_params(g.layers))
 
     # step 1: identity mapping back onto the source domain
     caches = []
@@ -186,20 +189,20 @@ def _generator_pass(f, g, d_a, d_b, a, b, config):
     else:
         ds_fake_b = _dlog_scores(fake_b_scores, n_a)
         ds_fake_a = _dlog_scores(fake_a_scores, n_b)
-    _, d_fake_b = mlp_backward(d_b.layers, db_caches, ds_fake_b)
-    _, d_fake_a = mlp_backward(d_a.layers, da_caches, ds_fake_a)
+    d_fake_b = mlp_backward(d_b.layers, db_caches, ds_fake_b)
+    d_fake_a = mlp_backward(d_a.layers, da_caches, ds_fake_a)
 
     # step 3: cycle back to the source domain
     caches = []
     rec_a = mlp_forward(g.layers, fake_b, caches)
     l_cycle = _l1(rec_a - a)
-    _, d_cyc_b = mlp_backward(
+    d_cyc_b = mlp_backward(
         g.layers, caches, config.lambda2 * np.sign(rec_a - a) / n_a, g_grads
     )
     caches = []
     rec_b = mlp_forward(f.layers, fake_a, caches)
     l_cycle += _l1(rec_b - b)
-    _, d_cyc_a = mlp_backward(
+    d_cyc_a = mlp_backward(
         f.layers, caches, config.lambda2 * np.sign(rec_b - b) / n_b, f_grads
     )
 
@@ -219,7 +222,7 @@ def _generator_pass(f, g, d_a, d_b, a, b, config):
 
 def _discriminator_pass(disc, real, fake):
     """Gradient-ascent gradients on mean log D(real) + mean log(1 - D(fake))."""
-    grads = zero_grads(disc.layers)
+    grads = zero_grads(mlp_params(disc.layers))
     caches = []
     real_scores = mlp_forward(disc.layers, real, caches)
     mlp_backward(disc.layers, caches, _dlog_scores(real_scores, real.shape[0]), grads)
@@ -258,28 +261,21 @@ def train_cyclegan(domain_a, domain_b, config):
     steps = min(a_all.shape[0], b_all.shape[0]) // batch
     history = []
     for epoch in range(1, config.epochs + 1):
-        order_a = np.random.default_rng(
-            derive_seed(config.seed, f"shuffle-a-{epoch}")
-        ).permutation(a_all.shape[0])
-        order_b = np.random.default_rng(
-            derive_seed(config.seed, f"shuffle-b-{epoch}")
-        ).permutation(b_all.shape[0])
-        for step in range(steps):
-            a = a_all[order_a[step * batch : (step + 1) * batch]]
-            b = b_all[order_b[step * batch : (step + 1) * batch]]
+        pairs = zip(
+            minibatches(a_all.shape[0], batch, config.seed, f"shuffle-a-{epoch}"),
+            minibatches(b_all.shape[0], batch, config.seed, f"shuffle-b-{epoch}"),
+        )
+        for step, (idx_a, idx_b) in enumerate(islice(pairs, steps)):
+            a, b = a_all[idx_a], b_all[idx_b]
 
             losses, f_grads, g_grads = _generator_pass(f, g, d_a, d_b, a, b, config)
-            adam_step(
-                gen_adam, gen_params, flatten_grads(f_grads) + flatten_grads(g_grads)
-            )
+            adam_step(gen_adam, gen_params, f_grads + g_grads)
 
             fake_b = generate(f, a)
             fake_a = generate(g, b)
             l_disc_b, db_grads = _discriminator_pass(d_b, b, fake_b)
             l_disc_a, da_grads = _discriminator_pass(d_a, a, fake_a)
-            adam_step(
-                disc_adam, disc_params, flatten_grads(da_grads) + flatten_grads(db_grads)
-            )
+            adam_step(disc_adam, disc_params, da_grads + db_grads)
 
             history.append(
                 {

@@ -357,15 +357,28 @@ def generate_base_images(count, size, seed):
         # slow horizontal/vertical wash so patches are not globally constant
         wash = rng.uniform(-12, 12, size=2)
         base += (wash[0] * (xx / size) + wash[1] * (yy / size))[..., None]
-        for _ in range(int(rng.integers(5, 12))):
-            cx, cy = rng.uniform(0, size, size=2)
-            radius = rng.uniform(0.06 * size, 0.2 * size)
-            colour = np.array(
-                [rng.uniform(70, 140), rng.uniform(40, 90), rng.uniform(110, 180)]
-            )
-            d2 = (xx - cx) ** 2 + (yy - cy) ** 2
-            alpha = 0.85 * np.exp(-d2 / (2.0 * (radius / 2.0) ** 2))
-            base = (1.0 - alpha[..., None]) * base + alpha[..., None] * colour
+        base = paint_blobs(
+            base, rng, (5, 12), (0.06, 0.2), ((70, 140), (40, 90), (110, 180)), 0.85
+        )
         base += rng.normal(0.0, 2.5, size=base.shape)
         images.append(Image(np.clip(np.rint(base), 3, 252).astype(np.uint8)))
     return images
+
+
+def paint_blobs(base, rng, count, radius, colours, opacity):
+    """Alpha-blend random Gaussian blobs onto a square (size, size, 3) image.
+
+    Draws from ``rng``, in order: the blob count in ``[count[0], count[1])``,
+    then per blob its centre, its radius as a fraction of the side within
+    ``radius``, and one colour value per channel within ``colours``.
+    """
+    size = base.shape[0]
+    coords = np.arange(size, dtype=np.float64)
+    for _ in range(int(rng.integers(*count))):
+        cx, cy = rng.uniform(0, size, size=2)
+        r = rng.uniform(radius[0] * size, radius[1] * size)
+        colour = np.array([rng.uniform(*span) for span in colours])
+        d2 = (coords - cx) ** 2 + ((coords - cy) ** 2)[:, None]
+        alpha = opacity * np.exp(-d2 / (2.0 * (r / 2.0) ** 2))
+        base = (1.0 - alpha[..., None]) * base + alpha[..., None] * colour
+    return base

@@ -26,7 +26,7 @@ from .numerics import (
     adam_step,
     dense_init,
     derive_seed,
-    flatten_grads,
+    minibatches,
     mlp_backward,
     mlp_forward,
     mlp_params,
@@ -274,17 +274,17 @@ def combined_loss_and_grads(model, patches, labels=None):
     grads = []
     anchor_pull = (z[0] * (n_dom - 1) - z[1:].sum(axis=0)) * feat_scale
     for i, domain in enumerate(model.domain_ids):
+        encoder, decoder = model.encoders[domain], model.decoders[domain]
         enc_caches, dec_caches = caches[i]
         target = (patches[i] + 1.0) / 2.0
         d_recon = (recons[i] - target) * rec_scale
-        dec_grads = zero_grads(model.decoders[domain])
-        _, dz = mlp_backward(model.decoders[domain], dec_caches, d_recon, dec_grads)
+        dec_grads = zero_grads(mlp_params(decoder))
+        dz = mlp_backward(decoder, dec_caches, d_recon, dec_grads)
         dz = dz + (anchor_pull if i == 0 else (z[i] - z[0]) * feat_scale)
         dz += (z[i] - mu) * clu_scale
-        enc_grads = zero_grads(model.encoders[domain])
-        mlp_backward(model.encoders[domain], enc_caches, dz, enc_grads)
-        grads.extend(flatten_grads(enc_grads))
-        grads.extend(flatten_grads(dec_grads))
+        enc_grads = zero_grads(mlp_params(encoder))
+        mlp_backward(encoder, enc_caches, dz, enc_grads)
+        grads.extend(enc_grads + dec_grads)
     return total, breakdown, grads
 
 
@@ -336,12 +336,8 @@ def train_mcae(model, train, config):
 
     log = []
     for epoch in range(1, config.epochs + 1):
-        order = np.random.default_rng(
-            derive_seed(config.seed, f"shuffle-{epoch}")
-        ).permutation(n_trip)
         sums = {"reconstruction": 0.0, "feature": 0.0, "cluster": 0.0}
-        for start in range(0, n_trip, config.batch):
-            idx = order[start : start + config.batch]
+        for idx in minibatches(n_trip, config.batch, config.seed, f"shuffle-{epoch}"):
             batch = data[:, idx].reshape(n_dom, len(idx) * n_sub, n_in)
             total, breakdown, grads = combined_loss_and_grads(model, batch)
             adam_step(adam, params, grads)
@@ -408,7 +404,11 @@ def save_mcae(model, path):
 
 
 def load_mcae(path):
-    doc = persist.load_json(path)
+    return mcae_from_doc(persist.load_json(path))
+
+
+def mcae_from_doc(doc):
+    """Rebuild a model from a parsed mcae-v1 document."""
     if doc.get("format") != "mcae-v1":
         raise ValueError(f"not an mcae-v1 document: {doc.get('format')!r}")
     encoders = {d: {} for d in doc["domains"]}

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colour import SsimConfig, hsd_forward, rgb_to_od, ssim
+from .persist import format_float
 
 NORMALIZE_EPSILON = 1e-8
 
@@ -213,16 +214,12 @@ def classification_report(true_labels, predicted_labels, class_names):
 # --- CSV writers (all floats at 17 significant digits for exact reruns) ---
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
-
-
 def write_nfmse_csv(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["triplet_id", "pair", "value"])
         for triplet_id, pair, value in rows:
-            writer.writerow([triplet_id, pair, _fmt(value)])
+            writer.writerow([triplet_id, pair, format_float(value)])
 
 
 def write_cxcy_csv(rows, path):
@@ -230,7 +227,7 @@ def write_cxcy_csv(rows, path):
         writer = csv.writer(fh)
         writer.writerow(["c_x", "c_y", "domain"])
         for c_x, c_y, tag in rows:
-            writer.writerow([_fmt(c_x), _fmt(c_y), tag])
+            writer.writerow([format_float(c_x), format_float(c_y), tag])
 
 
 def write_ssim_csv(table, path):
@@ -238,7 +235,9 @@ def write_ssim_csv(table, path):
         writer = csv.writer(fh)
         writer.writerow(["pair", "mean", "std"])
         for row in table:
-            writer.writerow([row["pair"], _fmt(row["mean"]), _fmt(row["std"])])
+            writer.writerow(
+                [row["pair"], format_float(row["mean"]), format_float(row["std"])]
+            )
 
 
 def write_report_csv(report, path):
@@ -249,19 +248,20 @@ def write_report_csv(report, path):
             writer.writerow(
                 [
                     name,
-                    _fmt(report.precision[i]),
-                    _fmt(report.recall[i]),
-                    _fmt(report.f1[i]),
+                    format_float(report.precision[i]),
+                    format_float(report.recall[i]),
+                    format_float(report.f1[i]),
                     int(report.support[i]),
                 ]
             )
-        writer.writerow(["accuracy", "", "", _fmt(report.accuracy), int(report.support.sum())])
+        total = int(report.support.sum())
+        writer.writerow(["accuracy", "", "", format_float(report.accuracy), total])
         writer.writerow(
             [
                 "weighted avg",
-                _fmt(report.weighted_precision),
-                _fmt(report.weighted_recall),
-                _fmt(report.weighted_f1),
-                int(report.support.sum()),
+                format_float(report.weighted_precision),
+                format_float(report.weighted_recall),
+                format_float(report.weighted_f1),
+                total,
             ]
         )

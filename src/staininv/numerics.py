@@ -55,18 +55,16 @@ def apply_activation(name, pre, leaky_slope=0.01):
     _check_activation(name)
 
 
-def activation_derivative(name, pre, leaky_slope=0.01):
-    """d activation / d pre-activation, elementwise."""
+def activation_derivative(name, out, leaky_slope=0.01):
+    """d activation / d pre-activation, elementwise, from the activation output."""
     if name == "tanh":
-        t = np.tanh(pre)
-        return 1.0 - t * t
+        return 1.0 - out * out
     if name == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-pre))
-        return s * (1.0 - s)
+        return out * (1.0 - out)
     if name == "leaky_relu":
-        return np.where(pre >= 0.0, 1.0, leaky_slope)
+        return np.where(out >= 0.0, 1.0, leaky_slope)
     if name == "linear":
-        return np.ones_like(pre)
+        return np.ones_like(out)
     _check_activation(name)
 
 
@@ -133,21 +131,21 @@ def dense_forward(layer, x):
     return apply_activation(layer.activation, _dense_pre(layer, x), layer.leaky_slope)
 
 
-def dense_backward(layer, x, upstream, pre=None):
+def dense_backward(layer, x, upstream, out=None):
     """Analytic gradients of ``dense_forward`` w.r.t. parameters and input.
 
     ``upstream`` is dLoss/dOutput with the forward output's shape.  Passing
-    the cached pre-activation avoids recomputing the forward matmul.
+    the cached forward output avoids recomputing the matmul and activation.
     """
     x = np.asarray(x, dtype=np.float64)
-    if pre is None:
-        pre = _dense_pre(layer, x)
+    if out is None:
+        out = dense_forward(layer, x)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != pre.shape:
+    if upstream.shape != out.shape:
         raise ValueError(
-            f"upstream gradient shape {upstream.shape} does not match output {pre.shape}"
+            f"upstream gradient shape {upstream.shape} does not match output {out.shape}"
         )
-    dpre = upstream * activation_derivative(layer.activation, pre, layer.leaky_slope)
+    dpre = upstream * activation_derivative(layer.activation, out, layer.leaky_slope)
     grads = LayerGrads(weights=dpre.T @ x, bias=dpre.sum(axis=0))
     return grads, dpre @ layer.weights
 
@@ -235,18 +233,19 @@ def conv2d_forward(layer, x):
     return apply_activation(layer.activation, pre, layer.leaky_slope)
 
 
-def conv2d_backward(layer, x, upstream, pre=None, cols=None):
-    """Analytic gradients of ``conv2d_forward``."""
+def conv2d_backward(layer, x, upstream, out=None, cols=None):
+    """Analytic gradients of ``conv2d_forward``, reusing a cached output and cols."""
     x = np.asarray(x, dtype=np.float64)
-    if pre is None or cols is None:
+    if out is None or cols is None:
         pre, cols = _conv2d_pre(layer, x)
+        out = apply_activation(layer.activation, pre, layer.leaky_slope)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != pre.shape:
+    if upstream.shape != out.shape:
         raise ValueError(
-            f"upstream gradient shape {upstream.shape} does not match output {pre.shape}"
+            f"upstream gradient shape {upstream.shape} does not match output {out.shape}"
         )
     out_ch, in_ch, k, _ = layer.kernels.shape
-    dpre = upstream * activation_derivative(layer.activation, pre, layer.leaky_slope)
+    dpre = upstream * activation_derivative(layer.activation, out, layer.leaky_slope)
     b = x.shape[0]
     dpre_cols = dpre.reshape(b, out_ch, -1).transpose(0, 2, 1)  # (B, H'W', out_ch)
     dkern = np.einsum("bpo,bpc->oc", dpre_cols, cols).reshape(layer.kernels.shape)
@@ -317,13 +316,17 @@ def adam_step(state, params, grads):
     return (params[0] if single else params), state
 
 
-def finite_diff_grad(f, x, h=1e-5):
-    """Central-difference gradient of a scalar function: the test oracle."""
+def finite_diff_grad(f, x, h=1e-5, indices=None):
+    """Central-difference gradient of a scalar function: the test oracle.
+
+    ``indices`` restricts the differences to those flat positions (default:
+    every element); the gradient stays zero elsewhere.
+    """
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
-    for i in range(flat.size):
+    for i in range(flat.size) if indices is None else indices:
         orig = flat[i]
         flat[i] = orig + h
         fp = f(x)
@@ -344,39 +347,34 @@ def max_relative_error(analytic, numeric, atol=1e-6):
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
-# --- small MLP helpers shared by the auto-encoder and GAN modules ---
+# --- the MLP core and minibatch loop shared by every trainer ---
 
 
 def mlp_forward(layers, x, caches=None):
-    """Run a DenseLayer stack; optionally collect (input, pre) caches."""
+    """Run a DenseLayer stack; optionally collect (input, output) caches."""
     out = np.asarray(x, dtype=np.float64)
     for layer in layers:
-        pre = _dense_pre(layer, out)
+        y = dense_forward(layer, out)
         if caches is not None:
-            caches.append((out, pre))
-        out = apply_activation(layer.activation, pre, layer.leaky_slope)
+            caches.append((out, y))
+        out = y
     return out
 
 
-def mlp_backward(layers, caches, upstream, grads_out=None):
+def mlp_backward(layers, caches, upstream, grads=None):
     """Backprop through a DenseLayer stack given forward caches.
 
-    Returns (per-layer LayerGrads list, input gradient).  When ``grads_out``
-    is given, parameter gradients are accumulated into it instead.
+    Returns the input gradient.  When ``grads`` is given (a flat list aligned
+    with ``mlp_params(layers)``), parameter gradients are added into it.
     """
-    collected = [] if grads_out is None else None
     d = upstream
     for idx in range(len(layers) - 1, -1, -1):
-        x, pre = caches[idx]
-        grads, d = dense_backward(layers[idx], x, d, pre=pre)
-        if grads_out is None:
-            collected.append(grads)
-        else:
-            grads_out[idx].weights += grads.weights
-            grads_out[idx].bias += grads.bias
-    if collected is not None:
-        collected.reverse()
-    return collected, d
+        x, out = caches[idx]
+        layer_grads, d = dense_backward(layers[idx], x, d, out=out)
+        if grads is not None:
+            grads[2 * idx] += layer_grads.weights
+            grads[2 * idx + 1] += layer_grads.bias
+    return d
 
 
 def mlp_params(layers):
@@ -388,16 +386,19 @@ def mlp_params(layers):
     return out
 
 
-def zero_grads(layers):
-    return [LayerGrads(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+def zero_grads(params):
+    return [np.zeros_like(p) for p in params]
 
 
-def flatten_grads(grads_lists):
-    out = []
-    for grads in grads_lists:
-        out.append(grads.weights)
-        out.append(grads.bias)
-    return out
+def minibatches(n, batch, seed, tag):
+    """Index arrays for one shuffled pass over range(n); the last may be short.
+
+    The order is drawn from the named sub-stream ``derive_seed(seed, tag)``.
+    """
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
+    order = np.random.default_rng(derive_seed(seed, tag)).permutation(n)
+    return (order[start : start + batch] for start in range(0, n, batch))
 
 
 def param_checksum(arrays):

@@ -18,7 +18,7 @@ from .numerics import (
     adam_step,
     dense_init,
     derive_seed,
-    flatten_grads,
+    minibatches,
     mlp_backward,
     mlp_forward,
     mlp_params,
@@ -88,19 +88,15 @@ def train_stanosa(model, patches, config):
     log = []
     n = x.shape[0]
     for epoch in range(1, config.epochs + 1):
-        order = np.random.default_rng(
-            derive_seed(config.seed, f"shuffle-{epoch}")
-        ).permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, config.batch):
-            idx = order[start : start + config.batch]
+        for idx in minibatches(n, config.batch, config.seed, f"shuffle-{epoch}"):
             caches = []
             recon = mlp_forward(layers, x[idx], caches)
             diff = recon - target[idx]
             loss = float(np.mean(diff * diff))
-            grads = zero_grads(layers)
+            grads = zero_grads(params)
             mlp_backward(layers, caches, 2.0 * diff / diff.size, grads)
-            adam_step(adam, params, flatten_grads(grads))
+            adam_step(adam, params, grads)
             loss_sum += loss * len(idx)
         losses = {"reconstruction": loss_sum / n}
         log.append({"epoch": epoch, "losses": losses, "total": sum(losses.values())})
@@ -149,7 +145,11 @@ def save_stanosa(model, path):
 
 
 def load_stanosa(path):
-    doc = persist.load_json(path)
+    return stanosa_from_doc(persist.load_json(path))
+
+
+def stanosa_from_doc(doc):
+    """Rebuild a model from a parsed stanosa-v1 document."""
     if doc.get("format") != "stanosa-v1":
         raise ValueError(f"not a stanosa-v1 document: {doc.get('format')!r}")
     stacks = {"encoder": {}, "decoder": {}}

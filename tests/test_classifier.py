@@ -243,3 +243,10 @@ def test_head_persistence_roundtrip(tmp_path):
     assert np.array_equal(back.conv2.kernels, head.conv2.kernels)
     assert back.pooling == head.pooling
     assert back.conv2.activation == "leaky_relu"
+
+
+def test_train_classifier_rejects_zero_batch():
+    ds = generate_labeled_set(n_per_class=2, size=16, seed=1)
+    with pytest.raises(ValueError, match="batch"):
+        train_classifier(_extractor(), head_init(3, seed=0), ds, ds,
+                         ClassifierTrainConfig(epochs=1, batch=0))

@@ -140,3 +140,16 @@ def test_eval_nfmse_without_model_is_usage_error(tiny_dataset, tmp_path, capsys)
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert "--model" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[]"])
+def test_unreadable_model_is_usage_error(tiny_dataset, tmp_path, capsys, content):
+    model = tmp_path / "model.json"
+    if content is not None:
+        model.write_text(content)
+    code = main(["eval-nfmse", "--dataset", str(tiny_dataset), "--model", str(model),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "UsageError"
+    assert str(model) in record["error"]["message"]

@@ -25,7 +25,6 @@ from staininv.numerics import (
     adam_step,
     dense_init,
     finite_diff_grad,
-    flatten_grads,
     max_relative_error,
     mlp_params,
 )
@@ -170,7 +169,7 @@ def test_generator_gradients_match_finite_differences(saturating):
     config = CycleGanConfig(lambda1=5.0, lambda2=10.0, saturating=saturating)
 
     _, f_grads, g_grads = _generator_pass(f, g, d_a, d_b, a, b, config)
-    analytic = flatten_grads(f_grads) + flatten_grads(g_grads)
+    analytic = f_grads + g_grads
     params = mlp_params(f.layers) + mlp_params(g.layers)
     for param, grad in zip(params, analytic):
         numeric = finite_diff_grad(
@@ -192,7 +191,7 @@ def test_discriminator_gradients_match_finite_differences():
         return float(-np.mean(np.log(scores_r)) - np.mean(np.log(1 - scores_f)))
 
     _, grads = _discriminator_pass(disc, real, fake)
-    for param, grad in zip(mlp_params(disc.layers), flatten_grads(grads)):
+    for param, grad in zip(mlp_params(disc.layers), grads):
         numeric = finite_diff_grad(neg_value, param)
         assert max_relative_error(grad, numeric) < 1e-4
 
@@ -210,7 +209,7 @@ def test_discriminator_ascent_non_decreasing_on_fixed_batch():
         value, grads = _discriminator_pass(disc, real, fake)
         assert value >= previous - 1e-9
         previous = value
-        adam_step(adam, params, flatten_grads(grads))
+        adam_step(adam, params, grads)
 
 
 def test_discriminator_output_contract():
@@ -261,3 +260,9 @@ def test_train_cyclegan_deterministic():
     assert h1 == h2
     for l1, l2 in zip(f1.layers, f2.layers):
         assert np.array_equal(l1.weights, l2.weights)
+
+
+def test_train_cyclegan_rejects_zero_batch():
+    a = np.full((4, 12), 0.5)
+    with pytest.raises(ValueError, match="batch"):
+        train_cyclegan(a, a, CycleGanConfig(epochs=1, batch=0))

@@ -356,3 +356,10 @@ def test_feature_extractor_checksum_and_encoding():
     feats = ext.encode_patches(raw)
     assert feats.shape == (5, 10)
     assert np.all(np.abs(feats) < 1.0)
+
+
+def test_train_rejects_zero_batch():
+    ds = _tiny_dataset(25, n=4)
+    config = McaeTrainConfig(epochs=1, batch=0, stride=8, k=3, kmeans_sample=50)
+    with pytest.raises(ValueError, match="batch"):
+        train_mcae(mcae_init(ds.domain_ids, seed=0), ds, config)

@@ -7,7 +7,9 @@ from staininv.numerics import (
     Conv2dLayer,
     DenseLayer,
     adam_init,
+    activation_derivative,
     adam_step,
+    apply_activation,
     conv2d_backward,
     conv2d_forward,
     conv2d_init,
@@ -17,7 +19,12 @@ from staininv.numerics import (
     derive_seed,
     finite_diff_grad,
     max_relative_error,
+    minibatches,
+    mlp_backward,
+    mlp_forward,
+    mlp_params,
     tensor,
+    zero_grads,
 )
 
 GRAD_RTOL = 1e-4
@@ -256,3 +263,58 @@ def test_property_dense_gradient_check(seed, activation):
         lambda _v: float((dense_forward(layer, x) * weight).sum()), layer.weights
     )
     assert max_relative_error(grads.weights, numeric, GRAD_ATOL) < GRAD_RTOL
+
+
+# --- the shared MLP core and minibatch iterator ---
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_mlp_backward_accumulates_finite_difference_gradients(activation):
+    # two backward calls add into one flat grads list, as CycleGAN relies on
+    rng = np.random.default_rng(21)
+    layers = [dense_init(4, 3, activation, rng), dense_init(3, 2, activation, rng)]
+    batches = [(rng.normal(size=(3, 4)), rng.normal(size=(3, 2))),
+               (rng.normal(size=(2, 4)), rng.normal(size=(2, 2)))]
+
+    def loss(_v=None):
+        return sum(float((mlp_forward(layers, x) * w).sum()) for x, w in batches)
+
+    params = mlp_params(layers)
+    grads = zero_grads(params)
+    for x, w in batches:
+        caches = []
+        mlp_forward(layers, x, caches)
+        dx = mlp_backward(layers, caches, w, grads)
+    for param, grad in zip(params, grads):
+        numeric = finite_diff_grad(loss, param)
+        assert max_relative_error(grad, numeric, GRAD_ATOL) < GRAD_RTOL
+    x_last, w_last = batches[-1]
+    numeric = finite_diff_grad(
+        lambda v: float((mlp_forward(layers, v) * w_last).sum()), x_last
+    )
+    assert max_relative_error(dx, numeric, GRAD_ATOL) < GRAD_RTOL
+
+    caches = []
+    mlp_forward(layers, x_last, caches)
+    assert np.array_equal(mlp_backward(layers, caches, w_last), dx)
+
+
+def test_leaky_relu_derivative_is_one_at_signed_zero():
+    out = apply_activation("leaky_relu", np.array([0.0, -0.0]))
+    assert np.array_equal(activation_derivative("leaky_relu", out), [1.0, 1.0])
+
+
+def test_minibatches_partition_with_short_last_batch():
+    batches = list(minibatches(10, 4, seed=5, tag="shuffle-1"))
+    assert [len(b) for b in batches] == [4, 4, 2]
+    assert sorted(np.concatenate(batches).tolist()) == list(range(10))
+    again = np.concatenate(list(minibatches(10, 4, seed=5, tag="shuffle-1")))
+    assert np.array_equal(np.concatenate(batches), again)
+    other = np.concatenate(list(minibatches(10, 4, seed=5, tag="shuffle-2")))
+    assert not np.array_equal(again, other)
+
+
+@pytest.mark.parametrize("batch", [0, -3])
+def test_minibatches_reject_non_positive_batch(batch):
+    with pytest.raises(ValueError, match="batch"):
+        minibatches(10, batch, seed=0, tag="shuffle-1")

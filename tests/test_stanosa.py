@@ -112,3 +112,9 @@ def test_feature_extractor_shapes():
     assert feats.shape == (6, 10)
     with pytest.raises(ValueError):
         feature_extractor(stanosa_init(seed=4))
+
+
+def test_train_rejects_zero_batch():
+    data = _patches(7, n_images=4, size=16)
+    with pytest.raises(ValueError, match="batch"):
+        train_stanosa(stanosa_init(seed=0), data, StanosaTrainConfig(epochs=1, batch=0))
