@@ -83,6 +83,17 @@ def _setting(args, config, block, name, default):
     return config.get(block, {}).get(name, default)
 
 
+def _count_setting(args, config, block, name, default):
+    """An integer setting that must be at least 1, checked before any work."""
+    value = _setting(args, config, block, name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        flag = "--" + name.replace("_", "-")
+        raise UsageError(
+            f"{block}.{name} ({flag}) must be an integer >= 1, got {value!r}"
+        )
+    return value
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -130,7 +141,10 @@ def _require_dataset(path):
         raise UsageError("--dataset is required")
     if not os.path.isdir(path) or not os.path.exists(os.path.join(path, "manifest.json")):
         raise UsageError(f"dataset directory not found: {path}")
-    return dataset.load_dataset(path)
+    try:
+        return dataset.load_dataset(path)
+    except dataset.DatasetError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _train_split(ds, fraction, root_seed):
@@ -156,6 +170,13 @@ def cmd_synth(args, config, out_dir, seed):
 
 
 def cmd_train_mcae(args, config, out_dir, seed):
+    k = _count_setting(args, config, "mcae", "k", 10)
+    kmeans_sample = _count_setting(args, config, "mcae", "kmeans_sample", 10000)
+    if kmeans_sample < k:
+        raise UsageError(
+            f"mcae.kmeans_sample (--kmeans-sample) must be at least mcae.k (--k), "
+            f"got {kmeans_sample} < {k}"
+        )
     ds = _require_dataset(args.dataset)
     fraction = float(_setting(args, config, "mcae", "train_fraction", 0.8))
     train, _ = _train_split(ds, fraction, seed)
@@ -164,8 +185,8 @@ def cmd_train_mcae(args, config, out_dir, seed):
         lr=float(_setting(args, config, "mcae", "lr", 0.0002)),
         batch=int(_setting(args, config, "mcae", "batch", 64)),
         stride=int(_setting(args, config, "mcae", "stride", 4)),
-        k=int(_setting(args, config, "mcae", "k", 10)),
-        kmeans_sample=int(_setting(args, config, "mcae", "kmeans_sample", 10000)),
+        k=k,
+        kmeans_sample=kmeans_sample,
         seed=derive_seed(seed, "mcae"),
     )
     model = mcae.mcae_init(ds.domain_ids, seed=derive_seed(seed, "mcae"))
@@ -236,8 +257,8 @@ def cmd_eval_nfmse(args, config, out_dir, seed):
 
 
 def cmd_eval_hsd(args, config, out_dir, seed):
+    pixels = _count_setting(args, config, "hsd", "pixels", 2000)
     ds = _require_dataset(args.dataset)
-    pixels = int(_setting(args, config, "hsd", "pixels", 2000))
     rows = []
     for domain in ds.domain_ids:
         images = [t[domain] for t in ds.triplets]

@@ -12,8 +12,13 @@ tissue structure independent of stain hue):
 
 with I the mean OD across channels.  Pixels with I below a small threshold
 carry no usable chroma and are flagged as background.
+
+SSIM (Wang et al. 2004) uses a uniform window at stride 1.  Its window sums
+come from summed-area tables (Crow 1984), so each output pixel costs O(1)
+whatever the window size.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +124,24 @@ class SsimConfig:
     dynamic_range: float | None = None  # None: max observed value over the pair
 
 
+def _check_ssim_config(config):
+    w = config.window
+    if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1:
+        raise ValueError(f"SsimConfig.window must be an integer >= 1, got {w!r}")
+    for name in ("k1", "k2"):
+        value = getattr(config, name)
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and value > 0):
+            raise ValueError(f"SsimConfig.{name} must be a number > 0, got {value!r}")
+
+
 def ssim(a, b, config=None):
-    """Mean local structural similarity between two single-channel images."""
+    """Mean local structural similarity between two single-channel images.
+
+    Window statistics come from summed-area tables of a, b, a², b² and ab.
+    """
     config = config or SsimConfig()
+    _check_ssim_config(config)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
@@ -137,13 +157,27 @@ def ssim(a, b, config=None):
     c1 = (config.k1 * dyn) ** 2
     c2 = (config.k2 * dyn) ** 2
 
-    win_a = np.lib.stride_tricks.sliding_window_view(a, (w, w))
-    win_b = np.lib.stride_tricks.sliding_window_view(b, (w, w))
-    mu_a = win_a.mean(axis=(2, 3))
-    mu_b = win_b.mean(axis=(2, 3))
-    var_a = (win_a * win_a).mean(axis=(2, 3)) - mu_a * mu_a
-    var_b = (win_b * win_b).mean(axis=(2, 3)) - mu_b * mu_b
-    cov = (win_a * win_b).mean(axis=(2, 3)) - mu_a * mu_b
+    # The tables' rounding error grows with their running sums, so both
+    # images are first shifted by the pair's mean.  The shift cancels in the
+    # variances and the covariance and is added back to the means.
+    shift = 0.5 * (a.mean() + b.mean())
+    # Zero first row and column: table[:, i, j] sums plane[:i, :j].
+    table = np.zeros((5, a.shape[0] + 1, a.shape[1] + 1))
+    inner = table[:, 1:, 1:]
+    np.subtract(a, shift, out=inner[0])
+    np.subtract(b, shift, out=inner[1])
+    np.multiply(inner[0], inner[0], out=inner[2])
+    np.multiply(inner[1], inner[1], out=inner[3])
+    np.multiply(inner[0], inner[1], out=inner[4])
+    np.cumsum(table, axis=1, out=table)
+    np.cumsum(table, axis=2, out=table)
+    sums = table[:, w:, w:] - table[:, :-w, w:] - table[:, w:, :-w] + table[:, :-w, :-w]
+    mu_a, mu_b, sq_a, sq_b, ab = sums / (w * w)
+    var_a = sq_a - mu_a * mu_a
+    var_b = sq_b - mu_b * mu_b
+    cov = ab - mu_a * mu_b
+    mu_a += shift
+    mu_b += shift
     score = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
         (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     )

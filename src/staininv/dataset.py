@@ -21,6 +21,10 @@ ZCA_EPSILON = 1e-5
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
+class DatasetError(ValueError):
+    """A saved dataset whose manifest does not match its image files."""
+
+
 class PpmParseError(ValueError):
     """Malformed PPM data; carries the byte offset of the failure."""
 
@@ -327,18 +331,36 @@ def save_dataset(dataset, directory):
 
 
 def load_dataset(directory):
+    """Read a dataset written by ``save_dataset``.
+
+    Raises DatasetError, naming the file, when an image listed in the
+    manifest is missing or differs in size from the rest of its triplet.
+    """
     import os
 
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     triplets = []
-    for entry in manifest["triplets"]:
-        triplets.append(
-            {
-                domain: load_image(os.path.join(directory, path))
-                for domain, path in entry["paths"].items()
-            }
-        )
+    for i, entry in enumerate(manifest["triplets"]):
+        triplet = {}
+        first_path = None
+        for domain, name in entry["paths"].items():
+            path = os.path.join(directory, name)
+            try:
+                image = load_image(path)
+            except FileNotFoundError:
+                raise DatasetError(
+                    f"image listed in the manifest is missing: {path}"
+                ) from None
+            if first_path is None:
+                first_path, first = path, image
+            elif image.pixels.shape != first.pixels.shape:
+                raise DatasetError(
+                    f"{path} is {image.width}x{image.height} but {first_path} in "
+                    f"triplet {i} is {first.width}x{first.height}"
+                )
+            triplet[domain] = image
+        triplets.append(triplet)
     return TripletDataset(
         domain_ids=list(manifest["domains"]), triplets=triplets, manifest=manifest
     )

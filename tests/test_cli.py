@@ -1,8 +1,12 @@
 import csv
 import json
+import shutil
+
+import numpy as np
 
 import pytest
 
+from staininv import dataset
 from staininv.cli import load_config, main, UsageError
 
 
@@ -153,3 +157,59 @@ def test_unreadable_model_is_usage_error(tiny_dataset, tmp_path, capsys, content
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "UsageError"
     assert str(model) in record["error"]["message"]
+
+
+def _truncated_ppm_dataset(tmp_path):
+    """A dataset that fails with exit 1 as soon as it is loaded."""
+    ds = tmp_path / "bad_ds"
+    ds.mkdir()
+    (ds / "manifest.json").write_text(json.dumps({
+        "domains": ["A"],
+        "triplets": [{"id": 0, "paths": {"A": "img.ppm"}}],
+    }))
+    (ds / "img.ppm").write_bytes(b"P6\n4 4\n255\n\x00")
+    return ds
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--pixels", "0"], None),
+    ([], {"hsd": {"pixels": 2.5}}),
+    ([], {"hsd": {"pixels": "many"}}),
+])
+def test_eval_hsd_bad_pixels_is_usage_error(tmp_path, capsys, flags, config):
+    extra = []
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        extra = ["--config", str(path)]
+    # checked before the (unloadable) dataset is read
+    code = main(["eval-hsd", "--dataset", str(_truncated_ppm_dataset(tmp_path)),
+                 *flags, *extra, "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert "hsd.pixels" in message and "--pixels" in message
+
+
+def test_train_mcae_kmeans_sample_below_k_is_usage_error(tmp_path, capsys):
+    code = main(["train-mcae", "--dataset", str(_truncated_ppm_dataset(tmp_path)),
+                 "--kmeans-sample", "5", "--k", "10", "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert "mcae.kmeans_sample" in message
+
+
+@pytest.mark.parametrize("fault", ["missing", "resized"])
+def test_broken_dataset_image_is_usage_error(tiny_dataset, tmp_path, capsys, fault):
+    ds = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, ds)
+    image = ds / "triplet_00002_B.ppm"
+    if fault == "missing":
+        image.unlink()
+    else:
+        dataset.save_image(dataset.Image(np.zeros((16, 16, 3), np.uint8)), image)
+    code = main(["eval-hsd", "--dataset", str(ds), "--pixels", "50",
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "UsageError"
+    assert str(image) in record["error"]["message"]

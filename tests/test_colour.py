@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from staininv import dataset
+from staininv.cli import DEFAULT_PERTURBATIONS
 from staininv.colour import (
     GamutError,
     HsdImage,
@@ -15,6 +18,7 @@ from staininv.colour import (
     rgb_to_od,
     ssim,
 )
+from staininv.metrics import density_ssim_table
 
 od_values = st.floats(min_value=0.01, max_value=4.0, allow_nan=False)
 
@@ -173,3 +177,88 @@ def test_ssim_shape_errors():
 def test_ssim_small_window_config():
     a = np.zeros((4, 4))
     assert ssim(a, a, SsimConfig(window=3)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "shape, window",
+    [((32, 32), 8), ((20, 13), 3), ((32, 32), 1), ((20, 13), 13), ((13, 20), 13)],
+)
+def test_ssim_summed_area_matches_brute_force(shape, window):
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.0, 1.5, size=shape)
+    b = np.clip(a + rng.normal(0.0, 0.2, size=shape), 0.0, None)
+    dyn = max(a.max(), b.max())
+    expected = _brute_force_ssim(a, b, window, 0.01, 0.03, dyn)
+    assert abs(ssim(a, b, SsimConfig(window=window)) - expected) <= 1e-12
+
+
+@st.composite
+def _image_pairs(draw):
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    window = draw(st.integers(1, min(h, w)))
+    # Zero (background) plus densities on the scale of real OD planes.
+    values = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0))
+    a = draw(arrays(np.float64, (h, w), elements=values))
+    b = draw(arrays(np.float64, (h, w), elements=values))
+    return a, b, window
+
+
+@settings(max_examples=200, deadline=None)
+@given(_image_pairs())
+def test_property_ssim_symmetric_and_self_one(pair):
+    a, b, window = pair
+    config = SsimConfig(window=window)
+    assert ssim(a, b, config) == ssim(b, a, config)
+    assert ssim(a, a, config) == 1.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("window", 0), ("window", -2), ("window", 2.5), ("k1", 0.0), ("k2", -0.03)],
+)
+def test_ssim_rejects_bad_config(field, value):
+    with pytest.raises(ValueError, match=f"SsimConfig.{field}"):
+        ssim(np.ones((8, 8)), np.ones((8, 8)), SsimConfig(**{field: value}))
+
+
+def _sliding_window_ssim(a, b, config):
+    """The former implementation: O(w²) window means over strided views."""
+    w = config.window
+    dyn = max(float(a.max()), float(b.max()))
+    c1, c2 = (config.k1 * dyn) ** 2, (config.k2 * dyn) ** 2
+    win_a = np.lib.stride_tricks.sliding_window_view(a, (w, w))
+    win_b = np.lib.stride_tricks.sliding_window_view(b, (w, w))
+    mu_a = win_a.mean(axis=(2, 3))
+    mu_b = win_b.mean(axis=(2, 3))
+    var_a = (win_a * win_a).mean(axis=(2, 3)) - mu_a * mu_a
+    var_b = (win_b * win_b).mean(axis=(2, 3)) - mu_b * mu_b
+    cov = (win_a * win_b).mean(axis=(2, 3)) - mu_a * mu_b
+    score = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    )
+    return float(score.mean())
+
+
+def test_density_ssim_table_matches_sliding_window_formula():
+    perts = {
+        d: dataset.StainPerturbation.from_dict(p)
+        for d, p in DEFAULT_PERTURBATIONS.items()
+    }
+    base = dataset.generate_base_images(8, 32, seed=21)
+    ds = dataset.synth_triplets(base, perts, seed=21)
+    config = SsimConfig()
+    table = density_ssim_table(ds, config)
+    assert [row["pair"] for row in table] == ["A-B", "A-C", "B-C"]
+    for row in table:
+        first, second = row["pair"].split("-")
+        scores = [
+            _sliding_window_ssim(
+                hsd_forward(rgb_to_od(t[first].pixels)).density,
+                hsd_forward(rgb_to_od(t[second].pixels)).density,
+                config,
+            )
+            for t in ds.triplets
+        ]
+        assert abs(row["mean"] - np.mean(scores)) <= 1e-12
+        assert abs(row["std"] - np.std(scores)) <= 1e-12
