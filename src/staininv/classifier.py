@@ -283,19 +283,20 @@ def save_head(head, path):
         {
             "format": "clf-head-v1",
             "pooling": head.pooling,
-            "conv1": persist.conv_record(head.conv1),
-            "conv2": persist.conv_record(head.conv2),
+            "conv1": persist.layer_record(head.conv1),
+            "conv2": persist.layer_record(head.conv2),
         },
         path,
     )
 
 
 def load_head(path):
-    doc = persist.load_json(path)
-    if doc.get("format") != "clf-head-v1":
-        raise ValueError(f"not a clf-head-v1 document: {doc.get('format')!r}")
-    return ClassifierHead(
-        conv1=persist.conv_from_record(doc["conv1"]),
-        conv2=persist.conv_from_record(doc["conv2"]),
-        pooling=doc["pooling"],
+    return persist.read_model(path, {"clf-head-v1": head_from_doc})
+
+
+def head_from_doc(doc):
+    """Rebuild a head from a parsed clf-head-v1 document, checking its shapes."""
+    conv1, conv2 = persist.layer_chain(
+        [doc["conv1"], doc["conv2"]], "conv2d", "classifier head"
     )
+    return ClassifierHead(conv1=conv1, conv2=conv2, pooling=doc["pooling"])

@@ -9,18 +9,17 @@ failure, 2 usage/config error; failures emit a JSON error record on stderr.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__, classifier, cyclegan, dataset, mcae, metrics, persist
 from . import stanosa
 from .numerics import derive_seed
-from .persist import format_float
 
 
 class UsageError(ValueError):
@@ -94,38 +93,33 @@ def _count_setting(args, config, block, name, default):
     return value
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _loss_table(log, columns):
+    """Header and one row per epoch; a column the log entry lacks stays empty."""
+    rows = [
+        [entry["epoch"], *(entry.get(c, entry.get("losses", {}).get(c, "")) for c in columns)]
+        for entry in log
+    ]
+    return ["epoch", *columns], rows
 
 
-def _write_loss_csv(path, log, columns):
-    rows = []
-    for entry in log:
-        row = [entry["epoch"]]
-        for col in columns:
-            if col in entry:
-                value = entry[col]
-            else:
-                value = entry["losses"][col]
-            row.append(format_float(value))
-        rows.append(row)
-    _write_csv(path, ["epoch", *columns], rows)
+_MODEL_BUILDERS = {
+    "mcae-v1": lambda doc: ("mcae", mcae.mcae_from_doc(doc)),
+    "stanosa-v1": lambda doc: ("stanosa", stanosa.stanosa_from_doc(doc)),
+}
+
+
+@contextmanager
+def _model_file_is_usage_error():
+    """Report a missing, unparsable or malformed model file as a usage error."""
+    try:
+        yield
+    except persist.ModelFileError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_any_model(path):
-    try:
-        doc = persist.load_json(path)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read model file {path}: {exc}") from None
-    kind = doc.get("format") if isinstance(doc, dict) else None
-    if kind == "mcae-v1":
-        return "mcae", mcae.mcae_from_doc(doc)
-    if kind == "stanosa-v1":
-        return "stanosa", stanosa.stanosa_from_doc(doc)
-    raise UsageError(f"unrecognised model format {kind!r} in {path}")
+    with _model_file_is_usage_error():
+        return persist.read_model(path, _MODEL_BUILDERS)
 
 
 def _extractors_for(path, domains):
@@ -192,11 +186,8 @@ def cmd_train_mcae(args, config, out_dir, seed):
     model = mcae.mcae_init(ds.domain_ids, seed=derive_seed(seed, "mcae"))
     model, log = mcae.train_mcae(model, train, train_config)
     mcae.save_mcae(model, os.path.join(out_dir, "mcae_model.json"))
-    _write_loss_csv(
-        os.path.join(out_dir, "mcae_loss.csv"),
-        log,
-        ["reconstruction", "feature", "cluster", "total"],
-    )
+    persist.write_csv(os.path.join(out_dir, "mcae_loss.csv"),
+                      *_loss_table(log, ["reconstruction", "feature", "cluster", "total"]))
     return ["mcae_model.json", "mcae_loss.csv"]
 
 
@@ -221,9 +212,8 @@ def cmd_train_stanosa(args, config, out_dir, seed):
     model = stanosa.stanosa_init(seed=derive_seed(seed, "stanosa"))
     model, log = stanosa.train_stanosa(model, patches, train_config)
     stanosa.save_stanosa(model, os.path.join(out_dir, "stanosa_model.json"))
-    _write_loss_csv(
-        os.path.join(out_dir, "stanosa_loss.csv"), log, ["reconstruction", "total"]
-    )
+    persist.write_csv(os.path.join(out_dir, "stanosa_loss.csv"),
+                      *_loss_table(log, ["reconstruction", "total"]))
     return ["stanosa_model.json", "stanosa_loss.csv"]
 
 
@@ -246,12 +236,10 @@ def cmd_eval_nfmse(args, config, out_dir, seed):
         kind, extractors = _extractors_for(path, ds.domain_ids)
         rows, stats = metrics.nfmse_per_triplet(extractors, part)
         name = f"nfmse_{kind}.csv"
-        metrics.write_nfmse_csv(rows, os.path.join(out_dir, name))
+        persist.write_csv(os.path.join(out_dir, name), ["triplet_id", "pair", "value"], rows)
         outputs.append(name)
         summary["models"][kind] = stats
-    with open(os.path.join(out_dir, "nfmse_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    persist.write_json(os.path.join(out_dir, "nfmse_summary.json"), summary)
     outputs.append("nfmse_summary.json")
     return outputs
 
@@ -266,9 +254,11 @@ def cmd_eval_hsd(args, config, out_dir, seed):
             images, pixels, derive_seed(seed, f"cxcy-{domain}"), domain
         )
         rows.extend(sample)
-    metrics.write_cxcy_csv(rows, os.path.join(out_dir, "cxcy_samples.csv"))
-    table = metrics.density_ssim_table(ds)
-    metrics.write_ssim_csv(table, os.path.join(out_dir, "density_ssim.csv"))
+    persist.write_csv(os.path.join(out_dir, "cxcy_samples.csv"), ["c_x", "c_y", "domain"],
+                      rows)
+    table = [[row["pair"], row["mean"], row["std"]] for row in metrics.density_ssim_table(ds)]
+    persist.write_csv(os.path.join(out_dir, "density_ssim.csv"), ["pair", "mean", "std"],
+                      table)
     return ["cxcy_samples.csv", "density_ssim.csv"]
 
 
@@ -314,9 +304,9 @@ def cmd_train_clf(args, config, out_dir, seed):
     )
     head, log = classifier.train_classifier(extractor, head, train, val, train_config)
     classifier.save_head(head, os.path.join(out_dir, "clf_head.json"))
-    _write_loss_csv(
-        os.path.join(out_dir, "clf_loss.csv"), log, ["loss", "val_accuracy"]
-    )
+    # with no validation split the val_accuracy cells stay empty
+    persist.write_csv(os.path.join(out_dir, "clf_loss.csv"),
+                      *_loss_table(log, ["loss", "val_accuracy"]))
     return ["clf_head.json", "clf_loss.csv"]
 
 
@@ -324,12 +314,15 @@ def cmd_eval_clf(args, config, out_dir, seed):
     extractor = _classifier_extractor(args, config)
     if args.head is None:
         raise UsageError("--head is required")
-    head = classifier.load_head(args.head)
+    with _model_file_is_usage_error():
+        head = classifier.load_head(args.head)
+    if head.conv1.kernels.shape[1] != extractor.feature_dim:
+        raise UsageError(f"head {args.head} does not take {extractor.feature_dim} features")
     data = _labeled_data(args, config, seed)
     _, _, test = classifier.split_labeled(data, seed=derive_seed(seed, "clf-split"))
     y_true, y_pred = classifier.evaluate_classifier(extractor, head, test)
     report = metrics.classification_report(y_true, y_pred, data.class_names)
-    metrics.write_report_csv(report, os.path.join(out_dir, "clf_report.csv"))
+    persist.write_csv(os.path.join(out_dir, "clf_report.csv"), *metrics.report_table(report))
     return ["clf_report.csv"]
 
 
@@ -360,23 +353,18 @@ def cmd_train_cyclegan_toy(args, config, out_dir, seed):
         "epoch", "batch", "l_identity", "l_gan_f", "l_gan_g", "l_cycle",
         "l_total_gen", "l_disc_a", "l_disc_b",
     ]
-    rows = [
-        [row["epoch"], row["batch"], *(format_float(row[c]) for c in columns[2:])]
-        for row in history
-    ]
-    _write_csv(os.path.join(out_dir, "cyclegan_history.csv"), columns, rows)
+    persist.write_csv(os.path.join(out_dir, "cyclegan_history.csv"), columns,
+                      [[row[c] for c in columns] for row in history])
 
     def mean_colour(patches):
-        return [format_float(v) for v in patches.reshape(-1, 16, 3).mean((0, 1))]
+        return persist.float_strings(patches.reshape(-1, 16, 3).mean((0, 1)))
 
     summary = {
         "mean_colour_a": mean_colour(domain_a),
         "mean_colour_b": mean_colour(domain_b),
         "mean_colour_f_of_a": mean_colour(cyclegan.generate(f, domain_a)),
     }
-    with open(os.path.join(out_dir, "cyclegan_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    persist.write_json(os.path.join(out_dir, "cyclegan_summary.json"), summary)
     return ["cyclegan_history.csv", "cyclegan_summary.json"]
 
 
@@ -384,15 +372,9 @@ def cmd_grad_check(args, config, out_dir, seed):
     from .gradcheck import run_grad_checks
 
     results = run_grad_checks(seed=derive_seed(seed, "grad-check"))
-    rows = [
-        [name, format_float(err), format_float(1e-4), "pass" if err < 1e-4 else "FAIL"]
-        for name, err in results
-    ]
-    _write_csv(
-        os.path.join(out_dir, "grad_check.csv"),
-        ["check", "max_relative_error", "tolerance", "status"],
-        rows,
-    )
+    rows = [[name, err, 1e-4, "pass" if err < 1e-4 else "FAIL"] for name, err in results]
+    persist.write_csv(os.path.join(out_dir, "grad_check.csv"),
+                      ["check", "max_relative_error", "tolerance", "status"], rows)
     for name, err in results:
         print(f"{name}: max relative error {err:.3e}")
     if any(err >= 1e-4 for _, err in results):
@@ -525,9 +507,7 @@ def main(argv=None):
             "python": sys.version.split()[0],
         },
     }
-    with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    persist.write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
     return 0
 
 

@@ -156,6 +156,11 @@ def ssim(a, b, config=None):
         dyn = 1.0  # degenerate pair (all-zero images): constants only
     c1 = (config.k1 * dyn) ** 2
     c2 = (config.k2 * dyn) ** 2
+    if c1 * c2 < np.finfo(float).tiny:
+        # near-zero range: the score would underflow to 0/0; SSIM is unchanged
+        # when the images and the range are scaled together, so use unit range
+        a, b = a / dyn, b / dyn
+        c1, c2 = config.k1**2, config.k2**2
 
     # The tables' rounding error grows with their running sums, so both
     # images are first shifted by the pair's mean.  The shift cancels in the

@@ -8,12 +8,14 @@ construction, which gives the evaluation suite an exact oracle.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .colour import hsd_forward, hsd_inverse_clamped, od_to_rgb, rgb_to_od
 from .numerics import derive_seed
+from .persist import write_json
 
 GCN_GUARD = 1e-8
 ZCA_EPSILON = 1e-5
@@ -205,14 +207,6 @@ class StainPerturbation:
         if self.density_gain <= 0:
             raise ValueError("density_gain must be positive")
 
-    def to_dict(self):
-        return {
-            "rotation": self.rotation,
-            "scale": list(self.scale),
-            "offset": list(self.offset),
-            "density_gain": self.density_gain,
-        }
-
     @classmethod
     def from_dict(cls, record):
         return cls(
@@ -280,7 +274,7 @@ def synth_triplets(base_images, perturbations, seed, reference_domain="A"):
         "domains": domain_ids,
         "generator": {
             "seed": seed,
-            "perturbations": {d: p.to_dict() for d, p in perturbations.items()},
+            "perturbations": {d: asdict(p) for d, p in perturbations.items()},
             "clamp_count": clamp_count,
         },
     }
@@ -311,8 +305,6 @@ def split(dataset, fraction, seed):
 
 def save_dataset(dataset, directory):
     """Write PPM images plus a manifest.json naming them."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     entries = []
     for i, triplet in enumerate(dataset.triplets):
@@ -325,9 +317,7 @@ def save_dataset(dataset, directory):
     manifest = dict(dataset.manifest)
     manifest["domains"] = list(dataset.domain_ids)
     manifest["triplets"] = entries
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
 def load_dataset(directory):
@@ -336,8 +326,6 @@ def load_dataset(directory):
     Raises DatasetError, naming the file, when an image listed in the
     manifest is missing or differs in size from the rest of its triplet.
     """
-    import os
-
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     triplets = []

@@ -380,50 +380,36 @@ def feature_extractor(model, domain_id):
 
 def save_mcae(model, path):
     layers = []
-    for domain in model.domain_ids:
-        for stage, table in (("encoder", model.encoders), ("decoder", model.decoders)):
-            for index, layer in enumerate(table[domain]):
-                record = persist.dense_record(layer)
-                record.update({"domain": domain, "stage": stage, "index": index})
-                layers.append(record)
+    for d in model.domain_ids:
+        layers += persist.autoencoder_records(model.encoders[d], model.decoders[d], domain=d)
     kmeans = None
     if model.kmeans is not None:
-        kmeans = {
-            "k": model.kmeans.k,
-            "centroids": [[float(v) for v in row] for row in model.kmeans.centroids],
-        }
+        kmeans = {"k": model.kmeans.k, "centroids": model.kmeans.centroids.tolist()}
     persist.dump_json(
-        {
-            "format": "mcae-v1",
-            "domains": list(model.domain_ids),
-            "layers": layers,
-            "kmeans": kmeans,
-        },
+        {"format": "mcae-v1", "domains": list(model.domain_ids), "layers": layers,
+         "kmeans": kmeans},
         path,
     )
 
 
 def load_mcae(path):
-    return mcae_from_doc(persist.load_json(path))
+    return persist.read_model(path, {"mcae-v1": mcae_from_doc})
 
 
 def mcae_from_doc(doc):
-    """Rebuild a model from a parsed mcae-v1 document."""
-    if doc.get("format") != "mcae-v1":
-        raise ValueError(f"not an mcae-v1 document: {doc.get('format')!r}")
-    encoders = {d: {} for d in doc["domains"]}
-    decoders = {d: {} for d in doc["domains"]}
-    for record in doc["layers"]:
-        table = encoders if record["stage"] == "encoder" else decoders
-        table[record["domain"]][record["index"]] = persist.dense_from_record(record)
-    kmeans = None
-    if doc.get("kmeans") is not None:
-        kmeans = KMeansState(
-            centroids=np.array(doc["kmeans"]["centroids"], dtype=np.float64)
-        )
-    return McaeModel(
-        domain_ids=list(doc["domains"]),
-        encoders={d: [v[i] for i in sorted(v)] for d, v in encoders.items()},
-        decoders={d: [v[i] for i in sorted(v)] for d, v in decoders.items()},
-        kmeans=kmeans,
+    """Rebuild a model from a parsed mcae-v1 document, checking its shapes."""
+    domains = list(doc["domains"])
+    stacks = persist.autoencoder_stacks(doc["layers"], "domain")
+    if len(domains) < 2 or sorted(map(str, stacks)) != sorted(map(str, domains)):
+        raise ValueError(f"layers must cover exactly the domains {domains}, at least two")
+    shapes = [[layer.weights.shape for layer in sum(stacks[d], [])] for d in domains]
+    if shapes.count(shapes[0]) != len(shapes):
+        raise ValueError("every domain must have the same layer shapes")
+    model = McaeModel(
+        domains, {d: stacks[d][0] for d in domains}, {d: stacks[d][1] for d in domains}
     )
+    if doc.get("kmeans") is not None:
+        centroids = doc["kmeans"]["centroids"]
+        shape = (None, model.feature_dim)
+        model.kmeans = KMeansState(persist.float_array(centroids, "kmeans centroids", shape))
+    return model

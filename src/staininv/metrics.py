@@ -6,14 +6,12 @@ Z (h, w, n) is normalised channel-wise to (Z - mu) / (sigma + eps) before
 the plain mean-squared error is taken.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .colour import SsimConfig, hsd_forward, rgb_to_od, ssim
-from .persist import format_float
 
 NORMALIZE_EPSILON = 1e-8
 
@@ -211,57 +209,16 @@ def classification_report(true_labels, predicted_labels, class_names):
     )
 
 
-# --- CSV writers (all floats at 17 significant digits for exact reruns) ---
-
-
-def write_nfmse_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["triplet_id", "pair", "value"])
-        for triplet_id, pair, value in rows:
-            writer.writerow([triplet_id, pair, format_float(value)])
-
-
-def write_cxcy_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c_x", "c_y", "domain"])
-        for c_x, c_y, tag in rows:
-            writer.writerow([format_float(c_x), format_float(c_y), tag])
-
-
-def write_ssim_csv(table, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair", "mean", "std"])
-        for row in table:
-            writer.writerow(
-                [row["pair"], format_float(row["mean"]), format_float(row["std"])]
-            )
-
-
-def write_report_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "precision", "recall", "f1", "support"])
-        for i, name in enumerate(report.class_names):
-            writer.writerow(
-                [
-                    name,
-                    format_float(report.precision[i]),
-                    format_float(report.recall[i]),
-                    format_float(report.f1[i]),
-                    int(report.support[i]),
-                ]
-            )
-        total = int(report.support.sum())
-        writer.writerow(["accuracy", "", "", format_float(report.accuracy), total])
-        writer.writerow(
-            [
-                "weighted avg",
-                format_float(report.weighted_precision),
-                format_float(report.weighted_recall),
-                format_float(report.weighted_f1),
-                total,
-            ]
-        )
+def report_table(report):
+    """Header and rows: one per class, then the accuracy and weighted-average rows."""
+    rows = [
+        [name, report.precision[i], report.recall[i], report.f1[i], int(report.support[i])]
+        for i, name in enumerate(report.class_names)
+    ]
+    total = int(report.support.sum())
+    rows.append(["accuracy", "", "", report.accuracy, total])
+    rows.append(
+        ["weighted avg", report.weighted_precision, report.weighted_recall,
+         report.weighted_f1, total]
+    )
+    return ["class", "precision", "recall", "f1", "support"], rows

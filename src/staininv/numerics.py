@@ -14,20 +14,6 @@ import numpy as np
 ACTIVATIONS = ("tanh", "sigmoid", "leaky_relu", "linear")
 
 
-def tensor(values, shape=None, checked=True):
-    """Build a float64, C-ordered array, rejecting NaN/Inf in checked mode."""
-    arr = np.array(values, dtype=np.float64, order="C")
-    if shape is not None:
-        if int(np.prod(shape)) != arr.size:
-            raise ValueError(
-                f"shape {tuple(shape)} incompatible with {arr.size} values"
-            )
-        arr = arr.reshape(shape)
-    if checked and not np.all(np.isfinite(arr)):
-        raise ValueError("tensor contains non-finite values")
-    return arr
-
-
 def derive_seed(root_seed, name):
     """Derive a named 63-bit sub-stream seed from a root seed.
 

@@ -1,10 +1,15 @@
-"""Versioned JSON model persistence with exact float round-trips.
+"""Artifact formats: model files, CSV tables and JSON result documents.
 
-Floats are written as decimals with 17 significant digits, which uniquely
-identifies every finite double, so save -> load reproduces parameters
-bit-for-bit.
+Model files are versioned JSON (``mcae-v1``, ``stanosa-v1``,
+``clf-head-v1``).  Their floats are written as decimals with 17 significant
+digits, which uniquely identifies every finite double, so save -> load
+reproduces parameters bit-for-bit.  CSV cells use the same 17 digits;
+small result documents (summaries, manifests) are indented JSON with
+sorted keys.  PPM images (``dataset``) and ``labels.json`` (``classifier``)
+keep their own readers and writers.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -12,8 +17,35 @@ import numpy as np
 from .numerics import Conv2dLayer, DenseLayer
 
 
+class ModelFileError(ValueError):
+    """A model or head file that is missing, unparsable or malformed."""
+
+
 def format_float(value):
     return format(float(value), ".17g")
+
+
+def float_strings(values):
+    """Floats as 17-significant-digit strings, for JSON that keeps them as text."""
+    return [format_float(v) for v in values]
+
+
+def write_csv(path, header, rows):
+    """Write a header and rows; float cells get 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [format_float(v) if isinstance(v, (float, np.floating)) else v for v in row]
+            )
+
+
+def write_json(path, doc):
+    """Write a result document as indented JSON with sorted keys."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _encode(obj, pieces, indent):
@@ -38,19 +70,18 @@ def _encode(obj, pieces, indent):
             if i < len(obj) - 1:
                 pieces.append(", ")
         pieces.append("]")
-    elif isinstance(obj, bool) or obj is None:
+    elif isinstance(obj, (bool, str)) or obj is None:
         pieces.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
         pieces.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         pieces.append(format_float(obj))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dump_json(obj, path):
+    """Write a model document with every float at 17 significant digits."""
     pieces = []
     _encode(obj, pieces, 0)
     pieces.append("\n")
@@ -63,49 +94,115 @@ def load_json(path):
         return json.load(fh)
 
 
-def dense_record(layer):
+def float_array(values, what, shape):
+    """A finite float64 array from a parsed JSON list; None in ``shape`` is any size."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what}: non-finite value")
+    return arr
+
+
+# --- layer records: one record format for dense and conv layers ---
+
+
+def layer_record(layer):
+    """Record of a DenseLayer (kind "dense") or Conv2dLayer (kind "conv2d")."""
+    conv = isinstance(layer, Conv2dLayer)
+    weights = layer.kernels if conv else layer.weights
     record = {
-        "kind": "dense",
-        "shape": list(layer.weights.shape),
-        "weights": [float(v) for v in layer.weights.reshape(-1)],
-        "bias": [float(v) for v in layer.bias],
-        "activation": layer.activation,
+        "kind": "conv2d" if conv else "dense",
+        "shape": list(weights.shape),
+        "weights": weights.reshape(-1).tolist(),
+        "bias": layer.bias.tolist(),
     }
+    if conv:
+        record["padding"] = layer.padding
+    record["activation"] = layer.activation
     if layer.activation == "leaky_relu":
         record["leaky_slope"] = layer.leaky_slope
     return record
 
 
-def dense_from_record(record):
-    shape = tuple(record["shape"])
-    return DenseLayer(
-        weights=np.array(record["weights"], dtype=np.float64).reshape(shape),
-        bias=np.array(record["bias"], dtype=np.float64),
-        activation=record["activation"],
-        leaky_slope=record.get("leaky_slope", 0.01),
-    )
+def layer_from_record(record):
+    """Rebuild the layer of a record, checking sizes and finite values."""
+    weights = float_array(record["weights"], "layer weights", (None,))
+    weights = weights.reshape(record["shape"])
+    bias = float_array(record["bias"], "layer bias", weights.shape[:1])
+    slope = record.get("leaky_slope", 0.01)
+    if record["kind"] == "dense":
+        return DenseLayer(weights, bias, record["activation"], slope)
+    return Conv2dLayer(weights, bias, record["padding"], record["activation"], slope)
 
 
-def conv_record(layer):
-    record = {
-        "kind": "conv2d",
-        "shape": list(layer.kernels.shape),
-        "weights": [float(v) for v in layer.kernels.reshape(-1)],
-        "bias": [float(v) for v in layer.bias],
-        "padding": layer.padding,
-        "activation": layer.activation,
-    }
-    if layer.activation == "leaky_relu":
-        record["leaky_slope"] = layer.leaky_slope
-    return record
+def layer_chain(records, kind, what):
+    """Layers of one kind from consecutive records, each fed by the one before."""
+    if any(record["kind"] != kind for record in records):
+        raise ValueError(f"{what}: every layer must be of kind {kind!r}")
+    layers = [layer_from_record(record) for record in records]
+    for prev, record in zip(records, records[1:]):
+        if record["shape"][1] != prev["shape"][0]:
+            n_out, n_in = prev["shape"][0], record["shape"][1]
+            raise ValueError(f"{what}: {n_out} outputs feed a layer of {n_in} inputs")
+    return layers
 
 
-def conv_from_record(record):
-    shape = tuple(record["shape"])
-    return Conv2dLayer(
-        kernels=np.array(record["weights"], dtype=np.float64).reshape(shape),
-        bias=np.array(record["bias"], dtype=np.float64),
-        padding=record["padding"],
-        activation=record["activation"],
-        leaky_slope=record.get("leaky_slope", 0.01),
-    )
+def autoencoder_records(encoder, decoder, **fields):
+    """Layer records tagged with ``fields``, stage and index; see autoencoder_stacks."""
+    return [
+        {**layer_record(layer), **fields, "stage": stage, "index": index}
+        for stage, stack in (("encoder", encoder), ("decoder", decoder))
+        for index, layer in enumerate(stack)
+    ]
+
+
+def autoencoder_stacks(records, group=None):
+    """{group value: (encoder, decoder)} from layer records with stage and index.
+
+    Records are grouped by their ``group`` field (one group keyed None when
+    ``group`` is None); each stack's indices must run 0..n-1, and dims must
+    chain through the encoder and then the decoder.
+    """
+    stacks = {}
+    for record in records:
+        stages = stacks.setdefault(record.get(group), {"encoder": [], "decoder": []})
+        if record["stage"] not in stages:
+            raise ValueError(f"unknown layer stage {record['stage']!r}")
+        stages[record["stage"]].append(record)
+    result = {}
+    for name, stages in stacks.items():
+        what = f"{group} {name}" if group else "auto-encoder"
+        for stage, stack in stages.items():
+            stack.sort(key=lambda record: record["index"])
+            if not stack or [r["index"] for r in stack] != list(range(len(stack))):
+                raise ValueError(f"{what}: {stage} layer indices must run 0..n-1")
+        layers = layer_chain(stages["encoder"] + stages["decoder"], "dense", what)
+        split = len(stages["encoder"])
+        result[name] = (layers[:split], layers[split:])
+    return result
+
+
+def read_model(path, builders):
+    """Parse a model file once and build it with the builder for its format.
+
+    ``builders`` maps format tags to functions of the parsed document.  A
+    missing or unparsable file, an unknown format tag, or a document the
+    builder rejects raises ModelFileError naming the file.
+    """
+    try:
+        doc = load_json(path)
+    except (OSError, ValueError) as exc:
+        raise ModelFileError(f"cannot read model file {path}: {exc}") from None
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if not isinstance(fmt, str) or fmt not in builders:
+        raise ModelFileError(
+            f"unrecognised model format {fmt!r} in {path}; "
+            f"expected {' or '.join(builders)}"
+        )
+    try:
+        return builders[fmt](doc)
+    except KeyError as exc:
+        raise ModelFileError(f"invalid {fmt} file {path}: missing key {exc}") from None
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise ModelFileError(f"invalid {fmt} file {path}: {exc}") from None

@@ -128,42 +128,34 @@ def feature_extractor(model):
 
 
 def save_stanosa(model, path):
-    layers = []
-    for stage, stack in (("encoder", model.encoder), ("decoder", model.decoder)):
-        for index, layer in enumerate(stack):
-            record = persist.dense_record(layer)
-            record.update({"stage": stage, "index": index})
-            layers.append(record)
+    layers = persist.autoencoder_records(model.encoder, model.decoder)
     zca = None
     if model.zca is not None:
         zca = {
-            "mean": [float(v) for v in model.zca.mean],
-            "matrix": [[float(v) for v in row] for row in model.zca.matrix],
+            "mean": model.zca.mean.tolist(),
+            "matrix": model.zca.matrix.tolist(),
             "epsilon": model.zca.epsilon,
         }
     persist.dump_json({"format": "stanosa-v1", "layers": layers, "zca": zca}, path)
 
 
 def load_stanosa(path):
-    return stanosa_from_doc(persist.load_json(path))
+    return persist.read_model(path, {"stanosa-v1": stanosa_from_doc})
 
 
 def stanosa_from_doc(doc):
-    """Rebuild a model from a parsed stanosa-v1 document."""
-    if doc.get("format") != "stanosa-v1":
-        raise ValueError(f"not a stanosa-v1 document: {doc.get('format')!r}")
-    stacks = {"encoder": {}, "decoder": {}}
-    for record in doc["layers"]:
-        stacks[record["stage"]][record["index"]] = persist.dense_from_record(record)
-    zca = None
-    if doc.get("zca") is not None:
-        zca = ZcaTransform(
-            mean=np.array(doc["zca"]["mean"], dtype=np.float64),
-            matrix=np.array(doc["zca"]["matrix"], dtype=np.float64),
-            epsilon=doc["zca"]["epsilon"],
+    """Rebuild a model from a parsed stanosa-v1 document, checking its shapes."""
+    stacks = persist.autoencoder_stacks(doc["layers"])
+    if not stacks:
+        raise ValueError("no layers")
+    encoder, decoder = stacks[None]
+    model = StanosaModel(zca=None, encoder=encoder, decoder=decoder)
+    zca = doc.get("zca")
+    if zca is not None:
+        n_in = encoder[0].n_in
+        model.zca = ZcaTransform(
+            mean=persist.float_array(zca["mean"], "zca mean", (n_in,)),
+            matrix=persist.float_array(zca["matrix"], "zca matrix", (n_in, n_in)),
+            epsilon=zca["epsilon"],
         )
-    return StanosaModel(
-        zca=zca,
-        encoder=[stacks["encoder"][i] for i in sorted(stacks["encoder"])],
-        decoder=[stacks["decoder"][i] for i in sorted(stacks["decoder"])],
-    )
+    return model

@@ -250,3 +250,17 @@ def test_train_classifier_rejects_zero_batch():
     with pytest.raises(ValueError, match="batch"):
         train_classifier(_extractor(), head_init(3, seed=0), ds, ds,
                          ClassifierTrainConfig(epochs=1, batch=0))
+
+
+def test_load_head_rejects_dense_layer_naming_file(tmp_path):
+    import json
+
+    from staininv.persist import ModelFileError
+
+    path = tmp_path / "head.json"
+    save_head(head_init(3, seed=1), path)
+    doc = json.loads(path.read_text())
+    doc["conv1"]["kind"] = "dense"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFileError, match=str(path)):
+        load_head(path)

@@ -6,7 +6,7 @@ import numpy as np
 
 import pytest
 
-from staininv import dataset
+from staininv import classifier, dataset, mcae
 from staininv.cli import load_config, main, UsageError
 
 
@@ -146,17 +146,96 @@ def test_eval_nfmse_without_model_is_usage_error(tiny_dataset, tmp_path, capsys)
     assert "--model" in record["error"]["message"]
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "[]"])
-def test_unreadable_model_is_usage_error(tiny_dataset, tmp_path, capsys, content):
-    model = tmp_path / "model.json"
-    if content is not None:
-        model.write_text(content)
-    code = main(["eval-nfmse", "--dataset", str(tiny_dataset), "--model", str(model),
-                 "--out-dir", str(tmp_path / "o")])
+def _first_layer(doc):
+    return doc["layers"][0] if "layers" in doc else doc["conv1"]
+
+
+def _drop_first_output(doc):
+    layer = _first_layer(doc)
+    layer["shape"][0] -= 1
+    layer["weights"] = layer["weights"][: int(np.prod(layer["shape"]))]
+    layer["bias"].pop()
+
+
+#: fault name -> edit of a saved model or head document
+MODEL_FAULTS = {
+    "wrong-format": lambda doc: doc.update(
+        format="clf-head-v1" if "layers" in doc else "mcae-v1"),
+    "no-layers": lambda doc: doc.pop("layers" if "layers" in doc else "conv2"),
+    "short-weights": lambda doc: _first_layer(doc)["weights"].pop(),
+    "long-bias": lambda doc: _first_layer(doc)["bias"].append(0.0),
+    "nan-weight": lambda doc: _first_layer(doc)["weights"].__setitem__(0, float("nan")),
+    "unchained": _drop_first_output,
+}
+
+
+def _write_model_file(path, save, content):
+    """No file (None), raw text, or a saved document with a named fault."""
+    if content is None:
+        return
+    if content not in MODEL_FAULTS:
+        path.write_text(content)
+        return
+    save(path)
+    doc = json.loads(path.read_text())
+    MODEL_FAULTS[content](doc)
+    path.write_text(json.dumps(doc))
+
+
+def _assert_usage_error_naming(code, capsys, path):
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "UsageError"
-    assert str(model) in record["error"]["message"]
+    assert str(path) in record["error"]["message"]
+
+
+def _save_model(path):
+    mcae.save_mcae(mcae.mcae_init(["A", "B", "C"], seed=0), path)
+
+
+def _save_head(path):
+    classifier.save_head(classifier.head_init(3, seed=0), path)
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[]", *MODEL_FAULTS])
+def test_unreadable_model_is_usage_error(tiny_dataset, tmp_path, capsys, content):
+    model = tmp_path / "model.json"
+    _write_model_file(model, _save_model, content)
+    code = main(["eval-nfmse", "--dataset", str(tiny_dataset), "--model", str(model),
+                 "--out-dir", str(tmp_path / "o")])
+    _assert_usage_error_naming(code, capsys, model)
+
+    # the same fault in the classifier head given to eval-clf
+    good = tmp_path / "good.json"
+    _save_model(good)
+    head = tmp_path / "head.json"
+    _write_model_file(head, _save_head, content)
+    code = main(["eval-clf", "--model", str(good), "--head", str(head), "--per-class", "2",
+                 "--out-dir", str(tmp_path / "c")])
+    _assert_usage_error_naming(code, capsys, head)
+
+
+def test_head_for_other_feature_dim_is_usage_error(tmp_path, capsys):
+    model, head = tmp_path / "model.json", tmp_path / "head.json"
+    _save_model(model)
+    classifier.save_head(classifier.head_init(3, seed=0, in_channels=7), head)
+    code = main(["eval-clf", "--model", str(model), "--head", str(head), "--per-class", "2",
+                 "--out-dir", str(tmp_path / "c")])
+    _assert_usage_error_naming(code, capsys, head)
+
+
+def test_train_clf_without_validation_split_leaves_cell_empty(tmp_path):
+    model = tmp_path / "model.json"
+    _save_model(model)
+    out = tmp_path / "clf"
+    # 9 images: round(9 * 0.05) = 0 validation images
+    assert main(["train-clf", "--model", str(model), "--per-class", "3", "--epochs", "1",
+                 "--out-dir", str(out)]) == 0
+    with open(out / "clf_loss.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["epoch", "loss", "val_accuracy"]
+    assert rows[1][0] == "1" and float(rows[1][1]) > 0 and rows[1][2] == ""
+    assert len(rows) == 2
 
 
 def _truncated_ppm_dataset(tmp_path):

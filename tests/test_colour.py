@@ -138,6 +138,20 @@ def test_ssim_identical_images_exactly_one():
     assert ssim(img, img) == 1.0
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-300, 5e-324])
+def test_ssim_tiny_range_is_finite_and_scale_invariant(scale):
+    # the pair's constants underflow at this range; SSIM ignores a common scale
+    rng = np.random.default_rng(9)
+    img = rng.uniform(0.0, 2.0, size=(12, 12))
+    tiny = np.full((8, 8), scale)
+    assert ssim(tiny, tiny) == 1.0
+    if scale == 1e-160:
+        other = rng.uniform(0.0, 2.0, size=(12, 12))
+        score = ssim(img * scale, other * scale)
+        assert np.isfinite(score)
+        assert score == pytest.approx(ssim(img, other), rel=1e-12)
+
+
 def test_ssim_constant_images_closed_form():
     a_val, b_val = 0.8, 0.3
     a = np.full((10, 10), a_val)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,3 +365,33 @@ def test_train_rejects_zero_batch():
     config = McaeTrainConfig(epochs=1, batch=0, stride=8, k=3, kmeans_sample=50)
     with pytest.raises(ValueError, match="batch"):
         train_mcae(mcae_init(ds.domain_ids, seed=0), ds, config)
+
+
+def _shrink_rows(record, n_out):
+    """Cut a layer record down to its first n_out output units."""
+    n_in = record["shape"][1]
+    record["shape"] = [n_out, n_in]
+    record["weights"] = record["weights"][: n_out * n_in]
+    record["bias"] = record["bias"][:n_out]
+
+
+@pytest.mark.parametrize("fault", ["kmeans-dim", "unequal-domains", "missing-domain"])
+def test_load_mcae_rejects_inconsistent_model_naming_file(tmp_path, fault):
+    from staininv.persist import ModelFileError
+
+    model = mcae_init(["A", "B"], seed=1)
+    model.kmeans = KMeansState(centroids=np.zeros((3, model.feature_dim)))
+    path = tmp_path / "model.json"
+    save_mcae(model, path)
+    assert load_mcae(path).kmeans.centroids.shape == (3, 10)
+    doc = json.loads(path.read_text())
+    if fault == "kmeans-dim":
+        doc["kmeans"]["centroids"] = [row[:-1] for row in doc["kmeans"]["centroids"]]
+    elif fault == "unequal-domains":
+        last_b = [r for r in doc["layers"] if r["domain"] == "B"][-1]
+        _shrink_rows(last_b, last_b["shape"][0] - 1)
+    else:
+        doc["domains"].append("C")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFileError, match=str(path)):
+        load_mcae(path)

@@ -23,7 +23,6 @@ from staininv.numerics import (
     mlp_backward,
     mlp_forward,
     mlp_params,
-    tensor,
     zero_grads,
 )
 
@@ -52,19 +51,6 @@ def test_finite_diff_product():
 def test_finite_diff_rejects_non_finite():
     with pytest.raises(ValueError):
         finite_diff_grad(lambda v: float("nan"), np.array([1.0]))
-
-
-# --- tensor construction ---
-
-
-def test_tensor_shape_and_finiteness():
-    arr = tensor([1, 2, 3, 4], shape=(2, 2))
-    assert arr.shape == (2, 2) and arr.dtype == np.float64
-    with pytest.raises(ValueError):
-        tensor([1, 2, 3], shape=(2, 2))
-    with pytest.raises(ValueError):
-        tensor([1.0, float("inf")])
-    assert tensor([1.0, float("inf")], checked=False)[1] == np.inf
 
 
 def test_derive_seed_stable_and_distinct():

@@ -1,15 +1,21 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from staininv.numerics import DenseLayer
+from staininv.numerics import Conv2dLayer, DenseLayer
 from staininv.persist import (
-    dense_from_record,
-    dense_record,
+    ModelFileError,
+    autoencoder_stacks,
     dump_json,
     format_float,
+    layer_from_record,
+    layer_record,
     load_json,
+    read_model,
+    write_csv,
+    write_json,
 )
 
 
@@ -43,7 +49,98 @@ def test_dump_load_roundtrip(tmp_path):
 def test_dense_record_roundtrip_bitwise():
     rng = np.random.default_rng(1)
     layer = DenseLayer(rng.normal(size=(4, 6)), rng.normal(size=4), "leaky_relu", 0.02)
-    back = dense_from_record(json.loads(json.dumps(dense_record(layer))))
+    back = layer_from_record(json.loads(json.dumps(layer_record(layer))))
     assert np.array_equal(back.weights, layer.weights)
     assert np.array_equal(back.bias, layer.bias)
     assert back.activation == "leaky_relu" and back.leaky_slope == 0.02
+
+
+def test_conv_record_roundtrip_bitwise():
+    rng = np.random.default_rng(2)
+    layer = Conv2dLayer(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), 1, "tanh")
+    record = layer_record(layer)
+    assert record["kind"] == "conv2d" and "leaky_slope" not in record
+    back = layer_from_record(json.loads(json.dumps(record)))
+    assert isinstance(back, Conv2dLayer)
+    assert np.array_equal(back.kernels, layer.kernels)
+    assert np.array_equal(back.bias, layer.bias)
+    assert back.padding == 1 and back.activation == "tanh"
+
+
+def test_write_csv_formats_only_float_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["id", "name", "value"],
+              [[3, "a,b", 0.1], [np.int64(4), "", np.float64(2.0)]])
+    assert path.read_bytes() == b'id,name,value\r\n3,"a,b",0.10000000000000001\r\n4,,2\r\n'
+
+
+def test_write_json_is_sorted_and_indented(tmp_path):
+    doc = {"b": [1, 2.5], "a": {"y": None, "x": "s"}}
+    write_json(tmp_path / "d.json", doc)
+    assert (tmp_path / "d.json").read_text() == (
+        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    )
+
+
+def _dense(rng, n_out, n_in, activation="tanh"):
+    return DenseLayer(rng.normal(size=(n_out, n_in)), rng.normal(size=n_out), activation)
+
+
+def _records(layers, stage):
+    return [dict(layer_record(layer), stage=stage, index=i) for i, layer in enumerate(layers)]
+
+
+def test_autoencoder_stacks_orders_by_index_and_checks_chain():
+    rng = np.random.default_rng(3)
+    enc = [_dense(rng, 5, 8), _dense(rng, 2, 5)]
+    dec = [_dense(rng, 5, 2), _dense(rng, 8, 5, "sigmoid")]
+    records = _records(enc, "encoder") + _records(dec, "decoder")
+    encoder, decoder = autoencoder_stacks(records[::-1])[None]
+    for got, want in zip(encoder + decoder, enc + dec):
+        assert np.array_equal(got.weights, want.weights)
+    with pytest.raises(ValueError, match="0..n-1"):
+        autoencoder_stacks(records[1:])  # encoder index 1 only
+    with pytest.raises(ValueError, match="0..n-1"):
+        autoencoder_stacks(records + records[:1])  # duplicate index 0
+    with pytest.raises(ValueError, match="outputs feed"):
+        autoencoder_stacks(_records(enc, "encoder") + _records(dec[1:], "decoder"))
+
+
+def _model_doc():
+    rng = np.random.default_rng(4)
+    layers = _records([_dense(rng, 3, 4)], "encoder")
+    layers += _records([_dense(rng, 4, 3)], "decoder")
+    return {"format": "toy-v1", "layers": layers}
+
+
+def _read(path):
+    return read_model(path, {"toy-v1": lambda doc: autoencoder_stacks(doc["layers"])})
+
+
+# the command-line tests cover the other faults, through real model files
+@pytest.mark.parametrize("fault", ["inf-bias", "conv-kind", "bad-stage"])
+def test_read_model_rejects_bad_files_naming_them(tmp_path, fault):
+    doc = _model_doc()
+    first = doc["layers"][0]
+    if fault == "inf-bias":
+        first["bias"][0] = float("inf")
+    elif fault == "conv-kind":
+        first["kind"] = "conv2d"
+    else:
+        first["stage"] = "middle"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFileError, match=str(path)):
+        _read(path)
+
+
+def test_read_model_parses_once(tmp_path, monkeypatch):
+    import staininv.persist as persist
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_model_doc()))
+    calls = []
+    original = persist.load_json
+    monkeypatch.setattr(persist, "load_json", lambda p: calls.append(p) or original(p))
+    encoder, decoder = _read(path)[None]
+    assert calls == [path] and encoder[0].n_out == decoder[0].n_in == 3

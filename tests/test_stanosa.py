@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,17 @@ def test_train_rejects_zero_batch():
     data = _patches(7, n_images=4, size=16)
     with pytest.raises(ValueError, match="batch"):
         train_stanosa(stanosa_init(seed=0), data, StanosaTrainConfig(epochs=1, batch=0))
+
+
+def test_load_stanosa_rejects_mismatched_zca_naming_file(tmp_path):
+    from staininv.persist import ModelFileError
+
+    data = _patches(8, n_images=4, size=16)
+    model, _ = train_stanosa(stanosa_init(seed=1), data, StanosaTrainConfig(epochs=1))
+    path = tmp_path / "s.json"
+    save_stanosa(model, path)
+    doc = json.loads(path.read_text())
+    doc["zca"]["mean"].pop()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFileError, match=str(path)):
+        load_stanosa(path)
