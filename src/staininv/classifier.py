@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import persist
-from .dataset import Image, extract_patches, load_image, paint_blobs, save_image
+from .dataset import (
+    Image, extract_patches, load_listed_image, paint_blobs, read_listing, save_image,
+)
 from .numerics import (
     adam_init,
     adam_step,
@@ -205,9 +207,9 @@ def save_labeled_set(dataset, directory):
 
 
 def load_labeled_set(directory):
-    with open(os.path.join(directory, "labels.json")) as fh:
-        doc = json.load(fh)
-    images = [load_image(os.path.join(directory, item["path"])) for item in doc["items"]]
+    """Read a set written by ``save_labeled_set``; DatasetError names a missing file."""
+    doc = read_listing(os.path.join(directory, "labels.json"))
+    images = [load_listed_image(os.path.join(directory, item["path"])) for item in doc["items"]]
     labels = np.array([item["label"] for item in doc["items"]], dtype=np.int64)
     return LabeledImageSet(images=images, labels=labels, class_names=list(doc["classes"]))
 

@@ -3,22 +3,23 @@
 Every subcommand reads an optional JSON config file plus flag overrides
 (flags win), derives its randomness from one root seed via named
 sub-streams, writes its declared CSV/JSON/PPM outputs into --out-dir, and
-drops a run_manifest.json recording the effective config, seed, package
+drops a run_manifest.json recording the resolved settings, seed, package
 versions, produced files, and wall time.  Exit codes: 0 success, 1 runtime
 failure, 2 usage/config error; failures emit a JSON error record on stderr.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import __version__, classifier, cyclegan, dataset, mcae, metrics, persist
-from . import stanosa
+from . import gradcheck, stanosa
 from .numerics import derive_seed
 
 
@@ -33,64 +34,149 @@ DEFAULT_PERTURBATIONS = {
           "density_gain": 1.0},
 }
 
-CONFIG_SCHEMA = {
-    "seed": None,
-    "synth": {"triplets", "size", "perturbations"},
-    "mcae": {"epochs", "lr", "batch", "stride", "k", "kmeans_sample",
-             "train_fraction"},
-    "stanosa": {"epochs", "lr", "batch", "stride", "zca_sample", "domain",
-                "train_fraction"},
-    "nfmse": {"train_fraction", "split"},
-    "hsd": {"pixels"},
-    "classifier": {"epochs", "lr", "batch", "per_class", "size", "domain",
-                   "pooling"},
-    "cyclegan": {"epochs", "batch", "lr", "lambda1", "lambda2", "patches",
-                 "saturating"},
+
+@dataclass(frozen=True)
+class Setting:
+    """One config key.  Bool and dict keys are config-file only; a None default
+    is left to the command (the first domain of the dataset or model)."""
+
+    kind: object  # int, float, bool, str, dict, or a tuple of allowed strings
+    default: object
+    bound: str = ""  # a key of _BOUNDS
+
+
+_BOUNDS = {
+    "": lambda v: True,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "> 0": lambda v: v > 0,
+    "in (0, 1)": lambda v: 0 < v < 1,
 }
+
+_TRAIN_FRACTION = Setting(float, 0.8, "in (0, 1)")  # share of triplets in the train split
+
+#: every config key, as ``block.key`` (``seed`` is the one top-level key)
+SETTINGS = {
+    "seed": Setting(int, 0),
+    "synth.triplets": Setting(int, 200, ">= 1"),
+    "synth.size": Setting(int, 32, ">= 1"),
+    "synth.perturbations": Setting(dict, DEFAULT_PERTURBATIONS),
+    "mcae.epochs": Setting(int, mcae.McaeTrainConfig.epochs, ">= 0"),
+    "mcae.lr": Setting(float, mcae.McaeTrainConfig.lr, "> 0"),
+    "mcae.batch": Setting(int, mcae.McaeTrainConfig.batch, ">= 1"),
+    "mcae.stride": Setting(int, mcae.McaeTrainConfig.stride, ">= 1"),
+    "mcae.k": Setting(int, mcae.McaeTrainConfig.k, ">= 1"),
+    "mcae.kmeans_sample": Setting(int, mcae.McaeTrainConfig.kmeans_sample, ">= 1"),
+    "mcae.train_fraction": _TRAIN_FRACTION,
+    "stanosa.epochs": Setting(int, stanosa.StanosaTrainConfig.epochs, ">= 0"),
+    "stanosa.lr": Setting(float, stanosa.StanosaTrainConfig.lr, "> 0"),
+    "stanosa.batch": Setting(int, stanosa.StanosaTrainConfig.batch, ">= 1"),
+    "stanosa.stride": Setting(int, 8, ">= 1"),
+    "stanosa.zca_sample": Setting(int, stanosa.StanosaTrainConfig.zca_sample, ">= 1"),
+    "stanosa.domain": Setting(str, None),
+    "stanosa.train_fraction": _TRAIN_FRACTION,
+    "nfmse.train_fraction": _TRAIN_FRACTION,
+    "nfmse.split": Setting(("train", "test", "all"), "test"),
+    "hsd.pixels": Setting(int, 2000, ">= 1"),
+    "classifier.epochs": Setting(int, classifier.ClassifierTrainConfig.epochs, ">= 0"),
+    "classifier.lr": Setting(float, classifier.ClassifierTrainConfig.lr, "> 0"),
+    "classifier.batch": Setting(int, classifier.ClassifierTrainConfig.batch, ">= 1"),
+    "classifier.per_class": Setting(int, 60, ">= 1"),
+    "classifier.size": Setting(int, 32, ">= 1"),
+    "classifier.domain": Setting(str, None),
+    "classifier.pooling": Setting(("avg", "max"), classifier.ClassifierHead.pooling),
+    "cyclegan.epochs": Setting(int, cyclegan.CycleGanConfig.epochs, ">= 0"),
+    "cyclegan.batch": Setting(int, cyclegan.CycleGanConfig.batch, ">= 1"),
+    "cyclegan.lr": Setting(float, cyclegan.CycleGanConfig.lr, "> 0"),
+    "cyclegan.lambda1": Setting(float, cyclegan.CycleGanConfig.lambda1, ">= 0"),
+    "cyclegan.lambda2": Setting(float, cyclegan.CycleGanConfig.lambda2, ">= 0"),
+    "cyclegan.patches": Setting(int, 256, ">= 1"),
+    "cyclegan.saturating": Setting(bool, cyclegan.CycleGanConfig.saturating),
+}
+_BLOCKS = {name.partition(".")[0] for name in SETTINGS if "." in name}
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", dict: "a JSON object"}
+
+
+def flag(name):
+    """The command-line flag of a setting, or None for a config-file-only key."""
+    if SETTINGS[name].kind not in (bool, dict):
+        return "--" + name.rpartition(".")[2].replace("_", "-")
+
+
+def describe(name):
+    """What a setting accepts, e.g. ``an integer >= 1``."""
+    setting = SETTINGS[name]
+    if isinstance(setting.kind, tuple):
+        return "one of " + ", ".join(setting.kind)
+    return f"{_KIND_NAMES[setting.kind]} {setting.bound}".rstrip()
+
+
+def _checked(name, value):
+    """The value as the setting's type, or a UsageError naming the key and its flag."""
+    kind = SETTINGS[name].kind
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if isinstance(kind, tuple):
+        ok = value in kind
+    else:  # a bool is not an integer here, and a number is finite
+        ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+        ok = ok and (kind is not float or math.isfinite(value))
+    if not (ok and _BOUNDS[SETTINGS[name].bound](value)):
+        where = flag(name) or "config file only"
+        raise UsageError(f"{name} ({where}) must be {describe(name)}, got {value!r}")
+    return value
 
 
 def load_config(path):
-    """Load and validate a JSON config; unknown keys are rejected."""
+    """Load a JSON config as ``{block.key: value}``, each key known and each value checked."""
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
+    except ValueError as exc:
         raise UsageError(f"malformed config {path}: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError("config root must be a JSON object")
+    flat = {}
     for key, value in config.items():
-        if key not in CONFIG_SCHEMA:
-            raise UsageError(f"unknown config key {key!r}")
-        allowed = CONFIG_SCHEMA[key]
-        if allowed is None:
-            continue
-        if not isinstance(value, dict):
+        if key in _BLOCKS and isinstance(value, dict):
+            flat.update((f"{key}.{sub}", sub_value) for sub, sub_value in value.items())
+        elif key in _BLOCKS:
             raise UsageError(f"config block {key!r} must be an object")
-        for sub in value:
-            if sub not in allowed:
-                raise UsageError(f"unknown config key {key}.{sub}")
-    return config
+        elif key in SETTINGS and "." not in key:
+            flat[key] = value
+        else:
+            raise UsageError(f"unknown config key {key!r}")
+    for name, value in flat.items():
+        if name not in SETTINGS:
+            raise UsageError(f"unknown config key {name!r}")
+        flat[name] = _checked(name, value)
+    return flat
 
 
-def _setting(args, config, block, name, default):
-    """Flag value if given, else config-file value, else the default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    return config.get(block, {}).get(name, default)
+def resolve(command, args, config):
+    """Each setting the command reads, checked: its flag, else the config file, else the
+    default, as ``{"seed": ..., block: {key: value}}``, the shape of a config file."""
+    spec = COMMANDS[command]
+    values = {}
+    for name in ("seed", *spec.settings):
+        key = name.rpartition(".")[2]
+        value = getattr(args, key, None)  # None also for config-file-only keys
+        if value is None:
+            value = config.get(name, SETTINGS[name].default)
+        if value is not None:
+            values[key] = _checked(name, value)
+    seed = values.pop("seed")
+    return {"seed": seed, spec.block: values} if spec.block else {"seed": seed}
 
 
-def _count_setting(args, config, block, name, default):
-    """An integer setting that must be at least 1, checked before any work."""
-    value = _setting(args, config, block, name, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        flag = "--" + name.replace("_", "-")
-        raise UsageError(
-            f"{block}.{name} ({flag}) must be an integer >= 1, got {value!r}"
-        )
-    return value
+def _trainer_config(config_class, values, seed):
+    """A trainer config whose fields, but the seed, are read from a block's settings."""
+    names = [f.name for f in fields(config_class) if f.name != "seed"]
+    return config_class(seed=seed, **{name: values[name] for name in names})
 
 
 def _loss_table(log, columns):
@@ -108,53 +194,25 @@ _MODEL_BUILDERS = {
 }
 
 
-@contextmanager
-def _model_file_is_usage_error():
-    """Report a missing, unparsable or malformed model file as a usage error."""
-    try:
-        yield
-    except persist.ModelFileError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _load_any_model(path):
-    with _model_file_is_usage_error():
-        return persist.read_model(path, _MODEL_BUILDERS)
-
-
 def _extractors_for(path, domains):
-    kind, model = _load_any_model(path)
+    kind, model = persist.read_model(path, _MODEL_BUILDERS)
     if kind == "mcae":
         return kind, {d: mcae.feature_extractor(model, d) for d in domains}
     ext = stanosa.feature_extractor(model)
     return kind, {d: ext for d in domains}
 
 
-def _require_dataset(path):
-    if path is None:
-        raise UsageError("--dataset is required")
-    if not os.path.isdir(path) or not os.path.exists(os.path.join(path, "manifest.json")):
-        raise UsageError(f"dataset directory not found: {path}")
-    try:
-        return dataset.load_dataset(path)
-    except dataset.DatasetError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _train_split(ds, fraction, root_seed):
     return dataset.split(ds, fraction, derive_seed(root_seed, "split"))
 
 
-# --- subcommands ---
+# --- subcommands: each takes (args, its block's settings, out_dir, seed) ---
 
 
-def cmd_synth(args, config, out_dir, seed):
-    n = int(_setting(args, config, "synth", "triplets", 200))
-    size = int(_setting(args, config, "synth", "size", 32))
-    pert_cfg = config.get("synth", {}).get("perturbations", DEFAULT_PERTURBATIONS)
-    perts = {d: dataset.StainPerturbation.from_dict(p) for d, p in pert_cfg.items()}
+def cmd_synth(args, s, out_dir, seed):
+    perts = {d: dataset.StainPerturbation.from_dict(p) for d, p in s["perturbations"].items()}
     synth_seed = derive_seed(seed, "synth")
-    base = dataset.generate_base_images(n, size, seed=synth_seed)
+    base = dataset.generate_base_images(s["triplets"], s["size"], seed=synth_seed)
     ds = dataset.synth_triplets(base, perts, seed=synth_seed)
     dataset.save_dataset(ds, out_dir)
     names = [
@@ -163,26 +221,15 @@ def cmd_synth(args, config, out_dir, seed):
     return ["manifest.json", *names]
 
 
-def cmd_train_mcae(args, config, out_dir, seed):
-    k = _count_setting(args, config, "mcae", "k", 10)
-    kmeans_sample = _count_setting(args, config, "mcae", "kmeans_sample", 10000)
-    if kmeans_sample < k:
+def cmd_train_mcae(args, s, out_dir, seed):
+    if s["kmeans_sample"] < s["k"]:
         raise UsageError(
             f"mcae.kmeans_sample (--kmeans-sample) must be at least mcae.k (--k), "
-            f"got {kmeans_sample} < {k}"
+            f"got {s['kmeans_sample']} < {s['k']}"
         )
-    ds = _require_dataset(args.dataset)
-    fraction = float(_setting(args, config, "mcae", "train_fraction", 0.8))
-    train, _ = _train_split(ds, fraction, seed)
-    train_config = mcae.McaeTrainConfig(
-        epochs=int(_setting(args, config, "mcae", "epochs", 300)),
-        lr=float(_setting(args, config, "mcae", "lr", 0.0002)),
-        batch=int(_setting(args, config, "mcae", "batch", 64)),
-        stride=int(_setting(args, config, "mcae", "stride", 4)),
-        k=k,
-        kmeans_sample=kmeans_sample,
-        seed=derive_seed(seed, "mcae"),
-    )
+    ds = dataset.load_dataset(args.dataset)
+    train, _ = _train_split(ds, s["train_fraction"], seed)
+    train_config = _trainer_config(mcae.McaeTrainConfig, s, derive_seed(seed, "mcae"))
     model = mcae.mcae_init(ds.domain_ids, seed=derive_seed(seed, "mcae"))
     model, log = mcae.train_mcae(model, train, train_config)
     mcae.save_mcae(model, os.path.join(out_dir, "mcae_model.json"))
@@ -191,24 +238,16 @@ def cmd_train_mcae(args, config, out_dir, seed):
     return ["mcae_model.json", "mcae_loss.csv"]
 
 
-def cmd_train_stanosa(args, config, out_dir, seed):
-    ds = _require_dataset(args.dataset)
-    fraction = float(_setting(args, config, "stanosa", "train_fraction", 0.8))
-    domain = _setting(args, config, "stanosa", "domain", ds.domain_ids[0])
+def cmd_train_stanosa(args, s, out_dir, seed):
+    ds = dataset.load_dataset(args.dataset)
+    domain = s.setdefault("domain", ds.domain_ids[0])
     if domain not in ds.domain_ids:
         raise UsageError(f"domain {domain!r} not in dataset domains {ds.domain_ids}")
-    stride = int(_setting(args, config, "stanosa", "stride", 8))
-    train, _ = _train_split(ds, fraction, seed)
+    train, _ = _train_split(ds, s["train_fraction"], seed)
     patches = np.concatenate(
-        [dataset.extract_patches(t[domain], 8, stride) for t in train.triplets]
+        [dataset.extract_patches(t[domain], 8, s["stride"]) for t in train.triplets]
     )
-    train_config = stanosa.StanosaTrainConfig(
-        epochs=int(_setting(args, config, "stanosa", "epochs", 300)),
-        lr=float(_setting(args, config, "stanosa", "lr", 0.0002)),
-        batch=int(_setting(args, config, "stanosa", "batch", 256)),
-        zca_sample=int(_setting(args, config, "stanosa", "zca_sample", 100000)),
-        seed=derive_seed(seed, "stanosa"),
-    )
+    train_config = _trainer_config(stanosa.StanosaTrainConfig, s, derive_seed(seed, "stanosa"))
     model = stanosa.stanosa_init(seed=derive_seed(seed, "stanosa"))
     model, log = stanosa.train_stanosa(model, patches, train_config)
     stanosa.save_stanosa(model, os.path.join(out_dir, "stanosa_model.json"))
@@ -217,21 +256,17 @@ def cmd_train_stanosa(args, config, out_dir, seed):
     return ["stanosa_model.json", "stanosa_loss.csv"]
 
 
-def cmd_eval_nfmse(args, config, out_dir, seed):
-    ds = _require_dataset(args.dataset)
+def cmd_eval_nfmse(args, s, out_dir, seed):
+    ds = dataset.load_dataset(args.dataset)
     if not args.model:
         raise UsageError("at least one --model is required")
-    fraction = float(_setting(args, config, "nfmse", "train_fraction", 0.8))
-    which = _setting(args, config, "nfmse", "split", "test")
-    if which not in ("train", "test", "all"):
-        raise UsageError("split must be train, test, or all")
-    if which == "all":
+    if s["split"] == "all":
         part = ds
     else:
-        train, test = _train_split(ds, fraction, seed)
-        part = train if which == "train" else test
+        train, test = _train_split(ds, s["train_fraction"], seed)
+        part = train if s["split"] == "train" else test
     outputs = []
-    summary = {"split": which, "triplets": len(part), "models": {}}
+    summary = {"split": s["split"], "triplets": len(part), "models": {}}
     for path in args.model:
         kind, extractors = _extractors_for(path, ds.domain_ids)
         rows, stats = metrics.nfmse_per_triplet(extractors, part)
@@ -244,14 +279,13 @@ def cmd_eval_nfmse(args, config, out_dir, seed):
     return outputs
 
 
-def cmd_eval_hsd(args, config, out_dir, seed):
-    pixels = _count_setting(args, config, "hsd", "pixels", 2000)
-    ds = _require_dataset(args.dataset)
+def cmd_eval_hsd(args, s, out_dir, seed):
+    ds = dataset.load_dataset(args.dataset)
     rows = []
     for domain in ds.domain_ids:
         images = [t[domain] for t in ds.triplets]
         sample, _ = metrics.cxcy_sample(
-            images, pixels, derive_seed(seed, f"cxcy-{domain}"), domain
+            images, s["pixels"], derive_seed(seed, f"cxcy-{domain}"), domain
         )
         rows.extend(sample)
     persist.write_csv(os.path.join(out_dir, "cxcy_samples.csv"), ["c_x", "c_y", "domain"],
@@ -262,45 +296,36 @@ def cmd_eval_hsd(args, config, out_dir, seed):
     return ["cxcy_samples.csv", "density_ssim.csv"]
 
 
-def _labeled_data(args, config, seed):
-    if getattr(args, "labeled_dir", None):
+def _labeled_data(args, s, seed):
+    if args.labeled_dir:
         return classifier.load_labeled_set(args.labeled_dir)
-    per_class = int(_setting(args, config, "classifier", "per_class", 60))
-    size = int(_setting(args, config, "classifier", "size", 32))
     return classifier.generate_labeled_set(
-        per_class, size=size, seed=derive_seed(seed, "labeled")
+        s["per_class"], size=s["size"], seed=derive_seed(seed, "labeled")
     )
 
 
-def _classifier_extractor(args, config):
-    if args.model is None:
-        raise UsageError("--model is required")
-    kind, model = _load_any_model(args.model)
+def _classifier_extractor(args, s):
+    kind, model = persist.read_model(args.model, _MODEL_BUILDERS)
     if kind == "mcae":
-        domain = _setting(args, config, "classifier", "domain", model.domain_ids[0])
+        domain = s.setdefault("domain", model.domain_ids[0])
         if domain not in model.domain_ids:
             raise UsageError(f"domain {domain!r} not in model domains")
         return mcae.feature_extractor(model, domain)
     return stanosa.feature_extractor(model)
 
 
-def cmd_train_clf(args, config, out_dir, seed):
-    extractor = _classifier_extractor(args, config)
-    data = _labeled_data(args, config, seed)
+def cmd_train_clf(args, s, out_dir, seed):
+    extractor = _classifier_extractor(args, s)
+    data = _labeled_data(args, s, seed)
     train, val, _ = classifier.split_labeled(
         data, seed=derive_seed(seed, "clf-split")
     )
-    train_config = classifier.ClassifierTrainConfig(
-        epochs=int(_setting(args, config, "classifier", "epochs", 100)),
-        lr=float(_setting(args, config, "classifier", "lr", 0.0002)),
-        batch=int(_setting(args, config, "classifier", "batch", 32)),
-        seed=derive_seed(seed, "clf"),
-    )
+    train_config = _trainer_config(classifier.ClassifierTrainConfig, s, derive_seed(seed, "clf"))
     head = classifier.head_init(
         len(data.class_names),
         seed=derive_seed(seed, "clf"),
         in_channels=extractor.feature_dim,
-        pooling=_setting(args, config, "classifier", "pooling", "avg"),
+        pooling=s["pooling"],
     )
     head, log = classifier.train_classifier(extractor, head, train, val, train_config)
     classifier.save_head(head, os.path.join(out_dir, "clf_head.json"))
@@ -310,15 +335,12 @@ def cmd_train_clf(args, config, out_dir, seed):
     return ["clf_head.json", "clf_loss.csv"]
 
 
-def cmd_eval_clf(args, config, out_dir, seed):
-    extractor = _classifier_extractor(args, config)
-    if args.head is None:
-        raise UsageError("--head is required")
-    with _model_file_is_usage_error():
-        head = classifier.load_head(args.head)
+def cmd_eval_clf(args, s, out_dir, seed):
+    extractor = _classifier_extractor(args, s)
+    head = classifier.load_head(args.head)
     if head.conv1.kernels.shape[1] != extractor.feature_dim:
         raise UsageError(f"head {args.head} does not take {extractor.feature_dim} features")
-    data = _labeled_data(args, config, seed)
+    data = _labeled_data(args, s, seed)
     _, _, test = classifier.split_labeled(data, seed=derive_seed(seed, "clf-split"))
     y_true, y_pred = classifier.evaluate_classifier(extractor, head, test)
     report = metrics.classification_report(y_true, y_pred, data.class_names)
@@ -336,18 +358,9 @@ def _toy_colour_domains(n, seed):
     return a, b
 
 
-def cmd_train_cyclegan_toy(args, config, out_dir, seed):
-    n = int(_setting(args, config, "cyclegan", "patches", 256))
-    domain_a, domain_b = _toy_colour_domains(n, derive_seed(seed, "cyclegan-data"))
-    gan_config = cyclegan.CycleGanConfig(
-        lambda1=float(_setting(args, config, "cyclegan", "lambda1", 5.0)),
-        lambda2=float(_setting(args, config, "cyclegan", "lambda2", 10.0)),
-        lr=float(_setting(args, config, "cyclegan", "lr", 0.0002)),
-        epochs=int(_setting(args, config, "cyclegan", "epochs", 200)),
-        batch=int(_setting(args, config, "cyclegan", "batch", 32)),
-        seed=derive_seed(seed, "cyclegan"),
-        saturating=bool(_setting(args, config, "cyclegan", "saturating", False)),
-    )
+def cmd_train_cyclegan_toy(args, s, out_dir, seed):
+    domain_a, domain_b = _toy_colour_domains(s["patches"], derive_seed(seed, "cyclegan-data"))
+    gan_config = _trainer_config(cyclegan.CycleGanConfig, s, derive_seed(seed, "cyclegan"))
     f, g, d_a, d_b, history = cyclegan.train_cyclegan(domain_a, domain_b, gan_config)
     columns = [
         "epoch", "batch", "l_identity", "l_gan_f", "l_gan_g", "l_cycle",
@@ -368,10 +381,8 @@ def cmd_train_cyclegan_toy(args, config, out_dir, seed):
     return ["cyclegan_history.csv", "cyclegan_summary.json"]
 
 
-def cmd_grad_check(args, config, out_dir, seed):
-    from .gradcheck import run_grad_checks
-
-    results = run_grad_checks(seed=derive_seed(seed, "grad-check"))
+def cmd_grad_check(args, s, out_dir, seed):
+    results = gradcheck.run_grad_checks(seed=derive_seed(seed, "grad-check"))
     rows = [[name, err, 1e-4, "pass" if err < 1e-4 else "FAIL"] for name, err in results]
     persist.write_csv(os.path.join(out_dir, "grad_check.csv"),
                       ["check", "max_relative_error", "tolerance", "status"], rows)
@@ -382,16 +393,44 @@ def cmd_grad_check(args, config, out_dir, seed):
     return ["grad_check.csv"]
 
 
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its function, help, the settings it reads and its path flags."""
+
+    run: object
+    help: str
+    block: str = None  # the config block it reads
+    keys: tuple = None  # the keys of that block it reads; default all
+    inputs: dict = field(default_factory=dict)  # path flag -> argparse keywords
+
+    @property
+    def settings(self):
+        names = [n for n in SETTINGS if n.startswith(f"{self.block}.")]
+        return [n for n in names if self.keys is None or n.rpartition(".")[2] in self.keys]
+
+
+_DATASET = {"--dataset": {"required": True}}
+_LABELED = {"--model": {"required": True}, "--labeled-dir": {}}
+
 COMMANDS = {
-    "synth": cmd_synth,
-    "train-mcae": cmd_train_mcae,
-    "train-stanosa": cmd_train_stanosa,
-    "eval-nfmse": cmd_eval_nfmse,
-    "eval-hsd": cmd_eval_hsd,
-    "train-clf": cmd_train_clf,
-    "eval-clf": cmd_eval_clf,
-    "train-cyclegan-toy": cmd_train_cyclegan_toy,
-    "grad-check": cmd_grad_check,
+    "synth": Command(cmd_synth, "generate a synthetic triplet dataset", "synth"),
+    "train-mcae": Command(cmd_train_mcae, "train the multi-channel auto-encoder", "mcae",
+                          inputs=_DATASET),
+    "train-stanosa": Command(cmd_train_stanosa, "train the single-domain baseline", "stanosa",
+                             inputs=_DATASET),
+    "eval-nfmse": Command(cmd_eval_nfmse, "per-triplet normalised feature MSE", "nfmse",
+                          inputs={**_DATASET, "--model": {"action": "append",
+                                                          "help": "model JSON (repeatable)"}}),
+    "eval-hsd": Command(cmd_eval_hsd, "chroma scatter and density SSIM tables", "hsd",
+                        inputs=_DATASET),
+    "train-clf": Command(cmd_train_clf, "train a classifier head on frozen features",
+                         "classifier", inputs=_LABELED),
+    "eval-clf": Command(cmd_eval_clf, "classification report on the test split", "classifier",
+                        keys=("per_class", "size", "domain"),
+                        inputs={**_LABELED, "--head": {"required": True}}),
+    "train-cyclegan-toy": Command(cmd_train_cyclegan_toy, "toy adversarial stain transfer",
+                                  "cyclegan"),
+    "grad-check": Command(cmd_grad_check, "finite-difference gradient audit"),
 }
 
 
@@ -401,104 +440,47 @@ def build_parser():
         description="Multi-domain stain-invariant representation pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, spec in COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, help="root seed (default 0)")
         p.add_argument("--out-dir", required=True, help="output directory")
-
-    p = sub.add_parser("synth", help="generate a synthetic triplet dataset")
-    common(p)
-    p.add_argument("--triplets", type=int)
-    p.add_argument("--size", type=int)
-
-    p = sub.add_parser("train-mcae", help="train the multi-channel auto-encoder")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    for flag in ("--epochs", "--batch", "--stride", "--k", "--kmeans-sample"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--train-fraction", type=float)
-
-    p = sub.add_parser("train-stanosa", help="train the single-domain baseline")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    for flag in ("--epochs", "--batch", "--stride", "--zca-sample"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--train-fraction", type=float)
-    p.add_argument("--domain")
-
-    p = sub.add_parser("eval-nfmse", help="per-triplet normalised feature MSE")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", action="append", help="model JSON (repeatable)")
-    p.add_argument("--train-fraction", type=float)
-    p.add_argument("--split", choices=["train", "test", "all"])
-
-    p = sub.add_parser("eval-hsd", help="chroma scatter and density SSIM tables")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--pixels", type=int)
-
-    p = sub.add_parser("train-clf", help="train a classifier head on frozen features")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--labeled-dir")
-    p.add_argument("--domain")
-    p.add_argument("--pooling", choices=["avg", "max"])
-    for flag in ("--epochs", "--batch", "--per-class", "--size"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--lr", type=float)
-
-    p = sub.add_parser("eval-clf", help="classification report on the test split")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--head", required=True)
-    p.add_argument("--labeled-dir")
-    p.add_argument("--domain")
-    p.add_argument("--per-class", type=int)
-    p.add_argument("--size", type=int)
-
-    p = sub.add_parser("train-cyclegan-toy", help="toy adversarial stain transfer")
-    common(p)
-    for flag in ("--epochs", "--batch", "--patches"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-
-    p = sub.add_parser("grad-check", help="finite-difference gradient audit")
-    common(p)
+        for path_flag, options in spec.inputs.items():
+            p.add_argument(path_flag, **options)
+        for name in filter(flag, ("seed", *spec.settings)):
+            kind, default = SETTINGS[name].kind, SETTINGS[name].default
+            typing = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument(flag(name), **typing, help=f"{name}: {describe(name)}, default "
+                           f"{'the first domain' if default is None else default}")
     return parser
 
 
-def _error_record(exc):
-    return json.dumps(
-        {"error": {"type": type(exc).__name__, "message": str(exc)}}, sort_keys=True
-    )
+#: a bad config, flag or input file: exit 2, reported as a UsageError naming it
+_USAGE_ERRORS = (UsageError, dataset.DatasetError, persist.ModelFileError)
+
+
+def _error_record(kind, exc):
+    return json.dumps({"error": {"type": kind, "message": str(exc)}}, sort_keys=True)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.time()
     try:
         config = load_config(args.config) if args.config else {}
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
-        out_dir = args.out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        outputs = COMMANDS[args.command](args, config, out_dir, seed)
-    except UsageError as exc:
-        print(_error_record(exc), file=sys.stderr)
+        settings = resolve(args.command, args, config)
+        spec = COMMANDS[args.command]
+        os.makedirs(args.out_dir, exist_ok=True)
+        outputs = spec.run(args, settings.get(spec.block, {}), args.out_dir, settings["seed"])
+    except _USAGE_ERRORS as exc:
+        print(_error_record("UsageError", exc), file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - report and signal failure
-        print(_error_record(exc), file=sys.stderr)
+        print(_error_record(type(exc).__name__, exc), file=sys.stderr)
         return 1
     manifest = {
         "command": args.command,
-        "config": config,
-        "seed": seed,
+        "config": settings,
+        "seed": settings["seed"],
         "outputs": sorted(outputs),
         "duration_s": round(time.time() - started, 3),
         "versions": {
@@ -507,7 +489,7 @@ def main(argv=None):
             "python": sys.version.split()[0],
         },
     }
-    persist.write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
+    persist.write_json(os.path.join(args.out_dir, "run_manifest.json"), manifest)
     return 0
 
 

@@ -132,8 +132,6 @@ class CycleGanConfig:
     batch: int = 32
     seed: int = 0
     saturating: bool = False  # min-max generator objective instead of -log D(fake)
-    hidden_generator: int = 64
-    hidden_discriminator: int = 32
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -247,10 +245,10 @@ def train_cyclegan(domain_a, domain_b, config):
         raise ValueError("both domains must be non-empty")
     dim = a_all.shape[1]
     rng = np.random.default_rng(derive_seed(config.seed, "cyclegan-init"))
-    f = generator_init(dim, rng, config.hidden_generator)
-    g = generator_init(dim, rng, config.hidden_generator)
-    d_a = discriminator_init(dim, rng, config.hidden_discriminator)
-    d_b = discriminator_init(dim, rng, config.hidden_discriminator)
+    f = generator_init(dim, rng)
+    g = generator_init(dim, rng)
+    d_a = discriminator_init(dim, rng)
+    d_b = discriminator_init(dim, rng)
 
     gen_params = mlp_params(f.layers) + mlp_params(g.layers)
     disc_params = mlp_params(d_a.layers) + mlp_params(d_b.layers)

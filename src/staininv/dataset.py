@@ -24,7 +24,7 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 class DatasetError(ValueError):
-    """A saved dataset whose manifest does not match its image files."""
+    """A saved dataset whose listing is missing, malformed or names a missing image."""
 
 
 class PpmParseError(ValueError):
@@ -320,26 +320,40 @@ def save_dataset(dataset, directory):
     write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
+def read_listing(path):
+    """Parse a dataset's JSON listing; DatasetError names an unreadable or malformed file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DatasetError(f"cannot read dataset listing {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise DatasetError(f"malformed dataset listing {path}: {exc}") from None
+
+
+def load_listed_image(path):
+    """An image a dataset lists; DatasetError names it when it cannot be read."""
+    try:
+        return load_image(path)
+    except OSError as exc:
+        raise DatasetError(f"cannot read listed image {path}: {exc.strerror}") from None
+
+
 def load_dataset(directory):
     """Read a dataset written by ``save_dataset``.
 
-    Raises DatasetError, naming the file, when an image listed in the
-    manifest is missing or differs in size from the rest of its triplet.
+    Raises DatasetError, naming the file, when the manifest is missing or
+    malformed, or an image it lists is missing or differs in size from the
+    rest of its triplet.
     """
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = read_listing(os.path.join(directory, "manifest.json"))
     triplets = []
     for i, entry in enumerate(manifest["triplets"]):
         triplet = {}
         first_path = None
         for domain, name in entry["paths"].items():
             path = os.path.join(directory, name)
-            try:
-                image = load_image(path)
-            except FileNotFoundError:
-                raise DatasetError(
-                    f"image listed in the manifest is missing: {path}"
-                ) from None
+            image = load_listed_image(path)
             if first_path is None:
                 first_path, first = path, image
             elif image.pixels.shape != first.pixels.shape:

@@ -288,12 +288,12 @@ def adam_step(state, params, grads):
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+    for i, (p, g, m, v) in enumerate(zip(params, grads, state.first_moment, state.second_moment)):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
         if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient")
+            raise ValueError(f"non-finite gradient: parameter {i}, shape {p.shape}, step {t}")
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2

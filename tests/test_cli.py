@@ -1,13 +1,18 @@
+import argparse
 import csv
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staininv import classifier, dataset, mcae
-from staininv.cli import load_config, main, UsageError
+from staininv.cli import (
+    COMMANDS, SETTINGS, UsageError, build_parser, describe, flag, load_config, main, resolve,
+)
 
 
 @pytest.fixture(scope="module")
@@ -292,3 +297,230 @@ def test_broken_dataset_image_is_usage_error(tiny_dataset, tmp_path, capsys, fau
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "UsageError"
     assert str(image) in record["error"]["message"]
+
+
+#: the flags of each subcommand besides -h, --config, --seed and --out-dir
+FLAGS = {
+    "synth": {"--triplets", "--size"},
+    "train-mcae": {"--dataset", "--epochs", "--batch", "--stride", "--k", "--kmeans-sample",
+                   "--lr", "--train-fraction"},
+    "train-stanosa": {"--dataset", "--epochs", "--batch", "--stride", "--zca-sample", "--lr",
+                      "--train-fraction", "--domain"},
+    "eval-nfmse": {"--dataset", "--model", "--train-fraction", "--split"},
+    "eval-hsd": {"--dataset", "--pixels"},
+    "train-clf": {"--model", "--labeled-dir", "--domain", "--pooling", "--epochs", "--batch",
+                  "--per-class", "--size", "--lr"},
+    "eval-clf": {"--model", "--head", "--labeled-dir", "--domain", "--per-class", "--size"},
+    "train-cyclegan-toy": {"--epochs", "--batch", "--patches", "--lr", "--lambda1",
+                           "--lambda2"},
+    "grad-check": set(),
+}
+
+#: the flags each subcommand requires besides --out-dir
+REQUIRED = {
+    **{c: {"--dataset"} for c in ("train-mcae", "train-stanosa", "eval-nfmse", "eval-hsd")},
+    "train-clf": {"--model"},
+    "eval-clf": {"--model", "--head"},
+}
+
+#: every accepted config key
+CONFIG_KEYS = {
+    "seed",
+    "synth.triplets", "synth.size", "synth.perturbations",
+    "mcae.epochs", "mcae.lr", "mcae.batch", "mcae.stride", "mcae.k", "mcae.kmeans_sample",
+    "mcae.train_fraction",
+    "stanosa.epochs", "stanosa.lr", "stanosa.batch", "stanosa.stride", "stanosa.zca_sample",
+    "stanosa.domain", "stanosa.train_fraction",
+    "nfmse.train_fraction", "nfmse.split",
+    "hsd.pixels",
+    "classifier.epochs", "classifier.lr", "classifier.batch", "classifier.per_class",
+    "classifier.size", "classifier.domain", "classifier.pooling",
+    "cyclegan.epochs", "cyclegan.batch", "cyclegan.lr", "cyclegan.lambda1", "cyclegan.lambda2",
+    "cyclegan.patches", "cyclegan.saturating",
+}
+
+
+def _nested(flat):
+    config = {}
+    for name, value in flat.items():
+        block, _, key = name.rpartition(".")
+        (config.setdefault(block, {}) if block else config)[key] = value
+    return config
+
+
+def test_flags_and_config_keys_are_pinned(tmp_path):
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert set(subparsers) == set(FLAGS)
+    choices = {}
+    for command, parser in subparsers.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == FLAGS[command] | {"--config", "--seed", "--out-dir"}, command
+        choices.update(((command, a.option_strings[0]), tuple(a.choices))
+                       for a in parser._actions if a.choices)
+        required = {a.option_strings[0] for a in parser._actions if a.required}
+        assert required == {"--out-dir"} | REQUIRED.get(command, set()), command
+    assert choices == {("eval-nfmse", "--split"): ("train", "test", "all"),
+                       ("train-clf", "--pooling"): ("avg", "max")}
+    assert len(CONFIG_KEYS) == 35 and set(SETTINGS) == CONFIG_KEYS
+    # a file naming every key at its default (a first domain for the domains) loads
+    every = {n: "A" if SETTINGS[n].default is None else SETTINGS[n].default for n in SETTINGS}
+    path = tmp_path / "every.json"
+    path.write_text(json.dumps(_nested(every)))
+    assert load_config(str(path)) == every
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('{"mcae": {"epochs": true}}', None),
+    ('{"mcae": {"epochs": 3.0}}', None),
+    ('{"mcae": {"lr": NaN}}', None),
+    ('{"mcae": {"lr": Infinity}}', None),
+    ('{"mcae": {"lr": 1' + "0" * 400 + '}}', None),
+    ('{"cyclegan": {"saturating": 0}}', None),
+    ('{"nfmse": {"split": ["all"]}}', None),
+    ('{"mcae.k": 3}', None),
+    ('{"mcae": {"lr": 1}, "seed": -3}', {"mcae.lr": 1.0, "seed": -3}),
+], ids=["bool-int", "float-int", "nan", "inf", "huge-int", "int-bool", "list-choice",
+        "dotted-top-level", "int-for-float"])
+def test_load_config_checks_each_type(tmp_path, text, expected):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    if expected is None:
+        with pytest.raises(UsageError):
+            load_config(str(path))
+    else:
+        config = load_config(str(path))
+        assert config == expected and type(config["mcae.lr"]) is float
+
+
+def _write_config(tmp_path, config):
+    if config is None:
+        return []
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("command, flags, config, name, flag", [
+    pytest.param("train-mcae", [], {"mcae": {"epochs": "many"}}, "mcae.epochs", "--epochs",
+                 id="epochs-string"),
+    pytest.param("train-mcae", ["--epochs", "-1"], None, "mcae.epochs", "--epochs",
+                 id="epochs-negative"),
+    pytest.param("synth", [], {"synth": {"triplets": 2.7}}, "synth.triplets", "--triplets",
+                 id="triplets-float"),
+    pytest.param("train-cyclegan-toy", [], {"cyclegan": {"saturating": "no"}},
+                 "cyclegan.saturating", "config file only", id="saturating-string"),
+    pytest.param("eval-hsd", [], {"seed": "abc"}, "seed", "--seed", id="seed-string"),
+    pytest.param("eval-nfmse", ["--train-fraction", "1.5"], None, "nfmse.train_fraction",
+                 "--train-fraction", id="fraction-above-one"),
+    pytest.param("train-mcae", ["--batch", "0"], None, "mcae.batch", "--batch", id="batch-zero"),
+    pytest.param("train-stanosa", [], {"stanosa": {"stride": 0}}, "stanosa.stride", "--stride",
+                 id="stride-zero"),
+    pytest.param("train-stanosa", [], {"stanosa": {"lr": -1}}, "stanosa.lr", "--lr",
+                 id="lr-negative"),
+    pytest.param("train-clf", [], {"classifier": {"pooling": "min"}}, "classifier.pooling",
+                 "--pooling", id="pooling-unknown"),
+])
+def test_bad_setting_is_usage_error_before_any_work(tmp_path, capsys, command, flags, config,
+                                                    name, flag):
+    # the dataset and model given would fail to load: exit 2 proves the check came first
+    unloadable = ["--dataset", _truncated_ppm_dataset(tmp_path)]
+    inputs = {
+        "train-mcae": unloadable,
+        "train-stanosa": unloadable,
+        "eval-nfmse": [*unloadable, "--model", tmp_path / "missing.json"],
+        "eval-hsd": unloadable,
+        "train-clf": ["--model", tmp_path / "missing.json"],
+    }.get(command, [])
+    out = tmp_path / "o"
+    code = main([command, *map(str, inputs), *flags, *_write_config(tmp_path, config),
+                 "--out-dir", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "UsageError"
+    assert f"{name} ({flag})" in record["error"]["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_manifest_records_resolved_settings(tiny_dataset, tmp_path):
+    out = tmp_path / "st"
+    assert main(["train-stanosa", "--dataset", str(tiny_dataset), "--epochs", "1",
+                 "--zca-sample", "500", "--out-dir", str(out)]) == 0
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert config == {"seed": 0, "stanosa": {
+        "epochs": 1, "lr": 0.0002, "batch": 256, "stride": 8, "zca_sample": 500,
+        "domain": "A", "train_fraction": 0.8}}
+    # the recorded settings are a config file that repeats the run bit for bit
+    again = tmp_path / "again"
+    assert main(["train-stanosa", "--dataset", str(tiny_dataset),
+                 *_write_config(tmp_path, config), "--out-dir", str(again)]) == 0
+    for name in ("stanosa_model.json", "stanosa_loss.csv"):
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["no-labels", "missing-image", "malformed-labels"])
+def test_broken_labeled_set_is_usage_error(tmp_path, capsys, fault):
+    model = tmp_path / "model.json"
+    _save_model(model)
+    labeled = tmp_path / "labeled"
+    classifier.save_labeled_set(classifier.generate_labeled_set(2, seed=1), labeled)
+    broken = labeled / "labels.json"
+    if fault == "no-labels":
+        broken.unlink()
+    elif fault == "missing-image":
+        broken = labeled / json.loads(broken.read_text())["items"][1]["path"]
+        broken.unlink()
+    else:
+        broken.write_text("{bad")
+    code = main(["train-clf", "--model", str(model), "--labeled-dir", str(labeled),
+                 "--epochs", "1", "--out-dir", str(tmp_path / "o")])
+    _assert_usage_error_naming(code, capsys, broken)
+
+
+def test_malformed_dataset_manifest_is_usage_error(tiny_dataset, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, ds)
+    (ds / "manifest.json").write_text("{bad")
+    code = main(["eval-hsd", "--dataset", str(ds), "--out-dir", str(tmp_path / "o")])
+    _assert_usage_error_naming(code, capsys, ds / "manifest.json")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+_BLOCK_KEYS = sorted({n.rpartition(".")[2] for n in SETTINGS} | {"seed", "epoch"})
+_DOCUMENTS = (
+    st.dictionaries(
+        st.sampled_from(sorted({n.partition(".")[0] for n in SETTINGS} | {"seeed", "mcae.k"})),
+        _JSON | st.dictionaries(st.sampled_from(_BLOCK_KEYS),
+                                _JSON | st.integers(-2, 3) | st.floats(-1, 2)),
+    )
+    | _JSON
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=_DOCUMENTS, raw=st.none() | st.binary(max_size=20))
+def test_any_json_config_fails_only_as_usage_error(tmp_path_factory, document, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+    path.write_bytes(raw if raw is not None else json.dumps(document).encode())
+    try:
+        config = load_config(str(path))
+        for command in COMMANDS:
+            settings_ = resolve(command, argparse.Namespace(), config)
+            assert settings_["seed"] == config.get("seed", 0)
+    except UsageError:
+        pass
+
+
+def test_readme_lists_every_setting():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    for name, setting in SETTINGS.items():
+        row = next((line for line in readme.splitlines() if line.startswith(f"| `{name}` |")),
+                   None)
+        assert row is not None, name
+        assert describe(name) in row and (flag(name) or "config file only") in row, name
+        if isinstance(setting.default, (int, float, str)):
+            assert f"`{json.dumps(setting.default)}`" in row, name

@@ -304,3 +304,13 @@ def test_minibatches_partition_with_short_last_batch():
 def test_minibatches_reject_non_positive_batch(batch):
     with pytest.raises(ValueError, match="batch"):
         minibatches(10, batch, seed=0, tag="shuffle-1")
+
+
+def test_adam_non_finite_error_names_parameter_shape_and_step():
+    params = [np.zeros(3), np.zeros((2, 3))]
+    state = adam_init(params, learning_rate=0.1)
+    adam_step(state, params, [np.ones(3), np.ones((2, 3))])
+    bad = np.ones((2, 3))
+    bad[1, 2] = np.inf
+    with pytest.raises(ValueError, match=r"parameter 1, shape \(2, 3\), step 2"):
+        adam_step(state, params, [np.ones(3), bad])
