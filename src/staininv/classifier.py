@@ -15,18 +15,18 @@ import numpy as np
 
 from . import persist
 from .dataset import (
-    Image, extract_patches, load_listed_image, paint_blobs, read_listing, save_image,
+    DatasetError, Image, extract_patches, listed_value, load_listed_image, paint_blobs,
+    read_listing, save_image,
 )
 from .numerics import (
     adam_init,
     adam_step,
     conv2d_backward,
+    conv2d_forward,
     conv2d_init,
     derive_seed,
     minibatches,
     param_checksum,
-    _conv2d_pre,
-    apply_activation,
 )
 
 
@@ -71,10 +71,8 @@ def head_params(head):
 
 def _head_forward(head, x):
     """x: (batch, channels, h, w) -> logits (batch, n_classes), with caches."""
-    pre1, cols1 = _conv2d_pre(head.conv1, x)
-    a1 = apply_activation(head.conv1.activation, pre1, head.conv1.leaky_slope)
-    pre2, cols2 = _conv2d_pre(head.conv2, a1)
-    a2 = apply_activation(head.conv2.activation, pre2, head.conv2.leaky_slope)
+    a1, cols1 = conv2d_forward(head.conv1, x)
+    a2, cols2 = conv2d_forward(head.conv2, a1)
     if head.pooling == "avg":
         logits = a2.mean(axis=(2, 3))
     else:
@@ -92,32 +90,9 @@ def _head_backward(head, caches, dlogits):
         mask = np.zeros_like(flat)
         np.put_along_axis(mask, flat.argmax(axis=2)[:, :, None], 1.0, axis=2)
         da2 = mask.reshape(a2.shape) * dlogits[:, :, None, None]
-    g2, da1 = conv2d_backward(head.conv2, a1, da2, out=a2, cols=cols2)
-    g1, _ = conv2d_backward(head.conv1, x, da1, out=a1, cols=cols1)
+    g2, da1 = conv2d_backward(head.conv2, a1, da2, a2, cols2)
+    g1, _ = conv2d_backward(head.conv1, x, da1, a1, cols1)
     return [g1.weights, g1.bias, g2.weights, g2.bias]
-
-
-def classify(head, features):
-    """Feature grid (h, w, channels) -> logits (n_classes,)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 3:
-        raise ValueError("expected a feature map of shape (h, w, channels)")
-    if features.shape[2] != head.conv1.kernels.shape[1]:
-        raise ValueError(
-            f"feature channels {features.shape[2]} do not match head input "
-            f"{head.conv1.kernels.shape[1]}"
-        )
-    logits, _ = _head_forward(head, features.transpose(2, 0, 1)[None])
-    return logits[0]
-
-
-def cross_entropy(logits, label):
-    """-log softmax(logits)[label], stabilised by max subtraction."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[-1]:
-        raise ValueError(f"label {label} outside the class set")
-    shifted = logits - logits.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
 
 
 def _cross_entropy_batch(logits, labels):
@@ -141,7 +116,9 @@ class LabeledImageSet:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.images) != self.labels.shape[0]:
             raise ValueError("one label per image required")
-        if self.labels.size and self.labels.max() >= len(self.class_names):
+        if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < len(
+            self.class_names
+        ):
             raise ValueError("label outside the class set")
 
     def __len__(self):
@@ -207,11 +184,24 @@ def save_labeled_set(dataset, directory):
 
 
 def load_labeled_set(directory):
-    """Read a set written by ``save_labeled_set``; DatasetError names a missing file."""
-    doc = read_listing(os.path.join(directory, "labels.json"))
-    images = [load_listed_image(os.path.join(directory, item["path"])) for item in doc["items"]]
-    labels = np.array([item["label"] for item in doc["items"]], dtype=np.int64)
-    return LabeledImageSet(images=images, labels=labels, class_names=list(doc["classes"]))
+    """Read a set written by ``save_labeled_set``.
+
+    DatasetError names the file when ``labels.json`` is missing or malformed
+    (it needs ``classes``, and ``items`` each with a ``path`` and a ``label``
+    in the class set), or an image it lists is missing.
+    """
+    listing = os.path.join(directory, "labels.json")
+    doc = read_listing(listing)
+    classes = listed_value(doc, "classes", list, listing)
+    images, labels = [], []
+    for i, item in enumerate(listed_value(doc, "items", list, listing)):
+        name = listed_value(item, "path", str, listing, f"item {i}")
+        labels.append(listed_value(item, "label", int, listing, f"item {i}"))
+        images.append(load_listed_image(os.path.join(directory, name)))
+    try:
+        return LabeledImageSet(images=images, labels=labels, class_names=list(classes))
+    except (ValueError, OverflowError) as exc:  # a label outside the classes or int64
+        raise DatasetError(f"malformed dataset listing {listing}: {exc}") from None
 
 
 @dataclass

@@ -126,7 +126,38 @@ def _checked(name, value):
     if not (ok and _BOUNDS[SETTINGS[name].bound](value)):
         where = flag(name) or "config file only"
         raise UsageError(f"{name} ({where}) must be {describe(name)}, got {value!r}")
+    if kind is dict:
+        _check_perturbations(name, value)
     return value
+
+
+#: key of a synth.perturbations entry -> (how many numbers it holds, must they be > 0)
+_PERTURBATION_FIELDS = {
+    "rotation": (1, False), "scale": (2, True), "offset": (2, False), "density_gain": (1, True),
+}
+
+
+def _check_perturbations(name, table):
+    """Check each ``domain: {key: value}`` entry; a UsageError names ``name.domain.key``."""
+    for domain, entry in table.items():
+        where = f"{name}.{domain}"
+        if domain == "A":
+            raise UsageError(f"{where} (config file only) must be absent: A is the reference "
+                             "domain, left unperturbed")
+        if not isinstance(entry, dict):
+            raise UsageError(f"{where} (config file only) must be a JSON object, got {entry!r}")
+        for key, value in entry.items():
+            if key not in _PERTURBATION_FIELDS:
+                raise UsageError(f"unknown config key '{where}.{key}'")
+            count, positive = _PERTURBATION_FIELDS[key]
+            numbers = value if count == 2 and isinstance(value, list) else [value]
+            ok = len(numbers) == count and all(  # a bool is no number; NaN fails the bound
+                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in numbers
+            ) and not (positive and min(numbers) <= 0)
+            if not ok:
+                what = "two finite numbers" if count == 2 else "a finite number"
+                raise UsageError(f"{where}.{key} (config file only) must be {what}"
+                                 f"{' > 0' if positive else ''}, got {value!r}")
 
 
 def load_config(path):
@@ -202,6 +233,15 @@ def _extractors_for(path, domains):
     return kind, {d: ext for d in domains}
 
 
+def _domain(s, block, domains, source):
+    """The block's ``domain`` setting, by default the first of ``domains``."""
+    domain = s.setdefault("domain", domains[0])
+    if domain not in domains:
+        raise UsageError(f"{block}.domain (--domain) must be one of the {source} domains "
+                         f"{domains}, got {domain!r}")
+    return domain
+
+
 def _train_split(ds, fraction, root_seed):
     return dataset.split(ds, fraction, derive_seed(root_seed, "split"))
 
@@ -240,9 +280,7 @@ def cmd_train_mcae(args, s, out_dir, seed):
 
 def cmd_train_stanosa(args, s, out_dir, seed):
     ds = dataset.load_dataset(args.dataset)
-    domain = s.setdefault("domain", ds.domain_ids[0])
-    if domain not in ds.domain_ids:
-        raise UsageError(f"domain {domain!r} not in dataset domains {ds.domain_ids}")
+    domain = _domain(s, "stanosa", ds.domain_ids, "dataset")
     train, _ = _train_split(ds, s["train_fraction"], seed)
     patches = np.concatenate(
         [dataset.extract_patches(t[domain], 8, s["stride"]) for t in train.triplets]
@@ -307,10 +345,7 @@ def _labeled_data(args, s, seed):
 def _classifier_extractor(args, s):
     kind, model = persist.read_model(args.model, _MODEL_BUILDERS)
     if kind == "mcae":
-        domain = s.setdefault("domain", model.domain_ids[0])
-        if domain not in model.domain_ids:
-            raise UsageError(f"domain {domain!r} not in model domains")
-        return mcae.feature_extractor(model, domain)
+        return mcae.feature_extractor(model, _domain(s, "classifier", model.domain_ids, "model"))
     return stanosa.feature_extractor(model)
 
 

@@ -140,10 +140,6 @@ def extract_patches(image, size=8, stride=None):
     return patches.astype(np.float64)
 
 
-def patch_grid_shape(height, width, size, stride):
-    return (height - size) // stride + 1, (width - size) // stride + 1
-
-
 def scale_to_pm1(values):
     """Map byte values [0, 255] to [-1, 1]."""
     return np.asarray(values, dtype=np.float64) / 127.5 - 1.0
@@ -321,14 +317,32 @@ def save_dataset(dataset, directory):
 
 
 def read_listing(path):
-    """Parse a dataset's JSON listing; DatasetError names an unreadable or malformed file."""
+    """Parse a dataset's JSON listing, an object; DatasetError names an unreadable or
+    malformed file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise DatasetError(f"cannot read dataset listing {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise DatasetError(f"malformed dataset listing {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DatasetError(f"malformed dataset listing {path}: the root must be an object")
+    return doc
+
+
+_KIND_NAMES = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
+
+
+def listed_value(record, key, kind, path, where="the root"):
+    """``record[key]`` of a parsed listing, checked to be a ``kind`` (a bool is no integer);
+    DatasetError names the listing file and the key."""
+    value = record.get(key) if isinstance(record, dict) and isinstance(key, str) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DatasetError(
+            f"malformed dataset listing {path}: {where} needs {key!r} as {_KIND_NAMES[kind]}"
+        )
+    return value
 
 
 def load_listed_image(path):
@@ -343,15 +357,20 @@ def load_dataset(directory):
     """Read a dataset written by ``save_dataset``.
 
     Raises DatasetError, naming the file, when the manifest is missing or
-    malformed, or an image it lists is missing or differs in size from the
-    rest of its triplet.
+    malformed (it needs ``domains``, and ``triplets`` whose ``paths`` name
+    one image per domain), or an image it lists is missing or differs in
+    size from the rest of its triplet.
     """
-    manifest = read_listing(os.path.join(directory, "manifest.json"))
+    listing = os.path.join(directory, "manifest.json")
+    manifest = read_listing(listing)
+    domains = listed_value(manifest, "domains", list, listing)
     triplets = []
-    for i, entry in enumerate(manifest["triplets"]):
+    for i, entry in enumerate(listed_value(manifest, "triplets", list, listing)):
+        paths = listed_value(entry, "paths", dict, listing, f"triplet {i}")
         triplet = {}
         first_path = None
-        for domain, name in entry["paths"].items():
+        for domain in domains:
+            name = listed_value(paths, domain, str, listing, f"triplet {i} paths")
             path = os.path.join(directory, name)
             image = load_listed_image(path)
             if first_path is None:
@@ -363,9 +382,7 @@ def load_dataset(directory):
                 )
             triplet[domain] = image
         triplets.append(triplet)
-    return TripletDataset(
-        domain_ids=list(manifest["domains"]), triplets=triplets, manifest=manifest
-    )
+    return TripletDataset(domain_ids=list(domains), triplets=triplets, manifest=manifest)
 
 
 def generate_base_images(count, size, seed):

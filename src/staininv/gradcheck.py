@@ -39,7 +39,7 @@ def check_dense(activation, seed):
     def loss():
         return float((dense_forward(layer, x) * weight).sum())
 
-    grads, dx = dense_backward(layer, x, weight)
+    grads, dx = dense_backward(layer, x, weight, dense_forward(layer, x))
     worst = _check_params(
         loss, [(layer.weights, grads.weights), (layer.bias, grads.bias)]
     )
@@ -54,9 +54,9 @@ def check_conv2d(activation, seed):
     weight = rng.normal(size=(2, 3, 4, 4))
 
     def loss():
-        return float((conv2d_forward(layer, x) * weight).sum())
+        return float((conv2d_forward(layer, x)[0] * weight).sum())
 
-    grads, dx = conv2d_backward(layer, x, weight)
+    grads, dx = conv2d_backward(layer, x, weight, *conv2d_forward(layer, x))
     worst = _check_params(
         loss, [(layer.kernels, grads.weights), (layer.bias, grads.bias)]
     )

@@ -22,9 +22,10 @@ import numpy as np
 from . import persist
 from .dataset import extract_patches, scale_to_pm1
 from .numerics import (
+    FeatureExtractor,
     adam_init,
     adam_step,
-    dense_init,
+    autoencoder_init,
     derive_seed,
     minibatches,
     mlp_backward,
@@ -91,13 +92,9 @@ def kmeans_fit(vectors, k, max_iters=100, seed=0):
 
 
 def kmeans_assign(state, vectors):
-    """Nearest-centroid index per vector (ties to the lowest index)."""
+    """Nearest-centroid index per row of a (samples, dims) matrix (ties to the lowest index)."""
     x = np.asarray(vectors, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
-    labels = _pairwise_sq_dists(x, state.centroids).argmin(axis=1)
-    return int(labels[0]) if single else labels
+    return _pairwise_sq_dists(x, state.centroids).argmin(axis=1)
 
 
 def kmeans_objective(state, vectors):
@@ -131,14 +128,9 @@ def mcae_init(domain_ids, seed, input_dim=192, hidden_dim=100, feature_dim=10):
     rng = np.random.default_rng(derive_seed(seed, "mcae-init"))
     encoders, decoders = {}, {}
     for domain in domain_ids:
-        encoders[domain] = [
-            dense_init(input_dim, hidden_dim, "tanh", rng),
-            dense_init(hidden_dim, feature_dim, "tanh", rng),
-        ]
-        decoders[domain] = [
-            dense_init(feature_dim, hidden_dim, "tanh", rng),
-            dense_init(hidden_dim, input_dim, "sigmoid", rng),
-        ]
+        encoders[domain], decoders[domain] = autoencoder_init(
+            rng, input_dim, hidden_dim, feature_dim
+        )
     return McaeModel(domain_ids=list(domain_ids), encoders=encoders, decoders=decoders)
 
 
@@ -156,19 +148,8 @@ def encode(model, domain_id, patch):
     single = x.ndim == 1
     if single:
         x = x[None]
-    if np.abs(x).max() > 1.0 + 1e-9:
+    if x.size and np.abs(x).max() > 1.0 + 1e-9:
         raise ValueError("patch values must lie in [-1, 1]")
-    out = mlp_forward(layers, x)
-    return out[0] if single else out
-
-
-def decode(model, domain_id, feature):
-    """Decode feature vector(s) back to (0, 1) patch vector(s)."""
-    layers = _domain_layers(model, model.decoders, domain_id)
-    x = np.asarray(feature, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
     out = mlp_forward(layers, x)
     return out[0] if single else out
 
@@ -230,8 +211,7 @@ def _forward_all(model, patches):
 
 
 def _losses(model, patches, z, recons, labels):
-    targets = (patches + 1.0) / 2.0
-    rec = float(np.mean((np.stack(recons) - targets) ** 2))
+    rec = reconstruction_loss((patches + 1.0) / 2.0, np.stack(recons))
     feat = feature_loss(z)
     clu = cluster_loss(z, model.kmeans, labels)
     breakdown = {"reconstruction": rec, "feature": feat, "cluster": clu}
@@ -354,28 +334,9 @@ def train_mcae(model, train, config):
 # --- feature extraction and persistence ---
 
 
-@dataclass
-class McaeFeatureExtractor:
-    """Frozen encoder of one domain, with the model's [-1, 1] preprocessing."""
-
-    domain_id: str
-    layers: list
-
-    def encode_patches(self, raw_patches):
-        return mlp_forward(self.layers, scale_to_pm1(raw_patches))
-
-    def param_arrays(self):
-        return mlp_params(self.layers)
-
-    @property
-    def feature_dim(self):
-        return self.layers[-1].n_out
-
-
 def feature_extractor(model, domain_id):
-    return McaeFeatureExtractor(
-        domain_id=domain_id, layers=_domain_layers(model, model.encoders, domain_id)
-    )
+    """The frozen encoder of one domain, with the model's [-1, 1] preprocessing."""
+    return FeatureExtractor(_domain_layers(model, model.encoders, domain_id), scale_to_pm1)
 
 
 def save_mcae(model, path):

@@ -101,7 +101,8 @@ def dense_init(n_in, n_out, activation, rng, leaky_slope=0.01):
     return DenseLayer(weights, np.zeros(n_out), activation, leaky_slope)
 
 
-def _dense_pre(layer, x):
+def dense_forward(layer, x):
+    """Forward map for a batch (batch, in) -> (batch, out)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a batch of row vectors, got ndim={x.ndim}")
@@ -109,23 +110,17 @@ def _dense_pre(layer, x):
         raise ValueError(
             f"input dimension {x.shape[1]} does not match layer input {layer.n_in}"
         )
-    return x @ layer.weights.T + layer.bias
+    pre = x @ layer.weights.T + layer.bias
+    return apply_activation(layer.activation, pre, layer.leaky_slope)
 
 
-def dense_forward(layer, x):
-    """Forward map for a batch (batch, in) -> (batch, out)."""
-    return apply_activation(layer.activation, _dense_pre(layer, x), layer.leaky_slope)
-
-
-def dense_backward(layer, x, upstream, out=None):
+def dense_backward(layer, x, upstream, out):
     """Analytic gradients of ``dense_forward`` w.r.t. parameters and input.
 
-    ``upstream`` is dLoss/dOutput with the forward output's shape.  Passing
-    the cached forward output avoids recomputing the matmul and activation.
+    ``upstream`` is dLoss/dOutput and ``out`` the cached forward output
+    ``dense_forward(layer, x)``; the two share one shape.
     """
     x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = dense_forward(layer, x)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != out.shape:
         raise ValueError(
@@ -198,7 +193,11 @@ def _col2im(dcols, x_shape, k, padding):
     return dx[:, :, padding : padding + h, padding : padding + w]
 
 
-def _conv2d_pre(layer, x):
+def conv2d_forward(layer, x):
+    """Cross-correlation with the layer's padding, then activation.
+
+    Returns the output and the im2col matrix that ``conv2d_backward`` reuses.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ValueError("expected input of shape (batch, channels, H, W)")
@@ -210,21 +209,12 @@ def _conv2d_pre(layer, x):
     cols, out_h, out_w = _im2col(x, k, layer.padding)
     pre = cols @ layer.kernels.reshape(out_ch, -1).T + layer.bias
     pre = pre.transpose(0, 2, 1).reshape(x.shape[0], out_ch, out_h, out_w)
-    return pre, cols
+    return apply_activation(layer.activation, pre, layer.leaky_slope), cols
 
 
-def conv2d_forward(layer, x):
-    """Cross-correlation with the layer's padding, then activation."""
-    pre, _ = _conv2d_pre(layer, x)
-    return apply_activation(layer.activation, pre, layer.leaky_slope)
-
-
-def conv2d_backward(layer, x, upstream, out=None, cols=None):
-    """Analytic gradients of ``conv2d_forward``, reusing a cached output and cols."""
+def conv2d_backward(layer, x, upstream, out, cols):
+    """Analytic gradients of ``conv2d_forward`` from its cached output and cols."""
     x = np.asarray(x, dtype=np.float64)
-    if out is None or cols is None:
-        pre, cols = _conv2d_pre(layer, x)
-        out = apply_activation(layer.activation, pre, layer.leaky_slope)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != out.shape:
         raise ValueError(
@@ -261,29 +251,17 @@ class AdamState:
 
 
 def adam_init(params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
-    params = _as_param_list(params)
+    """Adam state with zero moments for each array of the list ``params``."""
     state = AdamState(learning_rate, beta1, beta2, epsilon)
     state.first_moment = [np.zeros_like(p) for p in params]
     state.second_moment = [np.zeros_like(p) for p in params]
     return state
 
 
-def _as_param_list(params):
-    if isinstance(params, np.ndarray):
-        return [params]
-    return list(params)
-
-
 def adam_step(state, params, grads):
-    """One Adam update with bias correction; parameters updated in place."""
-    single = isinstance(params, np.ndarray)
-    params = _as_param_list(params)
-    grads = _as_param_list(grads)
-    if len(params) != len(grads):
-        raise ValueError("params and grads must pair up")
-    if not state.first_moment:
-        state.first_moment = [np.zeros_like(p) for p in params]
-        state.second_moment = [np.zeros_like(p) for p in params]
+    """One Adam update with bias correction; the listed parameters are updated in place."""
+    if not len(params) == len(grads) == len(state.first_moment):
+        raise ValueError("params, grads and the Adam moments must pair up")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
@@ -299,7 +277,6 @@ def adam_step(state, params, grads):
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-    return (params[0] if single else params), state
 
 
 def finite_diff_grad(f, x, h=1e-5, indices=None):
@@ -333,7 +310,7 @@ def max_relative_error(analytic, numeric, atol=1e-6):
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
-# --- the MLP core and minibatch loop shared by every trainer ---
+# --- the MLP core, auto-encoder channel and minibatch loop shared by every model ---
 
 
 def mlp_forward(layers, x, caches=None):
@@ -356,7 +333,7 @@ def mlp_backward(layers, caches, upstream, grads=None):
     d = upstream
     for idx in range(len(layers) - 1, -1, -1):
         x, out = caches[idx]
-        layer_grads, d = dense_backward(layers[idx], x, d, out=out)
+        layer_grads, d = dense_backward(layers[idx], x, d, out)
         if grads is not None:
             grads[2 * idx] += layer_grads.weights
             grads[2 * idx + 1] += layer_grads.bias
@@ -374,6 +351,47 @@ def mlp_params(layers):
 
 def zero_grads(params):
     return [np.zeros_like(p) for p in params]
+
+
+def autoencoder_init(rng, input_dim, hidden_dim, feature_dim):
+    """One auto-encoder channel as (encoder, decoder) DenseLayer stacks.
+
+    The encoder is tanh input-hidden-feature, the decoder tanh then sigmoid
+    feature-hidden-input; the four layers draw from ``rng`` in that order.
+    """
+    encoder = [
+        dense_init(input_dim, hidden_dim, "tanh", rng),
+        dense_init(hidden_dim, feature_dim, "tanh", rng),
+    ]
+    decoder = [
+        dense_init(feature_dim, hidden_dim, "tanh", rng),
+        dense_init(hidden_dim, input_dim, "sigmoid", rng),
+    ]
+    return encoder, decoder
+
+
+@dataclass
+class FeatureExtractor:
+    """A frozen encoder behind its model's patch preprocessing.
+
+    ``preprocess`` maps raw byte-valued patch rows to encoder input;
+    ``frozen`` lists the fixed arrays it reads, so that ``param_arrays``
+    (and any checksum of them) covers everything the features depend on.
+    """
+
+    layers: list
+    preprocess: object
+    frozen: list = field(default_factory=list)
+
+    def encode_patches(self, raw_patches):
+        return mlp_forward(self.layers, self.preprocess(raw_patches))
+
+    def param_arrays(self):
+        return mlp_params(self.layers) + list(self.frozen)
+
+    @property
+    def feature_dim(self):
+        return self.layers[-1].n_out
 
 
 def minibatches(n, batch, seed, tag):

@@ -1,10 +1,10 @@
 """Single-domain auto-encoder baseline with GCN + ZCA preprocessing.
 
-The architecture mirrors one channel of the multi-channel model exactly;
-the only training signal is patch reconstruction, and cross-domain
-normalisation is left entirely to the preprocessing (global contrast
-normalisation followed by a whitening transform fitted on the training
-domain).
+The auto-encoder is one channel of the multi-channel model
+(``numerics.autoencoder_init``); the only training signal is patch
+reconstruction, and cross-domain normalisation is left entirely to the
+preprocessing (global contrast normalisation followed by a whitening
+transform fitted on the training domain).
 """
 
 from dataclasses import dataclass
@@ -14,9 +14,10 @@ import numpy as np
 from . import persist
 from .dataset import ZcaTransform, gcn, zca_apply, zca_fit
 from .numerics import (
+    FeatureExtractor,
     adam_init,
     adam_step,
-    dense_init,
+    autoencoder_init,
     derive_seed,
     minibatches,
     mlp_backward,
@@ -35,14 +36,7 @@ class StanosaModel:
 
 def stanosa_init(seed, input_dim=192, hidden_dim=100, feature_dim=10):
     rng = np.random.default_rng(derive_seed(seed, "stanosa-init"))
-    encoder = [
-        dense_init(input_dim, hidden_dim, "tanh", rng),
-        dense_init(hidden_dim, feature_dim, "tanh", rng),
-    ]
-    decoder = [
-        dense_init(feature_dim, hidden_dim, "tanh", rng),
-        dense_init(hidden_dim, input_dim, "sigmoid", rng),
-    ]
+    encoder, decoder = autoencoder_init(rng, input_dim, hidden_dim, feature_dim)
     return StanosaModel(zca=None, encoder=encoder, decoder=decoder)
 
 
@@ -103,28 +97,14 @@ def train_stanosa(model, patches, config):
     return model, log
 
 
-@dataclass
-class StanosaFeatureExtractor:
-    """Frozen encoder with the baseline's GCN + ZCA preprocessing."""
-
-    zca: ZcaTransform
-    layers: list
-
-    def encode_patches(self, raw_patches):
-        return mlp_forward(self.layers, stanosa_preprocess(raw_patches, self.zca))
-
-    def param_arrays(self):
-        return mlp_params(self.layers) + [self.zca.mean, self.zca.matrix]
-
-    @property
-    def feature_dim(self):
-        return self.layers[-1].n_out
-
-
 def feature_extractor(model):
-    if model.zca is None:
+    """The frozen encoder with the baseline's GCN + ZCA preprocessing."""
+    zca = model.zca
+    if zca is None:
         raise ValueError("ZCA transform not fitted")
-    return StanosaFeatureExtractor(zca=model.zca, layers=model.encoder)
+    return FeatureExtractor(
+        model.encoder, lambda raw: stanosa_preprocess(raw, zca), [zca.mean, zca.matrix]
+    )
 
 
 def save_stanosa(model, path):

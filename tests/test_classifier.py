@@ -3,8 +3,6 @@ import pytest
 
 from staininv.classifier import (
     ClassifierTrainConfig,
-    classify,
-    cross_entropy,
     _cross_entropy_batch,
     _head_backward,
     _head_forward,
@@ -58,14 +56,15 @@ def test_featurize_range_and_determinism():
     assert np.array_equal(grid, featurize(ext, img))
 
 
-# --- head / classify ---
+# --- head forward ---
 
 
 def test_zero_head_gives_zero_logits():
     head = head_init(3, seed=0)
     head.conv1.kernels[:] = 0.0
     head.conv2.kernels[:] = 0.0
-    logits = classify(head, np.random.default_rng(3).normal(size=(4, 4, 10)))
+    features = np.random.default_rng(3).normal(size=(4, 4, 10))
+    logits = _head_forward(head, features.transpose(2, 0, 1)[None])[0][0]
     assert np.array_equal(logits, np.zeros(3))
 
 
@@ -80,7 +79,7 @@ def test_classify_single_location_closed_form():
 
     hidden = leaky(head.conv1.kernels[:, :, 1, 1] @ x + head.conv1.bias)
     expected = leaky(head.conv2.kernels[:, :, 1, 1] @ hidden + head.conv2.bias)
-    logits = classify(head, x[None, None, :])
+    logits = _head_forward(head, x[None, :, None, None])[0][0]
     assert np.allclose(logits, expected, atol=1e-12)
 
 
@@ -112,23 +111,25 @@ def test_classify_constant_field_pooling_matches_brute_force():
           for j in range(size)] for i in range(size)]
     )
     expected = out.mean(axis=(0, 1))
-    assert np.allclose(classify(head, field), expected, atol=1e-12)
+    logits = _head_forward(head, field.transpose(2, 0, 1)[None])[0][0]
+    assert np.allclose(logits, expected, atol=1e-12)
 
 
 def test_classify_channel_mismatch():
     with pytest.raises(ValueError):
-        classify(head_init(3, seed=0), np.zeros((4, 4, 7)))
+        _head_forward(head_init(3, seed=0), np.zeros((1, 7, 4, 4)))
 
 
 def test_cross_entropy_values():
+    def cross_entropy(logits, label):
+        return _cross_entropy_batch(logits[None], np.array([label]))[0]
+
     assert cross_entropy(np.zeros(5), 2) == pytest.approx(np.log(5.0), rel=1e-12)
     assert cross_entropy(np.array([10.0, 0.0]), 0) == pytest.approx(
         4.5398899216870535e-05, rel=1e-9
     )
     shifted = cross_entropy(np.array([3.0, 1.0, 0.5]) + 7.0, 1)
     assert shifted == pytest.approx(cross_entropy(np.array([3.0, 1.0, 0.5]), 1), rel=1e-12)
-    with pytest.raises(ValueError):
-        cross_entropy(np.zeros(3), 3)
 
 
 def test_head_gradient_matches_finite_differences():
@@ -205,6 +206,8 @@ def test_labeled_set_validation():
     img = Image(np.zeros((8, 8, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
         LabeledImageSet(images=[img], labels=np.array([3]), class_names=["a", "b"])
+    with pytest.raises(ValueError):
+        LabeledImageSet(images=[img], labels=np.array([-1]), class_names=["a", "b"])
 
 
 # --- training ---

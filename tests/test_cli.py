@@ -484,6 +484,112 @@ def test_malformed_dataset_manifest_is_usage_error(tiny_dataset, tmp_path, capsy
     _assert_usage_error_naming(code, capsys, ds / "manifest.json")
 
 
+def _assert_listing_error(code, capsys, listing, key):
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "UsageError"
+    assert str(listing) in record["error"]["message"] and key in record["error"]["message"]
+
+
+@pytest.mark.parametrize("document, key", [
+    pytest.param([], "object", id="root-list"),
+    pytest.param({"domains": ["A"]}, "'triplets'", id="no-triplets"),
+    pytest.param({"triplets": [{"paths": {"A": "triplet_00000_A.ppm"}}]}, "'domains'",
+                 id="no-domains"),
+    pytest.param({"domains": "A", "triplets": []}, "'domains'", id="domains-string"),
+    pytest.param({"domains": ["A"], "triplets": [{"id": 0}]}, "'paths'", id="no-paths"),
+    pytest.param({"domains": ["A"], "triplets": [7]}, "'paths'", id="triplet-number"),
+    pytest.param({"domains": ["A", "B"], "triplets": [{"paths": {"A": "triplet_00000_A.ppm"}}]},
+                 "'B'", id="no-path-for-domain"),
+])
+def test_malformed_manifest_structure_is_usage_error(tiny_dataset, tmp_path, capsys, document,
+                                                     key):
+    ds = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, ds)
+    (ds / "manifest.json").write_text(json.dumps(document))
+    code = main(["eval-hsd", "--dataset", str(ds), "--out-dir", str(tmp_path / "o")])
+    _assert_listing_error(code, capsys, ds / "manifest.json", key)
+
+
+@pytest.mark.parametrize("document, key", [
+    pytest.param([], "object", id="root-list"),
+    pytest.param({"classes": ["a"]}, "'items'", id="no-items"),
+    pytest.param({"items": [{"path": "image_00000.ppm", "label": 0}]}, "'classes'",
+                 id="no-classes"),
+    pytest.param({"classes": ["a"], "items": [{"label": 0}]}, "'path'", id="no-path"),
+    pytest.param({"classes": ["a"], "items": [{"path": "image_00000.ppm"}]}, "'label'",
+                 id="no-label"),
+    pytest.param({"classes": ["a"], "items": [{"path": "image_00000.ppm", "label": True}]},
+                 "'label'", id="label-bool"),
+    pytest.param({"classes": ["a"], "items": [{"path": "image_00000.ppm", "label": -1}]},
+                 "class set", id="label-negative"),
+    pytest.param({"classes": ["a"], "items": [{"path": "image_00000.ppm", "label": 1}]},
+                 "class set", id="label-too-large"),
+])
+def test_malformed_labels_structure_is_usage_error(tmp_path, capsys, document, key):
+    model = tmp_path / "model.json"
+    _save_model(model)
+    labeled = tmp_path / "labeled"
+    classifier.save_labeled_set(classifier.generate_labeled_set(2, seed=1), labeled)
+    (labeled / "labels.json").write_text(json.dumps(document))
+    code = main(["train-clf", "--model", str(model), "--labeled-dir", str(labeled),
+                 "--epochs", "1", "--out-dir", str(tmp_path / "o")])
+    _assert_listing_error(code, capsys, labeled / "labels.json", key)
+
+
+@pytest.mark.parametrize("entry, name", [
+    pytest.param({"B": {"rotation": "x"}}, "B.rotation", id="rotation-string"),
+    pytest.param({"B": {"rotation": float("nan")}}, "B.rotation", id="rotation-nan"),
+    pytest.param({"B": {"density_gain": 0}}, "B.density_gain", id="gain-zero"),
+    pytest.param({"B": {"density_gain": True}}, "B.density_gain", id="gain-bool"),
+    pytest.param({"B": {"scale": [1.0]}}, "B.scale", id="scale-one-element"),
+    pytest.param({"B": {"scale": [1.0, 1.0, 1.0]}}, "B.scale", id="scale-three-elements"),
+    pytest.param({"B": {"scale": [1.0, -0.5]}}, "B.scale", id="scale-negative"),
+    pytest.param({"C": {"offset": [0.0, "up"]}}, "C.offset", id="offset-string"),
+    pytest.param({"C": {"offset": 0.1}}, "C.offset", id="offset-scalar"),
+    pytest.param({"C": {"offset": [0.0, float("inf")]}}, "C.offset", id="offset-infinite"),
+    pytest.param({"B": 5}, "B", id="entry-number"),
+    pytest.param({"A": {}}, "A", id="reference-domain"),
+    pytest.param({"B": {"rotaton": 0.5}}, "B.rotaton", id="unknown-key"),
+])
+def test_bad_perturbation_is_usage_error_before_any_work(tmp_path, capsys, entry, name):
+    out = tmp_path / "ds"
+    config = {"synth": {"perturbations": entry}}
+    code = main(["synth", "--triplets", "2", *_write_config(tmp_path, config),
+                 "--out-dir", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "UsageError"
+    assert f"synth.perturbations.{name}" in record["error"]["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_perturbations_accept_json_integers(tmp_path):
+    config = {"synth": {"perturbations": {"B": {"rotation": 1, "scale": [1, 2],
+                                                "offset": [0, 0], "density_gain": 1}}}}
+    out = tmp_path / "ds"
+    assert main(["synth", "--triplets", "2", *_write_config(tmp_path, config),
+                 "--out-dir", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["domains"] == ["A", "B"]
+
+
+def test_unknown_domain_names_its_setting(tiny_dataset, tmp_path, capsys):
+    code = main(["train-stanosa", "--dataset", str(tiny_dataset), "--domain", "Z",
+                 "--out-dir", str(tmp_path / "s")])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert "stanosa.domain (--domain)" in message and "['A', 'B', 'C']" in message
+
+    model = tmp_path / "model.json"
+    _save_model(model)
+    for command, extra in (("train-clf", []), ("eval-clf", ["--head", "missing.json"])):
+        code = main([command, "--model", str(model), *extra, "--domain", "Z",
+                     "--per-class", "2", "--out-dir", str(tmp_path / "c")])
+        assert code == 2
+        message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+        assert "classifier.domain (--domain)" in message and "['A', 'B', 'C']" in message
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,

@@ -15,7 +15,6 @@ from staininv.dataset import (
     load_dataset,
     load_image,
     parse_ppm,
-    patch_grid_shape,
     perturb_image,
     save_dataset,
     save_image,
@@ -72,6 +71,47 @@ def test_ppm_bad_token_offset():
 def test_ppm_comments_in_header():
     img = parse_ppm(b"P6\n# a comment\n1 1\n255\n\x01\x02\x03")
     assert img.pixels.tolist() == [[[1, 2, 3]]]
+
+
+#: (operation, position, byte) edits applied in order to a valid PPM; the bytes
+#: favour those that steer the header tokenizer
+_PPM_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "insert", "delete", "truncate"]),
+        st.integers(0, 48),
+        st.sampled_from(list(b"0123456789 \t\n\r#-+_Px\x00\xff")),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    height=st.integers(1, 4),
+    edits=_PPM_EDITS,
+    raw=st.none() | st.binary(max_size=48),
+)
+def test_property_parse_ppm_raises_only_ppm_parse_error(width, height, edits, raw):
+    # mutated valid files, or raw bytes: either an Image or a PpmParseError
+    data = bytearray(raw if raw is not None else b"P6\n%d %d\n255\n" % (width, height))
+    if raw is None:
+        data += bytes(range(3 * width * height))
+        for op, pos, byte in edits:
+            pos = min(pos, len(data))
+            if op == "replace":
+                data[pos : pos + 1] = bytes([byte])
+            elif op == "insert":
+                data[pos:pos] = bytes([byte])
+            elif op == "delete":
+                del data[pos : pos + 1]
+            else:
+                del data[pos:]
+    try:
+        image = parse_ppm(bytes(data))
+    except PpmParseError:
+        return
+    assert isinstance(image, Image)
 
 
 def test_image_validation():
@@ -137,7 +177,7 @@ def test_property_patch_count_formula(h, w, size, stride):
         return
     pixels = np.zeros((h, w, 3), dtype=np.uint8)
     got = extract_patches(pixels, size, stride).shape[0]
-    gh, gw = patch_grid_shape(h, w, size, stride)
+    gh, gw = (h - size) // stride + 1, (w - size) // stride + 1
     assert got == gh * gw == _brute_force_patch_count(h, w, size, stride)
 
 

@@ -11,7 +11,6 @@ from staininv.mcae import (
     cluster_loss,
     combined_loss,
     combined_loss_and_grads,
-    decode,
     encode,
     feature_extractor,
     feature_loss,
@@ -25,7 +24,7 @@ from staininv.mcae import (
     save_mcae,
     train_mcae,
 )
-from staininv.numerics import finite_diff_grad, max_relative_error
+from staininv.numerics import finite_diff_grad, max_relative_error, mlp_forward
 
 
 # --- kmeans ---
@@ -54,7 +53,7 @@ def test_kmeans_insufficient_data():
 
 def test_kmeans_assign_ties_to_lowest_index():
     state = KMeansState(centroids=np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    assert kmeans_assign(state, np.array([0.0, 0.0])) == 0
+    assert kmeans_assign(state, np.array([[0.0, 0.0]]))[0] == 0
 
 
 def test_kmeans_empty_cluster_repair_non_increasing():
@@ -101,7 +100,7 @@ def test_encode_decode_shapes_and_ranges():
     z = encode(model, "A", patch)
     assert z.shape == (10,)
     assert np.all(np.abs(z) < 1.0)
-    out = decode(model, "A", z)
+    out = mlp_forward(model.decoders["A"], z[None])[0]
     assert out.shape == (192,)
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
@@ -124,7 +123,13 @@ def test_zero_model_outputs():
         layer.weights[:] = 0.0
         layer.bias[:] = 0.0
     assert np.all(encode(model, "A", np.random.default_rng(6).uniform(-1, 1, 192)) == 0.0)
-    assert np.all(decode(model, "A", np.zeros(10)) == 0.5)
+    assert np.all(mlp_forward(model.decoders["A"], np.zeros((1, 10))) == 0.5)
+
+
+def test_encode_empty_batch():
+    model = mcae_init(["A", "B"], seed=0)
+    features = encode(model, "A", np.zeros((0, 192)))
+    assert features.shape == (0, model.feature_dim)
 
 
 def test_encode_deterministic():

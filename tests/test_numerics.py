@@ -86,14 +86,15 @@ def test_dense_shape_mismatch():
     with pytest.raises(ValueError):
         dense_forward(layer, np.ones((1, 4)))
     with pytest.raises(ValueError):
-        dense_backward(layer, np.ones((1, 3)), np.ones((1, 3)))
+        x = np.ones((1, 3))
+        dense_backward(layer, x, np.ones((1, 3)), out=dense_forward(layer, x))
 
 
 def test_dense_backward_zero_upstream():
     rng = np.random.default_rng(2)
     layer = dense_init(4, 3, "tanh", rng)
     x = rng.normal(size=(5, 4))
-    grads, dx = dense_backward(layer, x, np.zeros((5, 3)))
+    grads, dx = dense_backward(layer, x, np.zeros((5, 3)), out=dense_forward(layer, x))
     assert np.all(grads.weights == 0) and np.all(grads.bias == 0) and np.all(dx == 0)
 
 
@@ -102,7 +103,7 @@ def test_dense_backward_linear_outer_product():
     layer = dense_init(4, 3, "linear", rng)
     x = rng.normal(size=(1, 4))
     upstream = rng.normal(size=(1, 3))
-    grads, _ = dense_backward(layer, x, upstream)
+    grads, _ = dense_backward(layer, x, upstream, out=dense_forward(layer, x))
     assert np.allclose(grads.weights, np.outer(upstream[0], x[0]), atol=1e-12)
 
 
@@ -118,7 +119,7 @@ def test_dense_backward_matches_finite_differences(activation):
     def loss():
         return float((dense_forward(layer, x) * weight).sum())
 
-    grads, dx = dense_backward(layer, x, weight)
+    grads, dx = dense_backward(layer, x, weight, out=dense_forward(layer, x))
     for param, analytic in ((layer.weights, grads.weights), (layer.bias, grads.bias)):
         numeric = finite_diff_grad(lambda _v: loss(), param)
         assert max_relative_error(analytic, numeric, GRAD_ATOL) < GRAD_RTOL
@@ -150,12 +151,12 @@ def test_conv2d_identity_kernel():
     kernel[0, 0, 1, 1] = 1.0
     layer = Conv2dLayer(kernel, np.zeros(1), padding=1, activation="linear")
     x = np.random.default_rng(5).normal(size=(2, 1, 6, 7))
-    assert np.allclose(conv2d_forward(layer, x), x, atol=1e-12)
+    assert np.allclose(conv2d_forward(layer, x)[0], x, atol=1e-12)
 
 
 def test_conv2d_ones_kernel_valid():
     layer = Conv2dLayer(np.ones((1, 1, 3, 3)), np.zeros(1), padding=0, activation="linear")
-    out = conv2d_forward(layer, np.ones((1, 1, 5, 5)))
+    out = conv2d_forward(layer, np.ones((1, 1, 5, 5)))[0]
     assert out.shape == (1, 1, 3, 3)
     assert np.all(out == 9.0)
 
@@ -175,9 +176,10 @@ def test_conv2d_backward_matches_finite_differences(activation):
     weight = rng.normal(size=(2, 3, 4, 5))
 
     def loss():
-        return float((conv2d_forward(layer, x) * weight).sum())
+        return float((conv2d_forward(layer, x)[0] * weight).sum())
 
-    grads, dx = conv2d_backward(layer, x, weight)
+    out, cols = conv2d_forward(layer, x)
+    grads, dx = conv2d_backward(layer, x, weight, out=out, cols=cols)
     numeric = finite_diff_grad(lambda _v: loss(), layer.kernels)
     assert max_relative_error(grads.weights, numeric, GRAD_ATOL) < GRAD_RTOL
     numeric = finite_diff_grad(lambda _v: loss(), layer.bias)
@@ -210,7 +212,7 @@ def test_adam_first_step_size():
     # with g = 1, m_hat / (sqrt(v_hat) + eps) == 1 / (1 + eps) on step one
     param = np.array([0.5])
     state = adam_init([param], learning_rate=0.1, epsilon=1e-8)
-    adam_step(state, param, np.array([1.0]))
+    adam_step(state, [param], [np.array([1.0])])
     assert param[0] == pytest.approx(0.5 - 0.1, abs=1e-8)
 
 
@@ -219,7 +221,7 @@ def test_adam_constant_gradient_monotone():
     state = adam_init([param], learning_rate=0.05)
     values = [param[0]]
     for _ in range(3):
-        adam_step(state, param, np.array([2.0]))
+        adam_step(state, [param], [np.array([2.0])])
         values.append(param[0])
     assert values[0] > values[1] > values[2] > values[3]
 
@@ -228,9 +230,9 @@ def test_adam_rejects_non_finite_and_mismatched():
     param = np.array([1.0])
     state = adam_init([param], learning_rate=0.1)
     with pytest.raises(ValueError):
-        adam_step(state, param, np.array([float("nan")]))
+        adam_step(state, [param], [np.array([float("nan")])])
     with pytest.raises(ValueError):
-        adam_step(state, param, np.array([1.0, 2.0]))
+        adam_step(state, [param], [np.array([1.0, 2.0])])
 
 
 @settings(max_examples=25, deadline=None)
@@ -244,7 +246,7 @@ def test_property_dense_gradient_check(seed, activation):
         # do not estimate the one-sided derivative
         assume(np.abs(x @ layer.weights.T + layer.bias).min() > 1e-3)
     weight = rng.normal(size=(2, 2))
-    grads, _ = dense_backward(layer, x, weight)
+    grads, _ = dense_backward(layer, x, weight, out=dense_forward(layer, x))
     numeric = finite_diff_grad(
         lambda _v: float((dense_forward(layer, x) * weight).sum()), layer.weights
     )
