@@ -252,7 +252,7 @@ def train_classifier(extractor, head, train_set, val_set, config):
             logits, caches = _head_forward(head, x_train[idx])
             loss, dlogits = _cross_entropy_batch(logits, y_train[idx])
             grads = _head_backward(head, caches, dlogits)
-            adam_step(adam, params, grads)
+            adam_step(adam, params, grads, epoch)
             loss_sum += loss * len(idx)
         entry = {"epoch": epoch, "loss": loss_sum / n}
         if x_val is not None:

@@ -49,6 +49,7 @@ _BOUNDS = {
     "": lambda v: True,
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
+    ">= 8": lambda v: v >= 8,  # an image must hold one 8x8 patch
     "> 0": lambda v: v > 0,
     "in (0, 1)": lambda v: 0 < v < 1,
 }
@@ -59,7 +60,7 @@ _TRAIN_FRACTION = Setting(float, 0.8, "in (0, 1)")  # share of triplets in the t
 SETTINGS = {
     "seed": Setting(int, 0),
     "synth.triplets": Setting(int, 200, ">= 1"),
-    "synth.size": Setting(int, 32, ">= 1"),
+    "synth.size": Setting(int, 32, ">= 8"),
     "synth.perturbations": Setting(dict, DEFAULT_PERTURBATIONS),
     "mcae.epochs": Setting(int, mcae.McaeTrainConfig.epochs, ">= 0"),
     "mcae.lr": Setting(float, mcae.McaeTrainConfig.lr, "> 0"),
@@ -246,6 +247,11 @@ def _train_split(ds, fraction, root_seed):
     return dataset.split(ds, fraction, derive_seed(root_seed, "split"))
 
 
+def _grid_cells(image, stride, size=8):
+    """How many size x size patches ``dataset.extract_patches`` cuts from the image."""
+    return max(0, (image.height - size) // stride + 1) * max(0, (image.width - size) // stride + 1)
+
+
 # --- subcommands: each takes (args, its block's settings, out_dir, seed) ---
 
 
@@ -269,6 +275,12 @@ def cmd_train_mcae(args, s, out_dir, seed):
         )
     ds = dataset.load_dataset(args.dataset)
     train, _ = _train_split(ds, s["train_fraction"], seed)
+    cells = sum(_grid_cells(t[ds.domain_ids[0]], s["stride"]) for t in train.triplets)
+    if cells < s["k"]:
+        raise UsageError(
+            f"mcae.k (--k) must be at most {cells}, the number of sub-patches in the train "
+            f"split ({len(train)} triplet(s) at stride {s['stride']}), got {s['k']}"
+        )
     train_config = _trainer_config(mcae.McaeTrainConfig, s, derive_seed(seed, "mcae"))
     model = mcae.mcae_init(ds.domain_ids, seed=derive_seed(seed, "mcae"))
     model, log = mcae.train_mcae(model, train, train_config)

@@ -267,13 +267,13 @@ def train_cyclegan(domain_a, domain_b, config):
             a, b = a_all[idx_a], b_all[idx_b]
 
             losses, f_grads, g_grads = _generator_pass(f, g, d_a, d_b, a, b, config)
-            adam_step(gen_adam, gen_params, f_grads + g_grads)
+            adam_step(gen_adam, gen_params, f_grads + g_grads, epoch)
 
             fake_b = generate(f, a)
             fake_a = generate(g, b)
             l_disc_b, db_grads = _discriminator_pass(d_b, b, fake_b)
             l_disc_a, da_grads = _discriminator_pass(d_a, a, fake_a)
-            adam_step(disc_adam, disc_params, da_grads + db_grads)
+            adam_step(disc_adam, disc_params, da_grads + db_grads, epoch)
 
             history.append(
                 {

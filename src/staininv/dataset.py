@@ -19,6 +19,7 @@ from .persist import write_json
 
 GCN_GUARD = 1e-8
 ZCA_EPSILON = 1e-5
+_ROW_BLOCK = 4096  # rows per block of a whole-matrix GCN or whitening pass
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -122,8 +123,11 @@ def save_image(image, path):
 def extract_patches(image, size=8, stride=None):
     """Flattened square patches in row-major scan order.
 
-    Returns a (J, size*size*3) float array of raw byte values with
-    J = (floor((H-size)/stride)+1) * (floor((W-size)/stride)+1).
+    Returns a (J, size*size*3) array of the pixels' own dtype (uint8 for an
+    ``Image``: raw byte values, an eighth of their float64 size) with
+    J = (floor((H-size)/stride)+1) * (floor((W-size)/stride)+1).  Every
+    preprocessing step converts to float64 itself, so callers keep the bytes
+    until a batch needs them.
     """
     pixels = image.pixels if isinstance(image, Image) else np.asarray(image)
     if stride is None:
@@ -136,8 +140,7 @@ def extract_patches(image, size=8, stride=None):
     windows = np.lib.stride_tricks.sliding_window_view(pixels, (size, size), axis=(0, 1))
     windows = windows[::stride, ::stride]  # (gh, gw, 3, size, size)
     gh, gw = windows.shape[:2]
-    patches = windows.transpose(0, 1, 3, 4, 2).reshape(gh * gw, size * size * 3)
-    return patches.astype(np.float64)
+    return windows.transpose(0, 1, 3, 4, 2).reshape(gh * gw, size * size * 3)
 
 
 def scale_to_pm1(values):
@@ -145,12 +148,40 @@ def scale_to_pm1(values):
     return np.asarray(values, dtype=np.float64) / 127.5 - 1.0
 
 
-def gcn(patch):
-    """Global contrast normalisation: zero mean, unit population std per patch."""
-    arr = np.asarray(patch, dtype=np.float64)
+def _row_blocked(rows_fn, arr, width):
+    """``rows_fn(arr)`` for a matrix, computed in blocks of rows for a tall one.
+
+    A matrix of more than ``_ROW_BLOCK`` rows is cut into near-equal blocks,
+    so only the float64 result is full-size.  Equal blocks also keep every
+    block large: on OpenBLAS a block of one or two rows takes another kernel
+    and moves the last bits of its matmul, while blocks of thousands of rows
+    give the whole matrix's bits.
+    """
+    if arr.ndim != 2 or arr.shape[0] <= _ROW_BLOCK:
+        return rows_fn(arr)
+    n = arr.shape[0]
+    count = -(-n // _ROW_BLOCK)
+    edges = [n * i // count for i in range(count + 1)]
+    out = np.empty((n, width))
+    for lo, hi in zip(edges, edges[1:]):
+        out[lo:hi] = rows_fn(arr[lo:hi])
+    return out
+
+
+def _gcn_rows(arr):
+    arr = np.asarray(arr, dtype=np.float64)
     mean = arr.mean(axis=-1, keepdims=True)
     std = arr.std(axis=-1, keepdims=True)
     return (arr - mean) / (std + GCN_GUARD)
+
+
+def gcn(patch):
+    """Global contrast normalisation: zero mean, unit population std per patch.
+
+    Takes byte-valued patches of any real dtype and returns float64.
+    """
+    arr = np.asarray(patch)
+    return _row_blocked(_gcn_rows, arr, arr.shape[-1])
 
 
 @dataclass
@@ -180,7 +211,9 @@ def zca_fit(patches, epsilon=ZCA_EPSILON):
 def zca_apply(transform, patch):
     """Whiten one patch vector or a batch of rows."""
     arr = np.asarray(patch, dtype=np.float64)
-    return (arr - transform.mean) @ transform.matrix.T
+    return _row_blocked(
+        lambda rows: (rows - transform.mean) @ transform.matrix.T, arr, transform.matrix.shape[0]
+    )
 
 
 @dataclass
@@ -357,15 +390,18 @@ def load_dataset(directory):
     """Read a dataset written by ``save_dataset``.
 
     Raises DatasetError, naming the file, when the manifest is missing or
-    malformed (it needs ``domains``, and ``triplets`` whose ``paths`` name
-    one image per domain), or an image it lists is missing or differs in
-    size from the rest of its triplet.
+    malformed (it needs ``domains``, and a non-empty ``triplets`` list whose
+    ``paths`` name one image per domain), or an image it lists is missing or
+    differs in size from the rest of its triplet.
     """
     listing = os.path.join(directory, "manifest.json")
     manifest = read_listing(listing)
     domains = listed_value(manifest, "domains", list, listing)
+    listed = listed_value(manifest, "triplets", list, listing)
+    if not listed:
+        raise DatasetError(f"malformed dataset listing {listing}: 'triplets' is empty")
     triplets = []
-    for i, entry in enumerate(listed_value(manifest, "triplets", list, listing)):
+    for i, entry in enumerate(listed):
         paths = listed_value(entry, "paths", dict, listing, f"triplet {i}")
         triplet = {}
         first_path = None

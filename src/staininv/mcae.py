@@ -279,23 +279,28 @@ class McaeTrainConfig:
     seed: int = 0
 
 
-def _stacked_patches(dataset, domain_ids, patch_size, stride):
-    """(domains, triplets, J, dims) array of [-1, 1]-scaled sub-patches."""
-    per_domain = []
-    for domain in domain_ids:
-        rows = [
-            extract_patches(triplet[domain], patch_size, stride)
-            for triplet in dataset.triplets
-        ]
-        per_domain.append(scale_to_pm1(np.stack(rows)))
-    return np.stack(per_domain)
+def _patch_store(dataset, domain_ids, patch_size, stride):
+    """(domains, triplets, J, dims) array of raw sub-patches, uint8 for images.
+
+    The store keeps the bytes: a batch is scaled to [-1, 1] when it is drawn,
+    which gives the same float64 values as scaling the whole store up front
+    at an eighth of its memory.
+    """
+    store = None
+    for d, domain in enumerate(domain_ids):
+        for t, triplet in enumerate(dataset.triplets):
+            patches = extract_patches(triplet[domain], patch_size, stride)
+            if store is None:
+                store = np.empty((len(domain_ids), len(dataset), *patches.shape), patches.dtype)
+            store[d, t] = patches
+    return store
 
 
 def _refit_kmeans(model, anchor_patches, config, epoch):
     flat = anchor_patches.reshape(-1, anchor_patches.shape[-1])
     rng = np.random.default_rng(derive_seed(config.seed, f"kmeans-sample-{epoch}"))
     n = min(config.kmeans_sample, flat.shape[0])
-    sample = flat[rng.choice(flat.shape[0], size=n, replace=False)]
+    sample = scale_to_pm1(flat[rng.choice(flat.shape[0], size=n, replace=False)])
     features = mlp_forward(model.encoders[model.domain_ids[0]], sample)
     model.kmeans = kmeans_fit(
         features, config.k, seed=derive_seed(config.seed, f"kmeans-{epoch}")
@@ -307,7 +312,7 @@ def train_mcae(model, train, config):
     if len(train) == 0:
         raise ValueError("empty training dataset")
     patch_size = int(round((model.input_dim / 3) ** 0.5))
-    data = _stacked_patches(train, model.domain_ids, patch_size, config.stride)
+    data = _patch_store(train, model.domain_ids, patch_size, config.stride)
     n_dom, n_trip, n_sub, n_in = data.shape
 
     params = mcae_params(model)
@@ -318,9 +323,9 @@ def train_mcae(model, train, config):
     for epoch in range(1, config.epochs + 1):
         sums = {"reconstruction": 0.0, "feature": 0.0, "cluster": 0.0}
         for idx in minibatches(n_trip, config.batch, config.seed, f"shuffle-{epoch}"):
-            batch = data[:, idx].reshape(n_dom, len(idx) * n_sub, n_in)
+            batch = scale_to_pm1(data[:, idx]).reshape(n_dom, len(idx) * n_sub, n_in)
             total, breakdown, grads = combined_loss_and_grads(model, batch)
-            adam_step(adam, params, grads)
+            adam_step(adam, params, grads, epoch)
             for key in sums:
                 sums[key] += breakdown[key] * len(idx)
         losses = {key: value / n_trip for key, value in sums.items()}

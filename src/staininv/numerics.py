@@ -258,8 +258,11 @@ def adam_init(params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
     return state
 
 
-def adam_step(state, params, grads):
-    """One Adam update with bias correction; the listed parameters are updated in place."""
+def adam_step(state, params, grads, epoch):
+    """One Adam update with bias correction; the listed parameters are updated in place.
+
+    ``epoch`` is the caller's training epoch, named in the non-finite error.
+    """
     if not len(params) == len(grads) == len(state.first_moment):
         raise ValueError("params, grads and the Adam moments must pair up")
     state.step_count += 1
@@ -271,7 +274,9 @@ def adam_step(state, params, grads):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
         if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient: parameter {i}, shape {p.shape}, step {t}")
+            raise ValueError(
+                f"non-finite gradient: parameter {i}, shape {p.shape}, step {t}, epoch {epoch}"
+            )
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2

@@ -59,12 +59,14 @@ class StanosaTrainConfig:
 def train_stanosa(model, patches, config):
     """Reconstruction-only training on raw byte-valued patch vectors (M, 192).
 
-    Fits the whitening transform on up to ``zca_sample`` randomly chosen
-    training patches if the model does not carry one yet.  The decoder's
-    sigmoid output is matched against the whitened input mapped affinely to
-    [0, 1] and clipped.
+    ``patches`` may be uint8, as ``extract_patches`` returns them, or any real
+    dtype holding the same values: the model and log are the same.  Fits the
+    whitening transform on up to ``zca_sample`` randomly chosen training
+    patches if the model does not carry one yet.  The decoder's sigmoid
+    output is matched against the whitened input mapped affinely to [0, 1]
+    and clipped, one minibatch at a time.
     """
-    patches = np.asarray(patches, dtype=np.float64)
+    patches = np.asarray(patches)
     if patches.ndim != 2 or patches.shape[0] == 0:
         raise ValueError("expected a non-empty (patches, dims) matrix")
     if model.zca is None:
@@ -74,7 +76,6 @@ def train_stanosa(model, patches, config):
         model.zca = zca_fit(gcn(sample))
 
     x = stanosa_preprocess(patches, model.zca)
-    target = np.clip((x + 1.0) / 2.0, 0.0, 1.0)
     layers = model.encoder + model.decoder
     params = mlp_params(layers)
     adam = adam_init(params, config.lr)
@@ -85,12 +86,13 @@ def train_stanosa(model, patches, config):
         loss_sum = 0.0
         for idx in minibatches(n, config.batch, config.seed, f"shuffle-{epoch}"):
             caches = []
-            recon = mlp_forward(layers, x[idx], caches)
-            diff = recon - target[idx]
+            rows = x[idx]
+            recon = mlp_forward(layers, rows, caches)
+            diff = recon - np.clip((rows + 1.0) / 2.0, 0.0, 1.0)
             loss = float(np.mean(diff * diff))
             grads = zero_grads(params)
             mlp_backward(layers, caches, 2.0 * diff / diff.size, grads)
-            adam_step(adam, params, grads)
+            adam_step(adam, params, grads, epoch)
             loss_sum += loss * len(idx)
         losses = {"reconstruction": loss_sum / n}
         log.append({"epoch": epoch, "losses": losses, "total": sum(losses.values())})

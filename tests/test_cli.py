@@ -282,6 +282,30 @@ def test_train_mcae_kmeans_sample_below_k_is_usage_error(tmp_path, capsys):
     assert "mcae.kmeans_sample" in message
 
 
+def test_synth_below_one_patch_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "ds"
+    code = main(["synth", "--triplets", "2", "--size", "4", "--out-dir", str(out)])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert message == "synth.size (--size) must be an integer >= 8, got 4"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_train_mcae_fewer_sub_patches_than_k_is_usage_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--triplets", "1", "--size", "8", "--out-dir", str(ds)]) == 0
+    out = tmp_path / "o"
+    code = main(["train-mcae", "--dataset", str(ds), "--epochs", "1", "--out-dir", str(out)])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert message == ("mcae.k (--k) must be at most 1, the number of sub-patches in the train "
+                       "split (1 triplet(s) at stride 4), got 10")
+    assert not any(out.iterdir())
+    # with k at the count the same data trains
+    assert main(["train-mcae", "--dataset", str(ds), "--epochs", "1", "--k", "1",
+                 "--kmeans-sample", "1", "--out-dir", str(out)]) == 0
+
+
 @pytest.mark.parametrize("fault", ["missing", "resized"])
 def test_broken_dataset_image_is_usage_error(tiny_dataset, tmp_path, capsys, fault):
     ds = tmp_path / "ds"
@@ -501,6 +525,7 @@ def _assert_listing_error(code, capsys, listing, key):
     pytest.param({"domains": ["A"], "triplets": [7]}, "'paths'", id="triplet-number"),
     pytest.param({"domains": ["A", "B"], "triplets": [{"paths": {"A": "triplet_00000_A.ppm"}}]},
                  "'B'", id="no-path-for-domain"),
+    pytest.param({"domains": ["A", "B"], "triplets": []}, "'triplets' is empty", id="no-triplet"),
 ])
 def test_malformed_manifest_structure_is_usage_error(tiny_dataset, tmp_path, capsys, document,
                                                      key):

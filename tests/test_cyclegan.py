@@ -209,7 +209,7 @@ def test_discriminator_ascent_non_decreasing_on_fixed_batch():
         value, grads = _discriminator_pass(disc, real, fake)
         assert value >= previous - 1e-9
         previous = value
-        adam_step(adam, params, grads)
+        adam_step(adam, params, grads, 1)
 
 
 def test_discriminator_output_contract():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from staininv import dataset
 from staininv.colour import hsd_forward, rgb_to_od
 from staininv.dataset import (
     GCN_GUARD,
+    DatasetError,
     Image,
     PpmParseError,
     StainPerturbation,
@@ -181,7 +183,36 @@ def test_property_patch_count_formula(h, w, size, stride):
     assert got == gh * gw == _brute_force_patch_count(h, w, size, stride)
 
 
+def test_extract_patches_keeps_the_image_dtype():
+    img = _random_image(np.random.default_rng(22), 32, 24)
+    patches = extract_patches(img, 8, 4)
+    assert patches.dtype == np.uint8
+    as_float = extract_patches(img.pixels.astype(np.float64), 8, 4)
+    assert as_float.dtype == np.float64 and np.array_equal(patches, as_float)
+
+
 # --- scaling / gcn ---
+
+
+def test_scale_and_gcn_of_bytes_equal_their_float64_cast_bitwise():
+    raw = extract_patches(_random_image(np.random.default_rng(23), 40, 40), 8, 4)
+    raw[0] = 91  # a constant patch takes the GCN guard
+    cast = raw.astype(np.float64)
+    for fn in (scale_to_pm1, gcn):
+        out = fn(raw)
+        assert out.dtype == np.float64
+        assert out.tobytes() == fn(cast).tobytes()
+
+
+@pytest.mark.parametrize("rows", [dataset._ROW_BLOCK + 1, 3 * dataset._ROW_BLOCK - 5])
+def test_row_blocked_gcn_and_whitening_equal_one_pass_bitwise(rows):
+    # a tall matrix is processed in blocks; the bits must be the one-pass bits
+    raw = np.random.default_rng(24).integers(0, 256, size=(rows, 48), dtype=np.uint8)
+    one_pass = dataset._gcn_rows(raw)
+    white = gcn(raw)
+    assert white.tobytes() == one_pass.tobytes()
+    t = zca_fit(white[:2000])
+    assert zca_apply(t, white).tobytes() == ((white - t.mean) @ t.matrix.T).tobytes()
 
 
 def test_scale_to_pm1_endpoints():
@@ -363,6 +394,12 @@ def test_save_load_dataset_roundtrip(tmp_path):
     for t1, t2 in zip(ds.triplets, back.triplets):
         for d in ds.domain_ids:
             assert np.array_equal(t1[d].pixels, t2[d].pixels)
+
+
+def test_load_dataset_rejects_an_empty_listing(tmp_path):
+    (tmp_path / "manifest.json").write_text('{"domains": ["A", "B"], "triplets": []}')
+    with pytest.raises(DatasetError, match=r"manifest\.json.*'triplets' is empty"):
+        load_dataset(tmp_path)
 
 
 def test_generate_base_images_deterministic():

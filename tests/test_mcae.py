@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staininv.dataset import StainPerturbation, generate_base_images, synth_triplets
+from staininv.dataset import (
+    Image, StainPerturbation, TripletDataset, generate_base_images, synth_triplets,
+)
 from staininv.mcae import (
     KMeansState,
     McaeTrainConfig,
@@ -322,6 +325,29 @@ def test_train_deterministic_and_persistence_roundtrip(tmp_path):
             assert np.array_equal(l1.weights, l2.weights)
             assert np.array_equal(l1.bias, l2.bias)
     assert np.array_equal(model1.kmeans.centroids, back.kmeans.centroids)
+
+
+def test_train_keeps_the_patch_store_in_bytes():
+    # data prep holds the uint8 store and Adam's two moment copies of the
+    # parameters; a float64 store alone would be eight times the uint8 one
+    rng = np.random.default_rng(26)
+    n, batch = 100, 4
+    ds = TripletDataset(["A", "B", "C"], [
+        {d: Image(rng.integers(0, 256, (32, 32, 3), dtype=np.uint8)) for d in "ABC"}
+        for _ in range(n)
+    ])
+    model = mcae_init(ds.domain_ids, seed=7)
+    store_bytes = 3 * n * 49 * 192  # stride 4 on 32 px: 7 x 7 sub-patches
+    moment_bytes = 2 * sum(p.nbytes for p in mcae_params(model))
+    config = McaeTrainConfig(epochs=0, batch=batch, stride=4, k=3, kmeans_sample=60, seed=3)
+    tracemalloc.start()
+    try:
+        train_mcae(model, ds, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_batch = 8 * store_bytes * batch // n  # float64
+    assert peak < store_bytes + moment_bytes + one_batch
 
 
 def test_train_empty_dataset():

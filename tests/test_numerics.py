@@ -203,7 +203,7 @@ def test_adam_zero_gradient_is_fixed_point():
     state = adam_init(params, learning_rate=0.1)
     before = params[0].copy()
     for _ in range(5):
-        adam_step(state, params, [np.zeros(3)])
+        adam_step(state, params, [np.zeros(3)], 1)
     assert np.all(params[0] == before)
     assert state.step_count == 5
 
@@ -212,7 +212,7 @@ def test_adam_first_step_size():
     # with g = 1, m_hat / (sqrt(v_hat) + eps) == 1 / (1 + eps) on step one
     param = np.array([0.5])
     state = adam_init([param], learning_rate=0.1, epsilon=1e-8)
-    adam_step(state, [param], [np.array([1.0])])
+    adam_step(state, [param], [np.array([1.0])], 1)
     assert param[0] == pytest.approx(0.5 - 0.1, abs=1e-8)
 
 
@@ -221,7 +221,7 @@ def test_adam_constant_gradient_monotone():
     state = adam_init([param], learning_rate=0.05)
     values = [param[0]]
     for _ in range(3):
-        adam_step(state, [param], [np.array([2.0])])
+        adam_step(state, [param], [np.array([2.0])], 1)
         values.append(param[0])
     assert values[0] > values[1] > values[2] > values[3]
 
@@ -230,9 +230,9 @@ def test_adam_rejects_non_finite_and_mismatched():
     param = np.array([1.0])
     state = adam_init([param], learning_rate=0.1)
     with pytest.raises(ValueError):
-        adam_step(state, [param], [np.array([float("nan")])])
+        adam_step(state, [param], [np.array([float("nan")])], 1)
     with pytest.raises(ValueError):
-        adam_step(state, [param], [np.array([1.0, 2.0])])
+        adam_step(state, [param], [np.array([1.0, 2.0])], 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -311,8 +311,16 @@ def test_minibatches_reject_non_positive_batch(batch):
 def test_adam_non_finite_error_names_parameter_shape_and_step():
     params = [np.zeros(3), np.zeros((2, 3))]
     state = adam_init(params, learning_rate=0.1)
-    adam_step(state, params, [np.ones(3), np.ones((2, 3))])
+    adam_step(state, params, [np.ones(3), np.ones((2, 3))], 1)
     bad = np.ones((2, 3))
     bad[1, 2] = np.inf
     with pytest.raises(ValueError, match=r"parameter 1, shape \(2, 3\), step 2"):
-        adam_step(state, params, [np.ones(3), bad])
+        adam_step(state, params, [np.ones(3), bad], 1)
+
+
+def test_adam_non_finite_error_names_the_epoch():
+    param = np.zeros(2)
+    state = adam_init([param], learning_rate=0.1)
+    adam_step(state, [param], [np.ones(2)], 6)
+    with pytest.raises(ValueError, match=r"step 2, epoch 7$"):
+        adam_step(state, [param], [np.array([1.0, np.nan])], 7)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from staininv import dataset
 from staininv.dataset import extract_patches, gcn, generate_base_images, zca_apply, zca_fit
 from staininv.mcae import mcae_init
 from staininv.stanosa import (
@@ -102,6 +103,20 @@ def test_train_deterministic_bitwise(tmp_path):
     assert np.array_equal(back.zca.matrix, m1.zca.matrix)
     for l1, l2 in zip(m1.encoder + m1.decoder, back.encoder + back.decoder):
         assert np.array_equal(l1.weights, l2.weights)
+
+
+def test_train_on_bytes_equals_train_on_their_float64_cast(tmp_path):
+    # more rows than one GCN/whitening block, so the blocked path runs
+    data = _patches(8, n_images=70, size=64)
+    assert data.dtype == np.uint8 and data.shape[0] > dataset._ROW_BLOCK
+    config = StanosaTrainConfig(epochs=1, batch=1000, zca_sample=3000, seed=6)
+    runs = []
+    for patches in (data, data.astype(np.float64)):
+        model, log = train_stanosa(stanosa_init(seed=5), patches, config)
+        path = tmp_path / f"{patches.dtype}.json"
+        save_stanosa(model, path)
+        runs.append((path.read_bytes(), json.dumps(log)))
+    assert runs[0] == runs[1]
 
 
 def test_feature_extractor_shapes():
