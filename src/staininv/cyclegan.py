@@ -162,11 +162,15 @@ def _generator_pass(f, g, d_a, d_b, a, b, config):
     caches = []
     id_a = mlp_forward(g.layers, a, caches)
     l_identity = _l1(id_a - a)
-    mlp_backward(g.layers, caches, config.lambda1 * np.sign(id_a - a) / n_a, g_grads)
+    mlp_backward(
+        g.layers, caches, config.lambda1 * np.sign(id_a - a) / n_a, g_grads, input_grad=False
+    )
     caches = []
     id_b = mlp_forward(f.layers, b, caches)
     l_identity += _l1(id_b - b)
-    mlp_backward(f.layers, caches, config.lambda1 * np.sign(id_b - b) / n_b, f_grads)
+    mlp_backward(
+        f.layers, caches, config.lambda1 * np.sign(id_b - b) / n_b, f_grads, input_grad=False
+    )
 
     # step 2: cross-domain mapping, scored by the target discriminator
     f_caches = []
@@ -206,8 +210,8 @@ def _generator_pass(f, g, d_a, d_b, a, b, config):
 
     # step 4: weighted sum -- fold the adversarial and cycle paths back
     # through each generator
-    mlp_backward(f.layers, f_caches, d_fake_b + d_cyc_b, f_grads)
-    mlp_backward(g.layers, g_caches, d_fake_a + d_cyc_a, g_grads)
+    mlp_backward(f.layers, f_caches, d_fake_b + d_cyc_b, f_grads, input_grad=False)
+    mlp_backward(g.layers, g_caches, d_fake_a + d_cyc_a, g_grads, input_grad=False)
 
     losses = {
         "identity": l_identity,
@@ -223,11 +227,14 @@ def _discriminator_pass(disc, real, fake):
     grads = zero_grads(mlp_params(disc.layers))
     caches = []
     real_scores = mlp_forward(disc.layers, real, caches)
-    mlp_backward(disc.layers, caches, _dlog_scores(real_scores, real.shape[0]), grads)
+    mlp_backward(
+        disc.layers, caches, _dlog_scores(real_scores, real.shape[0]), grads, input_grad=False
+    )
     caches = []
     fake_scores = mlp_forward(disc.layers, fake, caches)
     mlp_backward(
-        disc.layers, caches, -_dlog_one_minus(fake_scores, fake.shape[0]), grads
+        disc.layers, caches, -_dlog_one_minus(fake_scores, fake.shape[0]), grads,
+        input_grad=False,
     )
     value = gan_loss(real_scores[:, 0], fake_scores[:, 0])
     return value, grads

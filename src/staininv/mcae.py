@@ -13,6 +13,13 @@ three per-element-mean losses summed without weights:
 
 Pseudo-labels come from K-Means fitted on anchor-domain features before the
 first gradient step and refitted at the end of every epoch.
+
+Training computes in float32 on float64 master weights (see ``numerics``):
+every step runs forward and backward on a float32 copy of the model and a
+float32 minibatch, and Adam updates the float64 parameters.  The K-Means
+refits encode in float32 and fit in float64; losses are accumulated and
+logged in float64.  Saved models, ``encode`` and the feature extractors are
+float64, so a model encodes exactly like its saved file.
 """
 
 from dataclasses import dataclass
@@ -20,13 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import persist
-from .dataset import extract_patches, scale_to_pm1
+from .dataset import DatasetError, extract_patches, scale_to_pm1
 from .numerics import (
     FeatureExtractor,
     adam_init,
     adam_step,
     autoencoder_init,
     derive_seed,
+    float32_layers,
     minibatches,
     mlp_backward,
     mlp_forward,
@@ -44,10 +52,37 @@ class KMeansState:
         return self.centroids.shape[0]
 
 
-def _pairwise_sq_dists(vectors, centroids):
-    sq = (vectors * vectors).sum(axis=1)[:, None] + (centroids * centroids).sum(axis=1)
-    sq -= 2.0 * vectors @ centroids.T
-    return np.maximum(sq, 0.0)
+def _pairwise_sq_dists(vectors, centroids, vectors_sq=None):
+    """Squared distances (samples, k); ``vectors_sq`` is the rows' squared norms if known."""
+    if vectors_sq is None:
+        vectors_sq = (vectors * vectors).sum(axis=1)
+    sq = vectors_sq[:, None] + (centroids * centroids).sum(axis=1)
+    cross = vectors @ centroids.T
+    cross *= 2.0  # exact, so equal to (2.0 * vectors) @ centroids.T bit for bit
+    sq -= cross
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def _update_centroids(x, x_sq, labels, centroids):
+    """Move each centroid to its members' mean, in place; reseed empty clusters.
+
+    For samples of two or more dims this equals, bit for bit, updating
+    j = 0..k-1 in turn to ``x[labels == j].mean(axis=0)``: ``np.bincount``
+    sums each cluster's rows from 0.0 in row order, as that mean does along
+    axis 0, and an empty cluster is reseeded on the point farthest from the
+    centroids as they stand at its turn, those before it already updated.
+    """
+    k = centroids.shape[0]
+    counts = np.bincount(labels, minlength=k)[:, None]
+    sums = np.stack([np.bincount(labels, col, k) for col in x.T], axis=1)
+    done = 0
+    for j in np.flatnonzero(counts[:, 0] == 0):
+        centroids[done:j] = sums[done:j] / counts[done:j]
+        # every point's nearest-centroid distance can only shrink
+        farthest = _pairwise_sq_dists(x, centroids, x_sq).min(axis=1).argmax()
+        centroids[j] = x[farthest]
+        done = j + 1
+    centroids[done:] = sums[done:] / counts[done:]
 
 
 def kmeans_fit(vectors, k, max_iters=100, seed=0):
@@ -61,11 +96,12 @@ def kmeans_fit(vectors, k, max_iters=100, seed=0):
     if m < k:
         raise ValueError(f"need at least k={k} vectors, got {m}")
     rng = np.random.default_rng(seed)
+    x_sq = (x * x).sum(axis=1)
 
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(m)]
     for i in range(1, k):
-        d2 = _pairwise_sq_dists(x, centroids[:i]).min(axis=1)
+        d2 = _pairwise_sq_dists(x, centroids[:i], x_sq).min(axis=1)
         total = d2.sum()
         if total <= 0.0:
             centroids[i] = x[rng.integers(m)]
@@ -74,17 +110,9 @@ def kmeans_fit(vectors, k, max_iters=100, seed=0):
 
     labels = None
     for _ in range(max_iters):
-        d2 = _pairwise_sq_dists(x, centroids)
+        d2 = _pairwise_sq_dists(x, centroids, x_sq)
         new_labels = d2.argmin(axis=1)  # ties resolve to the lowest index
-        for j in range(k):
-            members = new_labels == j
-            if members.any():
-                centroids[j] = x[members].mean(axis=0)
-            else:
-                # reseed a dead centroid on the farthest point; every
-                # point's nearest-centroid distance can only shrink
-                farthest = _pairwise_sq_dists(x, centroids).min(axis=1).argmax()
-                centroids[j] = x[farthest]
+        _update_centroids(x, x_sq, new_labels, centroids)
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
@@ -154,13 +182,19 @@ def encode(model, domain_id, patch):
     return out[0] if single else out
 
 
+def _float_array(values):
+    """float32 arrays as they are, anything else as float64."""
+    values = np.asarray(values)
+    return values if values.dtype == np.float32 else values.astype(np.float64, copy=False)
+
+
 def reconstruction_loss(original, reconstructed):
-    """Mean squared error over all entries."""
-    a = np.asarray(original, dtype=np.float64)
-    b = np.asarray(reconstructed, dtype=np.float64)
+    """Mean squared error over all entries, summed in float64."""
+    a = _float_array(original)
+    b = _float_array(reconstructed)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
+    return float(np.mean((a - b) ** 2, dtype=np.float64))
 
 
 def feature_loss(z):
@@ -198,6 +232,20 @@ def mcae_params(model):
     return params
 
 
+def _compute_dtype(model):
+    return model.encoders[model.domain_ids[0]][0].weights.dtype
+
+
+def _float32_copy(model):
+    """The model with float32 copies of its layers, sharing the K-Means state."""
+    return McaeModel(
+        model.domain_ids,
+        {d: float32_layers(model.encoders[d]) for d in model.domain_ids},
+        {d: float32_layers(model.decoders[d]) for d in model.domain_ids},
+        model.kmeans,
+    )
+
+
 def _forward_all(model, patches):
     features, recons, caches = [], [], []
     for i, domain in enumerate(model.domain_ids):
@@ -210,8 +258,8 @@ def _forward_all(model, patches):
     return np.stack(features), recons, caches
 
 
-def _losses(model, patches, z, recons, labels):
-    rec = reconstruction_loss((patches + 1.0) / 2.0, np.stack(recons))
+def _losses(model, target, z, recons, labels):
+    rec = reconstruction_loss(target, np.stack(recons))
     feat = feature_loss(z)
     clu = cluster_loss(z, model.kmeans, labels)
     breakdown = {"reconstruction": rec, "feature": feat, "cluster": clu}
@@ -222,31 +270,37 @@ def combined_loss(model, patches, labels=None):
     """Total loss and per-term breakdown for aligned patch groups.
 
     ``patches`` has shape (domains, patches, input_dim) with values in
-    [-1, 1], ordered like ``model.domain_ids``.  Labels default to the
-    current K-Means assignment of the anchor domain's features.
+    [-1, 1], ordered like ``model.domain_ids``; they are cast to the dtype of
+    the model's weights.  Labels default to the current K-Means assignment
+    of the anchor domain's features.
     """
-    patches = np.asarray(patches, dtype=np.float64)
+    patches = np.asarray(patches, dtype=_compute_dtype(model))
     if model.kmeans is None:
         raise ValueError("K-Means state not fitted")
     z, recons, _ = _forward_all(model, patches)
     if labels is None:
         labels = kmeans_assign(model.kmeans, z[0])
-    return _losses(model, patches, z, recons, labels)
+    return _losses(model, (patches + 1.0) / 2.0, z, recons, labels)
 
 
 def combined_loss_and_grads(model, patches, labels=None):
-    """Loss, breakdown, and analytic gradients for every model parameter."""
-    patches = np.asarray(patches, dtype=np.float64)
+    """Loss, breakdown, and analytic gradients for every model parameter.
+
+    Computes in the dtype of the model's weights, gradients included; the
+    loss values are float64.
+    """
+    patches = np.asarray(patches, dtype=_compute_dtype(model))
     if model.kmeans is None:
         raise ValueError("K-Means state not fitted")
     n_dom, n_patch, n_in = patches.shape
     z, recons, caches = _forward_all(model, patches)
     if labels is None:
         labels = kmeans_assign(model.kmeans, z[0])
-    total, breakdown = _losses(model, patches, z, recons, labels)
+    target = (patches + 1.0) / 2.0  # the decoder's (0, 1) range
+    total, breakdown = _losses(model, target, z, recons, labels)
 
     n_feat = z.shape[2]
-    mu = model.kmeans.centroids[np.asarray(labels)]
+    mu = model.kmeans.centroids[np.asarray(labels)].astype(z.dtype, copy=False)
     rec_scale = 2.0 / (n_dom * n_patch * n_in)
     feat_scale = 2.0 / ((n_dom - 1) * n_patch * n_feat)
     clu_scale = 2.0 / (n_dom * n_patch * n_feat)
@@ -256,14 +310,13 @@ def combined_loss_and_grads(model, patches, labels=None):
     for i, domain in enumerate(model.domain_ids):
         encoder, decoder = model.encoders[domain], model.decoders[domain]
         enc_caches, dec_caches = caches[i]
-        target = (patches[i] + 1.0) / 2.0
-        d_recon = (recons[i] - target) * rec_scale
+        d_recon = (recons[i] - target[i]) * rec_scale
         dec_grads = zero_grads(mlp_params(decoder))
         dz = mlp_backward(decoder, dec_caches, d_recon, dec_grads)
         dz = dz + (anchor_pull if i == 0 else (z[i] - z[0]) * feat_scale)
         dz += (z[i] - mu) * clu_scale
         enc_grads = zero_grads(mlp_params(encoder))
-        mlp_backward(encoder, enc_caches, dz, enc_grads)
+        mlp_backward(encoder, enc_caches, dz, enc_grads, input_grad=False)
         grads.extend(enc_grads + dec_grads)
     return total, breakdown, grads
 
@@ -283,9 +336,17 @@ def _patch_store(dataset, domain_ids, patch_size, stride):
     """(domains, triplets, J, dims) array of raw sub-patches, uint8 for images.
 
     The store keeps the bytes: a batch is scaled to [-1, 1] when it is drawn,
-    which gives the same float64 values as scaling the whole store up front
-    at an eighth of its memory.
+    which gives the same values as scaling the whole store up front at an
+    eighth of its float64 memory.  Every image must have one size.
     """
+    first = dataset.triplets[0][domain_ids[0]].pixels.shape[:2]
+    for t, triplet in enumerate(dataset.triplets):
+        size = triplet[domain_ids[0]].pixels.shape[:2]
+        if size != first:
+            raise DatasetError(
+                f"triplet {t} of the training split has {size[0]}x{size[1]} images, "
+                f"triplet 0 has {first[0]}x{first[1]}: the MCAE needs one image size"
+            )
     store = None
     for d, domain in enumerate(domain_ids):
         for t, triplet in enumerate(dataset.triplets):
@@ -301,7 +362,8 @@ def _refit_kmeans(model, anchor_patches, config, epoch):
     rng = np.random.default_rng(derive_seed(config.seed, f"kmeans-sample-{epoch}"))
     n = min(config.kmeans_sample, flat.shape[0])
     sample = scale_to_pm1(flat[rng.choice(flat.shape[0], size=n, replace=False)])
-    features = mlp_forward(model.encoders[model.domain_ids[0]], sample)
+    encoder = float32_layers(model.encoders[model.domain_ids[0]])
+    features = mlp_forward(encoder, sample.astype(np.float32))
     model.kmeans = kmeans_fit(
         features, config.k, seed=derive_seed(config.seed, f"kmeans-{epoch}")
     )
@@ -323,8 +385,9 @@ def train_mcae(model, train, config):
     for epoch in range(1, config.epochs + 1):
         sums = {"reconstruction": 0.0, "feature": 0.0, "cluster": 0.0}
         for idx in minibatches(n_trip, config.batch, config.seed, f"shuffle-{epoch}"):
-            batch = scale_to_pm1(data[:, idx]).reshape(n_dom, len(idx) * n_sub, n_in)
-            total, breakdown, grads = combined_loss_and_grads(model, batch)
+            batch = scale_to_pm1(data[:, idx]).astype(np.float32)
+            batch = batch.reshape(n_dom, len(idx) * n_sub, n_in)
+            total, breakdown, grads = combined_loss_and_grads(_float32_copy(model), batch)
             adam_step(adam, params, grads, epoch)
             for key in sums:
                 sums[key] += breakdown[key] * len(idx)

@@ -1,9 +1,15 @@
 """Dense-tensor math with hand-written backward passes and the Adam optimizer.
 
-Everything runs in 64-bit floats on numpy arrays.  Layers carry their
-parameters as plain arrays; gradients are computed analytically and can be
-cross-checked against ``finite_diff_grad`` (the test oracle used throughout
-the suite).
+Layers carry their parameters as plain numpy arrays, and a dense layer
+computes in the dtype of its weights: ``dense_forward`` and
+``dense_backward`` cast their input and upstream gradient to it.  Models,
+their files, Adam and every evaluation path are 64-bit.  The MCAE and
+baseline trainers follow mixed-precision training (Micikevicius et al.,
+"Mixed Precision Training", arXiv 1710.03740): each step runs forward and
+backward on a ``float32_layers`` copy of the float64 master weights, and
+``adam_step`` applies the float32 gradients to the masters.  Gradients are
+computed analytically and can be cross-checked against ``finite_diff_grad``
+(the test oracle used throughout the suite), in float64.
 """
 
 import hashlib
@@ -48,7 +54,7 @@ def activation_derivative(name, out, leaky_slope=0.01):
     if name == "sigmoid":
         return out * (1.0 - out)
     if name == "leaky_relu":
-        return np.where(out >= 0.0, 1.0, leaky_slope)
+        return np.where(out >= 0.0, out.dtype.type(1.0), out.dtype.type(leaky_slope))
     if name == "linear":
         return np.ones_like(out)
     _check_activation(name)
@@ -101,9 +107,20 @@ def dense_init(n_in, n_out, activation, rng, leaky_slope=0.01):
     return DenseLayer(weights, np.zeros(n_out), activation, leaky_slope)
 
 
+def float32_layers(layers):
+    """A float32 copy of a DenseLayer stack, for one mixed-precision training step."""
+    return [
+        DenseLayer(
+            layer.weights.astype(np.float32), layer.bias.astype(np.float32),
+            layer.activation, layer.leaky_slope,
+        )
+        for layer in layers
+    ]
+
+
 def dense_forward(layer, x):
-    """Forward map for a batch (batch, in) -> (batch, out)."""
-    x = np.asarray(x, dtype=np.float64)
+    """Forward map for a batch (batch, in) -> (batch, out), in the weights' dtype."""
+    x = np.asarray(x, dtype=layer.weights.dtype)
     if x.ndim != 2:
         raise ValueError(f"expected a batch of row vectors, got ndim={x.ndim}")
     if x.shape[1] != layer.n_in:
@@ -114,21 +131,24 @@ def dense_forward(layer, x):
     return apply_activation(layer.activation, pre, layer.leaky_slope)
 
 
-def dense_backward(layer, x, upstream, out):
+def dense_backward(layer, x, upstream, out, params=True, inputs=True):
     """Analytic gradients of ``dense_forward`` w.r.t. parameters and input.
 
     ``upstream`` is dLoss/dOutput and ``out`` the cached forward output
-    ``dense_forward(layer, x)``; the two share one shape.
+    ``dense_forward(layer, x)``; the two share one shape.  Returns
+    ``(LayerGrads, input gradient)`` in the weights' dtype; ``params=False``
+    or ``inputs=False`` skips that part and returns None in its place.
     """
-    x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
+    dtype = layer.weights.dtype
+    x = np.asarray(x, dtype=dtype)
+    upstream = np.asarray(upstream, dtype=dtype)
     if upstream.shape != out.shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} does not match output {out.shape}"
         )
     dpre = upstream * activation_derivative(layer.activation, out, layer.leaky_slope)
-    grads = LayerGrads(weights=dpre.T @ x, bias=dpre.sum(axis=0))
-    return grads, dpre @ layer.weights
+    grads = LayerGrads(weights=dpre.T @ x, bias=dpre.sum(axis=0)) if params else None
+    return grads, dpre @ layer.weights if inputs else None
 
 
 @dataclass
@@ -320,7 +340,7 @@ def max_relative_error(analytic, numeric, atol=1e-6):
 
 def mlp_forward(layers, x, caches=None):
     """Run a DenseLayer stack; optionally collect (input, output) caches."""
-    out = np.asarray(x, dtype=np.float64)
+    out = x
     for layer in layers:
         y = dense_forward(layer, out)
         if caches is not None:
@@ -329,16 +349,19 @@ def mlp_forward(layers, x, caches=None):
     return out
 
 
-def mlp_backward(layers, caches, upstream, grads=None):
+def mlp_backward(layers, caches, upstream, grads=None, input_grad=True):
     """Backprop through a DenseLayer stack given forward caches.
 
-    Returns the input gradient.  When ``grads`` is given (a flat list aligned
-    with ``mlp_params(layers)``), parameter gradients are added into it.
+    Returns the input gradient, or None with ``input_grad=False``.  When
+    ``grads`` is given (a flat list aligned with ``mlp_params(layers)``),
+    parameter gradients are added into it; otherwise they are not computed.
     """
     d = upstream
     for idx in range(len(layers) - 1, -1, -1):
         x, out = caches[idx]
-        layer_grads, d = dense_backward(layers[idx], x, d, out)
+        layer_grads, d = dense_backward(
+            layers[idx], x, d, out, params=grads is not None, inputs=idx > 0 or input_grad
+        )
         if grads is not None:
             grads[2 * idx] += layer_grads.weights
             grads[2 * idx + 1] += layer_grads.bias

@@ -64,6 +64,10 @@ def _encode(obj, pieces, indent):
         if not obj:
             pieces.append("[]")
             return
+        if all(type(value) is float for value in obj):
+            # a flat list of Python floats, as tolist() gives: format_float inline
+            pieces.append("[" + ", ".join([format(value, ".17g") for value in obj]) + "]")
+            return
         pieces.append("[")
         for i, value in enumerate(obj):
             _encode(value, pieces, indent)

@@ -5,6 +5,11 @@ The auto-encoder is one channel of the multi-channel model
 reconstruction, and cross-domain normalisation is left entirely to the
 preprocessing (global contrast normalisation followed by a whitening
 transform fitted on the training domain).
+
+Training computes in float32 on float64 master weights, as the MCAE does
+(see ``numerics``): preprocessing is float64, each minibatch of whitened
+rows is cast to float32 when it is drawn, and the logged loss is summed in
+float64.
 """
 
 from dataclasses import dataclass
@@ -19,6 +24,7 @@ from .numerics import (
     adam_step,
     autoencoder_init,
     derive_seed,
+    float32_layers,
     minibatches,
     mlp_backward,
     mlp_forward,
@@ -64,7 +70,8 @@ def train_stanosa(model, patches, config):
     whitening transform on up to ``zca_sample`` randomly chosen training
     patches if the model does not carry one yet.  The decoder's sigmoid
     output is matched against the whitened input mapped affinely to [0, 1]
-    and clipped, one minibatch at a time.
+    and clipped, one minibatch at a time.  Each step computes in float32 on a
+    copy of the float64 parameters, which Adam updates.
     """
     patches = np.asarray(patches)
     if patches.ndim != 2 or patches.shape[0] == 0:
@@ -85,13 +92,14 @@ def train_stanosa(model, patches, config):
     for epoch in range(1, config.epochs + 1):
         loss_sum = 0.0
         for idx in minibatches(n, config.batch, config.seed, f"shuffle-{epoch}"):
+            step_layers = float32_layers(layers)
             caches = []
-            rows = x[idx]
-            recon = mlp_forward(layers, rows, caches)
+            rows = x[idx].astype(np.float32)
+            recon = mlp_forward(step_layers, rows, caches)
             diff = recon - np.clip((rows + 1.0) / 2.0, 0.0, 1.0)
-            loss = float(np.mean(diff * diff))
-            grads = zero_grads(params)
-            mlp_backward(layers, caches, 2.0 * diff / diff.size, grads)
+            loss = float(np.mean(diff * diff, dtype=np.float64))
+            grads = zero_grads(mlp_params(step_layers))
+            mlp_backward(step_layers, caches, 2.0 * diff / diff.size, grads, input_grad=False)
             adam_step(adam, params, grads, epoch)
             loss_sum += loss * len(idx)
         losses = {"reconstruction": loss_sum / n}

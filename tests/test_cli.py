@@ -306,6 +306,19 @@ def test_train_mcae_fewer_sub_patches_than_k_is_usage_error(tmp_path, capsys):
                  "--kmeans-sample", "1", "--out-dir", str(out)]) == 0
 
 
+def test_train_mcae_on_mixed_image_sizes_is_usage_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--triplets", "4", "--size", "16", "--out-dir", str(ds)]) == 0
+    manifest = json.loads((ds / "manifest.json").read_text())
+    for name in manifest["triplets"][2]["paths"].values():
+        dataset.save_image(dataset.Image(np.zeros((24, 24, 3), np.uint8)), ds / name)
+    code = main(["train-mcae", "--dataset", str(ds), "--epochs", "1", "--k", "2",
+                 "--train-fraction", "0.99", "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert "24x24" in message and "16x16" in message and "triplet" in message
+
+
 @pytest.mark.parametrize("fault", ["missing", "resized"])
 def test_broken_dataset_image_is_usage_error(tiny_dataset, tmp_path, capsys, fault):
     ds = tmp_path / "ds"

@@ -27,6 +27,7 @@ from staininv.mcae import (
     save_mcae,
     train_mcae,
 )
+from staininv.mcae import _float32_copy, _pairwise_sq_dists, _update_centroids
 from staininv.numerics import finite_diff_grad, max_relative_error, mlp_forward
 
 
@@ -66,6 +67,36 @@ def test_kmeans_empty_cluster_repair_non_increasing():
     for seed in range(10):
         state = kmeans_fit(x, k=3, seed=seed)
         assert kmeans_objective(state, x) < 1e-6  # optimum separates all three
+
+
+def _loop_update(x, labels, centroids):
+    # the per-cluster update, one cluster after another
+    for j in range(centroids.shape[0]):
+        members = labels == j
+        if members.any():
+            centroids[j] = x[members].mean(axis=0)
+        else:
+            centroids[j] = x[_pairwise_sq_dists(x, centroids).min(axis=1).argmax()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_update_centroids_matches_the_loop_formula_bit_for_bit(seed):
+    rng = np.random.default_rng(40 + seed)
+    x = np.tanh(rng.normal(size=(500, 10)))
+    x[:40] = -0.0  # a signed-zero pile
+    centroids = x[rng.choice(500, 6, replace=False)]
+    labels = _pairwise_sq_dists(x, centroids).argmin(axis=1)
+    labels[labels == 2] = 4  # force an empty cluster between full ones
+    if seed % 2:
+        labels[labels == 5] = 0  # and one at the end
+    sq = (x * x).sum(axis=1)[:, None] + (centroids * centroids).sum(axis=1)
+    sq -= 2.0 * x @ centroids.T  # reference: the doubling applied to x, before the matmul
+    assert np.maximum(sq, 0.0).tobytes() == _pairwise_sq_dists(x, centroids).tobytes()
+    expected = centroids.copy()
+    _loop_update(x, labels, expected)
+    got = centroids.copy()
+    _update_centroids(x, (x * x).sum(axis=1), labels, got)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_kmeans_objective_non_increasing_across_iterations():
@@ -278,6 +309,26 @@ def test_combined_loss_gradient_matches_finite_differences():
             assert max_relative_error(analytic, numeric) < 1e-4
 
 
+def test_float32_gradients_agree_with_float64():
+    model = mcae_init(["A", "B", "C"], seed=3, input_dim=192, hidden_dim=8, feature_dim=4)
+    rng = np.random.default_rng(12)
+    patches = rng.uniform(-0.9, 0.9, size=(3, 16, 192))
+    model.kmeans = kmeans_fit(
+        encode(model, "A", patches[0]) + 0.05 * rng.normal(size=(16, 4)), k=2, seed=0
+    )
+    labels = kmeans_assign(model.kmeans, encode(model, "A", patches[0]))
+    total64, _, grads64 = combined_loss_and_grads(model, patches, labels=labels)
+    total32, breakdown, grads32 = combined_loss_and_grads(
+        _float32_copy(model), patches.astype(np.float32), labels=labels
+    )
+    assert all(type(v) is float for v in [total32, *breakdown.values()])
+    assert total32 == pytest.approx(total64, rel=1e-6)
+    for g32, g64 in zip(grads32, grads64):
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        # relative to the gradient's scale: single elements may cancel to ~0
+        assert np.abs(g32 - g64).max() <= 1e-4 * np.abs(g64).max()
+
+
 # --- training ---
 
 
@@ -297,6 +348,14 @@ def test_train_epoch_zero_fits_kmeans_without_stepping():
     model, log = train_mcae(model, ds, McaeTrainConfig(epochs=0, stride=8, k=3, seed=0))
     assert model.kmeans is not None and log == []
     assert all(np.array_equal(a, b) for a, b in zip(before, mcae_params(model)))
+
+
+def test_train_keeps_float64_master_parameters():
+    ds = _tiny_dataset(24)
+    model = mcae_init(ds.domain_ids, seed=4)
+    model, _ = train_mcae(model, ds, McaeTrainConfig(epochs=1, batch=4, stride=8, k=3, seed=0))
+    assert all(p.dtype == np.float64 for p in mcae_params(model))
+    assert model.kmeans.centroids.dtype == np.float64
 
 
 def test_train_loss_decreases_and_log_length():

@@ -18,6 +18,7 @@ from staininv.numerics import (
     dense_init,
     derive_seed,
     finite_diff_grad,
+    float32_layers,
     max_relative_error,
     minibatches,
     mlp_backward,
@@ -285,6 +286,46 @@ def test_mlp_backward_accumulates_finite_difference_gradients(activation):
     caches = []
     mlp_forward(layers, x_last, caches)
     assert np.array_equal(mlp_backward(layers, caches, w_last), dx)
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_mlp_backward_skips_only_discarded_work(activation):
+    rng = np.random.default_rng(22)
+    layers = [dense_init(4, 3, activation, rng), dense_init(3, 2, activation, rng)]
+    x, w = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
+    caches = []
+    mlp_forward(layers, x, caches)
+    full = zero_grads(mlp_params(layers))
+    dx = mlp_backward(layers, caches, w, full)
+    params_only = zero_grads(mlp_params(layers))
+    assert mlp_backward(layers, caches, w, params_only, input_grad=False) is None
+    assert all(np.array_equal(a, b) for a, b in zip(full, params_only))
+    assert np.array_equal(mlp_backward(layers, caches, w), dx)
+    grads, d_input = dense_backward(layers[0], x, np.ones((5, 3)), caches[0][1],
+                                    params=False, inputs=False)
+    assert grads is None and d_input is None
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_dense_layer_computes_in_its_weights_dtype(activation):
+    rng = np.random.default_rng(23)
+    master = [dense_init(4, 3, activation, rng), dense_init(3, 2, activation, rng)]
+    before = [p.copy() for p in mlp_params(master)]
+    layers = float32_layers(master)
+    assert all(p.dtype == np.float32 for p in mlp_params(layers))
+    assert all(np.array_equal(p, q.astype(np.float32)) for p, q in zip(mlp_params(layers), before))
+    layers[0].weights += 1.0  # a copy: the float64 masters do not move
+    assert all(np.array_equal(p, q) for p, q in zip(mlp_params(master), before))
+    layers = float32_layers(master)
+
+    x, w = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))  # float64 in, float32 out
+    caches = []
+    out = mlp_forward(layers, x, caches)
+    grads = zero_grads(mlp_params(layers))
+    dx = mlp_backward(layers, caches, w, grads)
+    assert out.dtype == dx.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in grads)
+    assert np.allclose(out, mlp_forward(master, x), rtol=1e-5, atol=1e-6)
 
 
 def test_leaky_relu_derivative_is_one_at_signed_zero():

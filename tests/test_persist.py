@@ -46,6 +46,27 @@ def test_dump_load_roundtrip(tmp_path):
     assert json.loads(path.read_text()) == doc
 
 
+def test_dump_json_float_list_fast_path_writes_the_same_bytes(tmp_path):
+    # lists of Python floats take the joined fast path; the same values as
+    # np.float64 leaves take the per-element path
+    rng = np.random.default_rng(5)
+    values = [float(v) for v in rng.normal(size=9)] + [0.1, -0.0, 1e-310, 2.0]
+
+    def doc(leaves):
+        return {
+            "flat": leaves,
+            "nested": {"rows": [leaves, leaves[:3]], "n": 3, "flag": False,
+                       "f32": [np.float32(0.1), np.float32(-2.5)], "one": np.float64(0.3)},
+            "mixed": [1, True, 0.5, np.float32(1.5)],
+        }
+
+    fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
+    dump_json(doc(values), fast)
+    dump_json(doc([np.float64(v) for v in values]), slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    assert load_json(fast)["flat"] == values
+
+
 def test_dense_record_roundtrip_bitwise():
     rng = np.random.default_rng(1)
     layer = DenseLayer(rng.normal(size=(4, 6)), rng.normal(size=4), "leaky_relu", 0.02)
