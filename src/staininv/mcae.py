@@ -337,22 +337,21 @@ def _patch_store(dataset, domain_ids, patch_size, stride):
 
     The store keeps the bytes: a batch is scaled to [-1, 1] when it is drawn,
     which gives the same values as scaling the whole store up front at an
-    eighth of its float64 memory.  Every image must have one size.
+    eighth of its float64 memory.  Every image must give the same patch grid.
     """
-    first = dataset.triplets[0][domain_ids[0]].pixels.shape[:2]
-    for t, triplet in enumerate(dataset.triplets):
-        size = triplet[domain_ids[0]].pixels.shape[:2]
-        if size != first:
-            raise DatasetError(
-                f"triplet {t} of the training split has {size[0]}x{size[1]} images, "
-                f"triplet 0 has {first[0]}x{first[1]}: the MCAE needs one image size"
-            )
     store = None
     for d, domain in enumerate(domain_ids):
         for t, triplet in enumerate(dataset.triplets):
             patches = extract_patches(triplet[domain], patch_size, stride)
             if store is None:
                 store = np.empty((len(domain_ids), len(dataset), *patches.shape), patches.dtype)
+            elif patches.shape != store.shape[2:]:
+                h, w = triplet[domain].pixels.shape[:2]
+                h0, w0 = dataset.triplets[0][domain_ids[0]].pixels.shape[:2]
+                raise DatasetError(
+                    f"triplet {t} of the training split has {h}x{w} {domain} images, "
+                    f"triplet 0 has {h0}x{w0}: the MCAE needs one image size"
+                )
             store[d, t] = patches
     return store
 
