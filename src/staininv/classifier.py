@@ -19,13 +19,11 @@ from .dataset import (
     read_listing, save_image,
 )
 from .numerics import (
-    adam_init,
-    adam_step,
     conv2d_backward,
     conv2d_forward,
     conv2d_init,
     derive_seed,
-    minibatches,
+    fit,
     param_checksum,
 )
 
@@ -233,7 +231,8 @@ def train_classifier(extractor, head, train_set, val_set, config):
 
     Features are computed once up front (the extractor is frozen), and the
     extractor parameter checksum is verified unchanged after training.
-    Returns the head and a per-epoch log of loss and validation accuracy.
+    Returns the head and a ``numerics.fit`` log: per epoch the mean ``loss``
+    and, with a validation split, ``val_accuracy``.
     """
     if len(train_set) == 0:
         raise ValueError("empty training set")
@@ -242,22 +241,17 @@ def train_classifier(extractor, head, train_set, val_set, config):
     y_train = train_set.labels
     x_val = _feature_batch(extractor, val_set) if len(val_set) else None
 
-    params = head_params(head)
-    adam = adam_init(params, config.lr)
-    n = x_train.shape[0]
-    log = []
-    for epoch in range(1, config.epochs + 1):
-        loss_sum = 0.0
-        for idx in minibatches(n, config.batch, config.seed, f"clf-shuffle-{epoch}"):
-            logits, caches = _head_forward(head, x_train[idx])
-            loss, dlogits = _cross_entropy_batch(logits, y_train[idx])
-            grads = _head_backward(head, caches, dlogits)
-            adam_step(adam, params, grads, epoch)
-            loss_sum += loss * len(idx)
-        entry = {"epoch": epoch, "loss": loss_sum / n}
+    def step(idx):
+        logits, caches = _head_forward(head, x_train[idx])
+        loss, dlogits = _cross_entropy_batch(logits, y_train[idx])
+        return {"loss": loss}, _head_backward(head, caches, dlogits)
+
+    def end_epoch(epoch):
         if x_val is not None:
-            entry["val_accuracy"] = _accuracy(head, x_val, val_set.labels)
-        log.append(entry)
+            return {"val_accuracy": _accuracy(head, x_val, val_set.labels)}
+
+    log = fit(head_params(head), config.lr, x_train.shape[0], config.batch, config.epochs,
+              config.seed, "clf-shuffle", step, end_epoch)
     if extractor_checksum(extractor) != checksum_before:
         raise RuntimeError("frozen extractor parameters changed during training")
     return head, log

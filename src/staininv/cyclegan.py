@@ -153,72 +153,50 @@ def _dlog_one_minus(scores, n):
 
 
 def _generator_pass(f, g, d_a, d_b, a, b, config):
-    """Steps 1-4 for one minibatch: losses, and gradients for F and G."""
-    n_a, n_b = a.shape[0], b.shape[0]
+    """Steps 1-4 for one minibatch: losses, and gradients for F and G.
+
+    Steps 1-3 run once per direction: F maps a towards B, scored by D_B and
+    cycled back through G; then G maps b towards A, scored by D_A and cycled
+    back through F.  Step 4 then runs for F, then for G.
+    """
     f_grads = zero_grads(mlp_params(f.layers))
     g_grads = zero_grads(mlp_params(g.layers))
+    dlog_fake = _dlog_one_minus if config.saturating else _dlog_scores
+    l_identity = l_cycle = 0.0
+    l_gan, folds = [], []
+    for gen, back, disc, src, tgt, gen_grads, back_grads in (
+        (f, g, d_b, a, b, f_grads, g_grads),
+        (g, f, d_a, b, a, g_grads, f_grads),
+    ):
+        n = src.shape[0]
+        # step 1: identity -- the returning generator maps the source onto itself
+        caches = []
+        same = mlp_forward(back.layers, src, caches)
+        l_identity += _l1(same - src)
+        mlp_backward(back.layers, caches, config.lambda1 * np.sign(same - src) / n,
+                     back_grads, input_grad=False)
 
-    # step 1: identity mapping back onto the source domain
-    caches = []
-    id_a = mlp_forward(g.layers, a, caches)
-    l_identity = _l1(id_a - a)
-    mlp_backward(
-        g.layers, caches, config.lambda1 * np.sign(id_a - a) / n_a, g_grads, input_grad=False
-    )
-    caches = []
-    id_b = mlp_forward(f.layers, b, caches)
-    l_identity += _l1(id_b - b)
-    mlp_backward(
-        f.layers, caches, config.lambda1 * np.sign(id_b - b) / n_b, f_grads, input_grad=False
-    )
+        # step 2: cross-domain mapping, scored by the target discriminator
+        gen_caches, disc_caches = [], []
+        fake = mlp_forward(gen.layers, src, gen_caches)
+        fake_scores = mlp_forward(disc.layers, fake, disc_caches)
+        l_gan.append(gan_loss(discriminate(disc, tgt), fake_scores[:, 0]))
+        d_fake = mlp_backward(disc.layers, disc_caches, dlog_fake(fake_scores, n))
 
-    # step 2: cross-domain mapping, scored by the target discriminator
-    f_caches = []
-    fake_b = mlp_forward(f.layers, a, f_caches)
-    db_caches = []
-    fake_b_scores = mlp_forward(d_b.layers, fake_b, db_caches)
-    l_gan_f = gan_loss(discriminate(d_b, b), fake_b_scores[:, 0])
-
-    g_caches = []
-    fake_a = mlp_forward(g.layers, b, g_caches)
-    da_caches = []
-    fake_a_scores = mlp_forward(d_a.layers, fake_a, da_caches)
-    l_gan_g = gan_loss(discriminate(d_a, a), fake_a_scores[:, 0])
-
-    if config.saturating:
-        ds_fake_b = _dlog_one_minus(fake_b_scores, n_a)
-        ds_fake_a = _dlog_one_minus(fake_a_scores, n_b)
-    else:
-        ds_fake_b = _dlog_scores(fake_b_scores, n_a)
-        ds_fake_a = _dlog_scores(fake_a_scores, n_b)
-    d_fake_b = mlp_backward(d_b.layers, db_caches, ds_fake_b)
-    d_fake_a = mlp_backward(d_a.layers, da_caches, ds_fake_a)
-
-    # step 3: cycle back to the source domain
-    caches = []
-    rec_a = mlp_forward(g.layers, fake_b, caches)
-    l_cycle = _l1(rec_a - a)
-    d_cyc_b = mlp_backward(
-        g.layers, caches, config.lambda2 * np.sign(rec_a - a) / n_a, g_grads
-    )
-    caches = []
-    rec_b = mlp_forward(f.layers, fake_a, caches)
-    l_cycle += _l1(rec_b - b)
-    d_cyc_a = mlp_backward(
-        f.layers, caches, config.lambda2 * np.sign(rec_b - b) / n_b, f_grads
-    )
+        # step 3: cycle back to the source domain
+        caches = []
+        rec = mlp_forward(back.layers, fake, caches)
+        l_cycle += _l1(rec - src)
+        d_cyc = mlp_backward(back.layers, caches, config.lambda2 * np.sign(rec - src) / n,
+                             back_grads)
+        folds.append((gen, gen_caches, d_fake + d_cyc, gen_grads))
 
     # step 4: weighted sum -- fold the adversarial and cycle paths back
     # through each generator
-    mlp_backward(f.layers, f_caches, d_fake_b + d_cyc_b, f_grads, input_grad=False)
-    mlp_backward(g.layers, g_caches, d_fake_a + d_cyc_a, g_grads, input_grad=False)
+    for gen, caches, upstream, grads in folds:
+        mlp_backward(gen.layers, caches, upstream, grads, input_grad=False)
 
-    losses = {
-        "identity": l_identity,
-        "gan_f": l_gan_f,
-        "gan_g": l_gan_g,
-        "cycle": l_cycle,
-    }
+    losses = {"identity": l_identity, "gan_f": l_gan[0], "gan_g": l_gan[1], "cycle": l_cycle}
     return losses, f_grads, g_grads
 
 

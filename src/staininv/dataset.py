@@ -319,14 +319,12 @@ def split(dataset, fraction, seed):
     order = np.random.default_rng(seed).permutation(len(dataset))
     n_train = int(round(len(dataset) * fraction))
     parts = []
-    for role, idx in (("train", order[:n_train]), ("test", order[n_train:])):
-        manifest = dict(dataset.manifest)
-        manifest["split"] = {"role": role, "fraction": fraction, "seed": seed}
+    for idx in (order[:n_train], order[n_train:]):
         parts.append(
             TripletDataset(
                 domain_ids=list(dataset.domain_ids),
                 triplets=[dataset.triplets[i] for i in idx],
-                manifest=manifest,
+                manifest=dict(dataset.manifest),
             )
         )
     return parts[0], parts[1]

@@ -22,6 +22,7 @@ logged in float64.  Saved models, ``encode`` and the feature extractors are
 float64, so a model encodes exactly like its saved file.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,10 @@ from . import persist
 from .dataset import DatasetError, extract_patches, scale_to_pm1
 from .numerics import (
     FeatureExtractor,
-    adam_init,
-    adam_step,
     autoencoder_init,
     derive_seed,
+    fit,
     float32_layers,
-    minibatches,
     mlp_backward,
     mlp_forward,
     mlp_params,
@@ -376,25 +375,16 @@ def train_mcae(model, train, config):
     data = _patch_store(train, model.domain_ids, patch_size, config.stride)
     n_dom, n_trip, n_sub, n_in = data.shape
 
-    params = mcae_params(model)
-    adam = adam_init(params, config.lr)
-    _refit_kmeans(model, data[0], config, epoch=0)  # before the first step
+    def step(idx):
+        batch = scale_to_pm1(data[:, idx]).astype(np.float32)
+        batch = batch.reshape(n_dom, len(idx) * n_sub, n_in)
+        _, breakdown, grads = combined_loss_and_grads(_float32_copy(model), batch)
+        return breakdown, grads
 
-    log = []
-    for epoch in range(1, config.epochs + 1):
-        sums = {"reconstruction": 0.0, "feature": 0.0, "cluster": 0.0}
-        for idx in minibatches(n_trip, config.batch, config.seed, f"shuffle-{epoch}"):
-            batch = scale_to_pm1(data[:, idx]).astype(np.float32)
-            batch = batch.reshape(n_dom, len(idx) * n_sub, n_in)
-            total, breakdown, grads = combined_loss_and_grads(_float32_copy(model), batch)
-            adam_step(adam, params, grads, epoch)
-            for key in sums:
-                sums[key] += breakdown[key] * len(idx)
-        losses = {key: value / n_trip for key, value in sums.items()}
-        log.append(
-            {"epoch": epoch, "losses": losses, "total": sum(losses.values())}
-        )
-        _refit_kmeans(model, data[0], config, epoch)
+    refit = functools.partial(_refit_kmeans, model, data[0], config)
+    refit(0)  # before the first step
+    log = fit(mcae_params(model), config.lr, n_trip, config.batch, config.epochs, config.seed,
+              "shuffle", step, end_epoch=refit)
     return model, log
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import featurize
 from .colour import SsimConfig, hsd_forward, rgb_to_od, ssim
 
 NORMALIZE_EPSILON = 1e-8
@@ -32,29 +33,18 @@ REFERENCE_TISSUE_CLASSIFICATION = {
 }
 
 
-@dataclass
-class NormalizedFeatureMap:
-    values: np.ndarray  # (h, w, n), per-channel zero mean / unit variance
-    mean: np.ndarray  # (n,) source statistics
-    std: np.ndarray  # (n,)
-    epsilon: float
-
-
 def normalize_feature_map(z, epsilon=NORMALIZE_EPSILON):
     """Standardise each channel of an (h, w, n) map over its own pixels."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 3:
         raise ValueError("expected a feature map of shape (h, w, channels)")
-    mean = z.mean(axis=(0, 1))
-    std = z.std(axis=(0, 1))
-    values = (z - mean) / (std + epsilon)
-    return NormalizedFeatureMap(values=values, mean=mean, std=std, epsilon=epsilon)
+    return (z - z.mean(axis=(0, 1))) / (z.std(axis=(0, 1)) + epsilon)
 
 
 def nfmse(za, zb):
     """Mean squared difference between two normalised feature maps."""
-    a = za.values if isinstance(za, NormalizedFeatureMap) else np.asarray(za)
-    b = zb.values if isinstance(zb, NormalizedFeatureMap) else np.asarray(zb)
+    a = np.asarray(za)
+    b = np.asarray(zb)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     return float(np.mean((a - b) ** 2))
@@ -76,8 +66,6 @@ def nfmse_per_triplet(extractors_by_domain, test):
     non-overlapping 8x8 patch grid, normalised, and compared pairwise.
     Returns (rows, summary) where rows are (triplet_id, pair, value).
     """
-    from .classifier import featurize
-
     if len(test) == 0:
         raise ValueError("empty dataset")
     pairs = domain_pairs(test.domain_ids)

@@ -18,6 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ACTIVATIONS = ("tanh", "sigmoid", "leaky_relu", "linear")
+LEAKY_SLOPE = 0.01  # leaky_relu's slope below zero, the same for every layer
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba, "Adam", 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def derive_seed(root_seed, name):
@@ -35,26 +41,26 @@ def _check_activation(name):
         raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
 
 
-def apply_activation(name, pre, leaky_slope=0.01):
+def apply_activation(name, pre):
     if name == "tanh":
         return np.tanh(pre)
     if name == "sigmoid":
         return 1.0 / (1.0 + np.exp(-pre))
     if name == "leaky_relu":
-        return np.where(pre >= 0.0, pre, leaky_slope * pre)
+        return np.where(pre >= 0.0, pre, LEAKY_SLOPE * pre)
     if name == "linear":
         return pre
     _check_activation(name)
 
 
-def activation_derivative(name, out, leaky_slope=0.01):
+def activation_derivative(name, out):
     """d activation / d pre-activation, elementwise, from the activation output."""
     if name == "tanh":
         return 1.0 - out * out
     if name == "sigmoid":
         return out * (1.0 - out)
     if name == "leaky_relu":
-        return np.where(out >= 0.0, out.dtype.type(1.0), out.dtype.type(leaky_slope))
+        return np.where(out >= 0.0, out.dtype.type(1.0), out.dtype.type(LEAKY_SLOPE))
     if name == "linear":
         return np.ones_like(out)
     _check_activation(name)
@@ -67,7 +73,6 @@ class DenseLayer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
     activation: str = "linear"
-    leaky_slope: float = 0.01
 
     def __post_init__(self):
         _check_activation(self.activation)
@@ -78,8 +83,6 @@ class DenseLayer:
                 f"bias length {self.bias.shape[0]} does not match "
                 f"{self.weights.shape[0]} output units"
             )
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError("leaky_slope must lie in (0, 1)")
 
     @property
     def n_in(self):
@@ -101,19 +104,17 @@ def glorot_uniform(n_out, n_in, rng, receptive=1):
     return rng.uniform(-limit, limit, size=(n_out, n_in * receptive))
 
 
-def dense_init(n_in, n_out, activation, rng, leaky_slope=0.01):
+def dense_init(n_in, n_out, activation, rng):
     """Glorot-uniform weights, zero bias, from the given generator."""
     weights = glorot_uniform(n_out, n_in, rng)
-    return DenseLayer(weights, np.zeros(n_out), activation, leaky_slope)
+    return DenseLayer(weights, np.zeros(n_out), activation)
 
 
 def float32_layers(layers):
     """A float32 copy of a DenseLayer stack, for one mixed-precision training step."""
     return [
-        DenseLayer(
-            layer.weights.astype(np.float32), layer.bias.astype(np.float32),
-            layer.activation, layer.leaky_slope,
-        )
+        DenseLayer(layer.weights.astype(np.float32), layer.bias.astype(np.float32),
+                   layer.activation)
         for layer in layers
     ]
 
@@ -128,7 +129,7 @@ def dense_forward(layer, x):
             f"input dimension {x.shape[1]} does not match layer input {layer.n_in}"
         )
     pre = x @ layer.weights.T + layer.bias
-    return apply_activation(layer.activation, pre, layer.leaky_slope)
+    return apply_activation(layer.activation, pre)
 
 
 def dense_backward(layer, x, upstream, out, params=True, inputs=True):
@@ -146,7 +147,7 @@ def dense_backward(layer, x, upstream, out, params=True, inputs=True):
         raise ValueError(
             f"upstream gradient shape {upstream.shape} does not match output {out.shape}"
         )
-    dpre = upstream * activation_derivative(layer.activation, out, layer.leaky_slope)
+    dpre = upstream * activation_derivative(layer.activation, out)
     grads = LayerGrads(weights=dpre.T @ x, bias=dpre.sum(axis=0)) if params else None
     return grads, dpre @ layer.weights if inputs else None
 
@@ -159,7 +160,6 @@ class Conv2dLayer:
     bias: np.ndarray  # (out_ch,)
     padding: int = 0
     activation: str = "linear"
-    leaky_slope: float = 0.01
 
     def __post_init__(self):
         _check_activation(self.activation)
@@ -171,22 +171,20 @@ class Conv2dLayer:
             raise ValueError("bias length must equal out_ch")
         if self.padding < 0:
             raise ValueError("padding must be non-negative")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError("leaky_slope must lie in (0, 1)")
 
     @property
     def k(self):
         return self.kernels.shape[2]
 
 
-def conv2d_init(in_ch, out_ch, k, rng, padding=None, activation="linear", leaky_slope=0.01):
+def conv2d_init(in_ch, out_ch, k, rng, padding=None, activation="linear"):
     """Glorot-initialised convolution; padding defaults to 'same' ((k-1)/2)."""
     if padding is None:
         padding = (k - 1) // 2
     kernels = glorot_uniform(out_ch, in_ch, rng, receptive=k * k).reshape(
         out_ch, in_ch, k, k
     )
-    return Conv2dLayer(kernels, np.zeros(out_ch), padding, activation, leaky_slope)
+    return Conv2dLayer(kernels, np.zeros(out_ch), padding, activation)
 
 
 def _im2col(x, k, padding):
@@ -229,7 +227,7 @@ def conv2d_forward(layer, x):
     cols, out_h, out_w = _im2col(x, k, layer.padding)
     pre = cols @ layer.kernels.reshape(out_ch, -1).T + layer.bias
     pre = pre.transpose(0, 2, 1).reshape(x.shape[0], out_ch, out_h, out_w)
-    return apply_activation(layer.activation, pre, layer.leaky_slope), cols
+    return apply_activation(layer.activation, pre), cols
 
 
 def conv2d_backward(layer, x, upstream, out, cols):
@@ -241,7 +239,7 @@ def conv2d_backward(layer, x, upstream, out, cols):
             f"upstream gradient shape {upstream.shape} does not match output {out.shape}"
         )
     out_ch, in_ch, k, _ = layer.kernels.shape
-    dpre = upstream * activation_derivative(layer.activation, out, layer.leaky_slope)
+    dpre = upstream * activation_derivative(layer.activation, out)
     b = x.shape[0]
     dpre_cols = dpre.reshape(b, out_ch, -1).transpose(0, 2, 1)  # (B, H'W', out_ch)
     dkern = np.einsum("bpo,bpc->oc", dpre_cols, cols).reshape(layer.kernels.shape)
@@ -256,23 +254,18 @@ class AdamState:
     """Adam optimizer state for an ordered list of parameter arrays."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epsilon <= 0:
-            raise ValueError("learning_rate and epsilon must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta coefficients must lie in (0, 1)")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
-def adam_init(params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+def adam_init(params, learning_rate):
     """Adam state with zero moments for each array of the list ``params``."""
-    state = AdamState(learning_rate, beta1, beta2, epsilon)
+    state = AdamState(learning_rate)
     state.first_moment = [np.zeros_like(p) for p in params]
     state.second_moment = [np.zeros_like(p) for p in params]
     return state
@@ -287,8 +280,8 @@ def adam_step(state, params, grads, epoch):
         raise ValueError("params, grads and the Adam moments must pair up")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for i, (p, g, m, v) in enumerate(zip(params, grads, state.first_moment, state.second_moment)):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.shape:
@@ -297,11 +290,11 @@ def adam_step(state, params, grads, epoch):
             raise ValueError(
                 f"non-finite gradient: parameter {i}, shape {p.shape}, step {t}, epoch {epoch}"
             )
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 def finite_diff_grad(f, x, h=1e-5, indices=None):
@@ -335,7 +328,7 @@ def max_relative_error(analytic, numeric, atol=1e-6):
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
-# --- the MLP core, auto-encoder channel and minibatch loop shared by every model ---
+# --- the MLP core, auto-encoder channel and minibatch/Adam loop shared by the models ---
 
 
 def mlp_forward(layers, x, caches=None):
@@ -431,6 +424,34 @@ def minibatches(n, batch, seed, tag):
         raise ValueError(f"batch must be at least 1, got {batch}")
     order = np.random.default_rng(derive_seed(seed, tag)).permutation(n)
     return (order[start : start + batch] for start in range(0, n, batch))
+
+
+def fit(params, learning_rate, n, batch, epochs, seed, tag, step, end_epoch=None):
+    """Adam on shuffled minibatches of ``range(n)``; returns the per-epoch log.
+
+    Epoch e draws ``minibatches(n, batch, seed, f"{tag}-{e}")``.  For each
+    index array ``step(idx)`` returns the minibatch's losses, a dict of
+    floats, and gradients aligned with ``params``, which Adam updates in
+    place.  A log entry holds each loss as its mean over the ``n`` samples
+    (minibatch values weighted by their size), their ``total``, and the
+    entries of the dict ``end_epoch(epoch)`` returns, if it returns one.
+    """
+    adam = adam_init(params, learning_rate)
+    log = []
+    for epoch in range(1, epochs + 1):
+        sums = {}
+        for idx in minibatches(n, batch, seed, f"{tag}-{epoch}"):
+            losses, grads = step(idx)
+            adam_step(adam, params, grads, epoch)
+            del grads  # free this step's gradients before the next step makes its own
+            for key, value in losses.items():
+                sums[key] = sums.get(key, 0.0) + value * len(idx)
+        losses = {key: value / n for key, value in sums.items()}
+        entry = {"epoch": epoch, "losses": losses, "total": sum(losses.values())}
+        if end_epoch is not None:
+            entry.update(end_epoch(epoch) or {})
+        log.append(entry)
+    return log
 
 
 def param_checksum(arrays):

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .numerics import Conv2dLayer, DenseLayer
+from .numerics import LEAKY_SLOPE, Conv2dLayer, DenseLayer
 
 
 class ModelFileError(ValueError):
@@ -125,19 +125,21 @@ def layer_record(layer):
         record["padding"] = layer.padding
     record["activation"] = layer.activation
     if layer.activation == "leaky_relu":
-        record["leaky_slope"] = layer.leaky_slope
+        record["leaky_slope"] = LEAKY_SLOPE
     return record
 
 
 def layer_from_record(record):
-    """Rebuild the layer of a record, checking sizes and finite values."""
+    """Rebuild the layer of a record, checking sizes, finite values and the leaky slope."""
     weights = float_array(record["weights"], "layer weights", (None,))
     weights = weights.reshape(record["shape"])
     bias = float_array(record["bias"], "layer bias", weights.shape[:1])
-    slope = record.get("leaky_slope", 0.01)
+    slope = record.get("leaky_slope", LEAKY_SLOPE)
+    if slope != LEAKY_SLOPE:
+        raise ValueError(f"leaky_slope must be {LEAKY_SLOPE}, got {slope!r}")
     if record["kind"] == "dense":
-        return DenseLayer(weights, bias, record["activation"], slope)
-    return Conv2dLayer(weights, bias, record["padding"], record["activation"], slope)
+        return DenseLayer(weights, bias, record["activation"])
+    return Conv2dLayer(weights, bias, record["padding"], record["activation"])
 
 
 def layer_chain(records, kind, what):

@@ -20,12 +20,10 @@ from . import persist
 from .dataset import ZcaTransform, gcn, zca_apply, zca_fit
 from .numerics import (
     FeatureExtractor,
-    adam_init,
-    adam_step,
     autoencoder_init,
     derive_seed,
+    fit,
     float32_layers,
-    minibatches,
     mlp_backward,
     mlp_forward,
     mlp_params,
@@ -84,26 +82,20 @@ def train_stanosa(model, patches, config):
 
     x = stanosa_preprocess(patches, model.zca)
     layers = model.encoder + model.decoder
-    params = mlp_params(layers)
-    adam = adam_init(params, config.lr)
 
-    log = []
-    n = x.shape[0]
-    for epoch in range(1, config.epochs + 1):
-        loss_sum = 0.0
-        for idx in minibatches(n, config.batch, config.seed, f"shuffle-{epoch}"):
-            step_layers = float32_layers(layers)
-            caches = []
-            rows = x[idx].astype(np.float32)
-            recon = mlp_forward(step_layers, rows, caches)
-            diff = recon - np.clip((rows + 1.0) / 2.0, 0.0, 1.0)
-            loss = float(np.mean(diff * diff, dtype=np.float64))
-            grads = zero_grads(mlp_params(step_layers))
-            mlp_backward(step_layers, caches, 2.0 * diff / diff.size, grads, input_grad=False)
-            adam_step(adam, params, grads, epoch)
-            loss_sum += loss * len(idx)
-        losses = {"reconstruction": loss_sum / n}
-        log.append({"epoch": epoch, "losses": losses, "total": sum(losses.values())})
+    def step(idx):
+        step_layers = float32_layers(layers)
+        caches = []
+        rows = x[idx].astype(np.float32)
+        recon = mlp_forward(step_layers, rows, caches)
+        diff = recon - np.clip((rows + 1.0) / 2.0, 0.0, 1.0)
+        loss = float(np.mean(diff * diff, dtype=np.float64))
+        grads = zero_grads(mlp_params(step_layers))
+        mlp_backward(step_layers, caches, 2.0 * diff / diff.size, grads, input_grad=False)
+        return {"reconstruction": loss}, grads
+
+    log = fit(mlp_params(layers), config.lr, x.shape[0], config.batch, config.epochs,
+              config.seed, "shuffle", step)
     return model, log
 
 

@@ -171,6 +171,7 @@ MODEL_FAULTS = {
     "long-bias": lambda doc: _first_layer(doc)["bias"].append(0.0),
     "nan-weight": lambda doc: _first_layer(doc)["weights"].__setitem__(0, float("nan")),
     "unchained": _drop_first_output,
+    "leaky-slope": lambda doc: _first_layer(doc).__setitem__("leaky_slope", 0.02),
 }
 
 

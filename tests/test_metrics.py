@@ -24,22 +24,22 @@ from staininv.metrics import (
 def test_normalize_constant_channel_is_zero():
     z = np.full((4, 4, 2), 3.0)
     out = normalize_feature_map(z)
-    assert np.all(out.values == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_normalize_two_value_channel():
     z = np.zeros((1, 2, 1))
     z[0, 1, 0] = 2.0
     out = normalize_feature_map(z)
-    assert np.allclose(out.values.reshape(-1), [-1.0, 1.0], atol=1e-7)
+    assert np.allclose(out.reshape(-1), [-1.0, 1.0], atol=1e-7)
 
 
 def test_normalize_output_statistics():
     rng = np.random.default_rng(0)
     z = rng.normal(3.0, 2.5, size=(20, 30, 5))
     out = normalize_feature_map(z)
-    means = out.values.mean(axis=(0, 1))
-    stds = out.values.std(axis=(0, 1))
+    means = out.mean(axis=(0, 1))
+    stds = out.std(axis=(0, 1))
     assert np.abs(means).max() < 1e-9
     assert np.abs(stds - 1.0).max() < 1e-6
 
@@ -55,7 +55,7 @@ def test_property_normalize_affine_invariance(seed, a, b):
     z = rng.normal(size=(6, 7, 3))
     base = normalize_feature_map(z)
     scaled = normalize_feature_map(a * z + b)
-    assert np.abs(scaled.values - base.values).max() < 1e-6
+    assert np.abs(scaled - base).max() < 1e-6
 
 
 # --- nfmse ---
@@ -90,7 +90,7 @@ def test_nfmse_negation_gives_four_times_mean_square():
     z = rng.normal(size=(10, 10, 3))
     za = normalize_feature_map(z)
     zb = normalize_feature_map(-z)
-    expected = 4.0 * float(np.mean(za.values**2))
+    expected = 4.0 * float(np.mean(za**2))
     assert nfmse(za, zb) == pytest.approx(expected, rel=1e-12)
     assert nfmse(za, zb) == pytest.approx(4.0, rel=1e-6)
 

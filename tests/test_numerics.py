@@ -4,6 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from staininv.numerics import (
     ACTIVATIONS,
+    ADAM_EPSILON,
+    LEAKY_SLOPE,
     Conv2dLayer,
     DenseLayer,
     adam_init,
@@ -18,6 +20,7 @@ from staininv.numerics import (
     dense_init,
     derive_seed,
     finite_diff_grad,
+    fit,
     float32_layers,
     max_relative_error,
     minibatches,
@@ -26,6 +29,7 @@ from staininv.numerics import (
     mlp_params,
     zero_grads,
 )
+from staininv.persist import layer_from_record, layer_record
 
 GRAD_RTOL = 1e-4
 GRAD_ATOL = 1e-6
@@ -134,14 +138,18 @@ def test_activation_ranges_and_slope():
     tanh_layer = DenseLayer(np.eye(3), np.zeros(3), "tanh")
     out = dense_forward(tanh_layer, x)
     assert np.all(out > -1.0) and np.all(out < 1.0)
-    leaky = DenseLayer(np.eye(3), np.zeros(3), "leaky_relu", leaky_slope=0.2)
+    assert LEAKY_SLOPE == 0.01
+    leaky = DenseLayer(np.eye(3), np.zeros(3), "leaky_relu")
     out = dense_forward(leaky, x)
-    assert np.array_equal(out, np.where(x >= 0, x, 0.2 * x))
+    assert np.array_equal(out, np.where(x >= 0, x, LEAKY_SLOPE * x))
 
 
 def test_leaky_slope_validation():
-    with pytest.raises(ValueError):
-        DenseLayer(np.eye(2), np.zeros(2), "leaky_relu", leaky_slope=1.5)
+    # the slope is LEAKY_SLOPE for every layer: a layer record may restate it, no more
+    record = layer_record(DenseLayer(np.eye(2), np.zeros(2), "leaky_relu"))
+    assert isinstance(layer_from_record(record), DenseLayer)
+    with pytest.raises(ValueError, match="leaky_slope"):
+        layer_from_record({**record, "leaky_slope": 1.5})
 
 
 # --- conv2d ---
@@ -211,8 +219,9 @@ def test_adam_zero_gradient_is_fixed_point():
 
 def test_adam_first_step_size():
     # with g = 1, m_hat / (sqrt(v_hat) + eps) == 1 / (1 + eps) on step one
+    assert ADAM_EPSILON == 1e-8
     param = np.array([0.5])
-    state = adam_init([param], learning_rate=0.1, epsilon=1e-8)
+    state = adam_init([param], learning_rate=0.1)
     adam_step(state, [param], [np.array([1.0])], 1)
     assert param[0] == pytest.approx(0.5 - 0.1, abs=1e-8)
 
@@ -347,6 +356,40 @@ def test_minibatches_partition_with_short_last_batch():
 def test_minibatches_reject_non_positive_batch(batch):
     with pytest.raises(ValueError, match="batch"):
         minibatches(10, batch, seed=0, tag="shuffle-1")
+
+
+def test_fit_weights_losses_by_batch_size_and_steps_once_per_batch():
+    param = np.array([1.0])
+    sizes = []
+
+    def step(idx):
+        sizes.append(len(idx))
+        return {"mean_index": float(np.mean(idx)), "one": 1.0}, [np.ones(1)]
+
+    log = fit([param], 0.1, n=5, batch=2, epochs=2, seed=3, tag="t", step=step,
+              end_epoch=lambda epoch: {"extra": 10 * epoch} if epoch == 1 else None)
+    assert sizes == [2, 2, 1, 2, 2, 1]
+    # the short last batch weighs one sample, not two: (0 + 1 + 2 + 3 + 4) / 5
+    assert log == [
+        {"epoch": 1, "losses": {"mean_index": 2.0, "one": 1.0}, "total": 3.0, "extra": 10},
+        {"epoch": 2, "losses": {"mean_index": 2.0, "one": 1.0}, "total": 3.0},
+    ]
+    # one Adam step per minibatch, six in all
+    expected = np.array([1.0])
+    adam = adam_init([expected], 0.1)
+    for epoch in (1, 1, 1, 2, 2, 2):
+        adam_step(adam, [expected], [np.ones(1)], epoch)
+    assert param[0] == expected[0] == pytest.approx(1.0 - 6 * 0.1)
+
+
+def test_fit_with_no_epochs_leaves_parameters_alone():
+    param = np.array([1.0, 2.0])
+
+    def never(_):
+        raise AssertionError("called without an epoch")
+
+    assert fit([param], 0.1, 5, 2, 0, 0, "t", never, end_epoch=never) == []
+    assert param.tolist() == [1.0, 2.0]
 
 
 def test_adam_non_finite_error_names_parameter_shape_and_step():

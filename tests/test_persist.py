@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staininv.numerics import Conv2dLayer, DenseLayer
+from staininv.numerics import LEAKY_SLOPE, Conv2dLayer, DenseLayer
 from staininv.persist import (
     ModelFileError,
     autoencoder_stacks,
@@ -69,11 +69,13 @@ def test_dump_json_float_list_fast_path_writes_the_same_bytes(tmp_path):
 
 def test_dense_record_roundtrip_bitwise():
     rng = np.random.default_rng(1)
-    layer = DenseLayer(rng.normal(size=(4, 6)), rng.normal(size=4), "leaky_relu", 0.02)
-    back = layer_from_record(json.loads(json.dumps(layer_record(layer))))
+    layer = DenseLayer(rng.normal(size=(4, 6)), rng.normal(size=4), "leaky_relu")
+    record = json.loads(json.dumps(layer_record(layer)))
+    assert record["leaky_slope"] == LEAKY_SLOPE == 0.01  # written for leaky layers only
+    back = layer_from_record(record)
     assert np.array_equal(back.weights, layer.weights)
     assert np.array_equal(back.bias, layer.bias)
-    assert back.activation == "leaky_relu" and back.leaky_slope == 0.02
+    assert back.activation == "leaky_relu"
 
 
 def test_conv_record_roundtrip_bitwise():
