@@ -43,23 +43,17 @@ def featurize(extractor, image):
 class ClassifierHead:
     conv1: object  # Conv2dLayer feature_dim -> hidden, 3x3, same padding
     conv2: object  # Conv2dLayer hidden -> n_classes
-    pooling: str = "avg"
-
-    def __post_init__(self):
-        if self.pooling not in ("avg", "max"):
-            raise ValueError("pooling must be 'avg' or 'max'")
 
     @property
     def n_classes(self):
         return self.conv2.kernels.shape[0]
 
 
-def head_init(n_classes, seed, in_channels=10, hidden=32, pooling="avg"):
+def head_init(n_classes, seed, in_channels=10, hidden=32):
     rng = np.random.default_rng(derive_seed(seed, "head-init"))
     return ClassifierHead(
         conv1=conv2d_init(in_channels, hidden, 3, rng, activation="leaky_relu"),
         conv2=conv2d_init(hidden, n_classes, 3, rng, activation="leaky_relu"),
-        pooling=pooling,
     )
 
 
@@ -71,26 +65,16 @@ def _head_forward(head, x):
     """x: (batch, channels, h, w) -> logits (batch, n_classes), with caches."""
     a1, cols1 = conv2d_forward(head.conv1, x)
     a2, cols2 = conv2d_forward(head.conv2, a1)
-    if head.pooling == "avg":
-        logits = a2.mean(axis=(2, 3))
-    else:
-        logits = a2.max(axis=(2, 3))
-    return logits, (x, cols1, a1, cols2, a2)
+    return a2.mean(axis=(2, 3)), (x, cols1, a1, cols2, a2)
 
 
 def _head_backward(head, caches, dlogits):
     x, cols1, a1, cols2, a2 = caches
-    b, _, h, w = a2.shape
-    if head.pooling == "avg":
-        da2 = np.broadcast_to(dlogits[:, :, None, None] / (h * w), a2.shape)
-    else:
-        flat = a2.reshape(b, a2.shape[1], -1)
-        mask = np.zeros_like(flat)
-        np.put_along_axis(mask, flat.argmax(axis=2)[:, :, None], 1.0, axis=2)
-        da2 = mask.reshape(a2.shape) * dlogits[:, :, None, None]
+    h, w = a2.shape[2:]
+    da2 = np.broadcast_to(dlogits[:, :, None, None] / (h * w), a2.shape)
     g2, da1 = conv2d_backward(head.conv2, a1, da2, a2, cols2)
     g1, _ = conv2d_backward(head.conv1, x, da1, a1, cols1)
-    return [g1.weights, g1.bias, g2.weights, g2.bias]
+    return g1 + g2
 
 
 def _cross_entropy_batch(logits, labels):
@@ -146,14 +130,12 @@ def generate_labeled_set(n_per_class, size=32, seed=0):
     return LabeledImageSet(images=images, labels=np.array(labels), class_names=class_names)
 
 
-def split_labeled(dataset, fractions=(0.75, 0.05, 0.20), seed=0):
-    """Deterministic train/validation/test split by the given fractions."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+def split_labeled(dataset, seed=0):
+    """Deterministic 75/5/20 train/validation/test split."""
     n = len(dataset)
     order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(n * fractions[0]))
-    n_val = int(round(n * fractions[1]))
+    n_train = int(round(n * 0.75))
+    n_val = int(round(n * 0.05))
     slices = (
         order[:n_train],
         order[n_train : n_train + n_val],
@@ -268,7 +250,7 @@ def save_head(head, path):
     persist.dump_json(
         {
             "format": "clf-head-v1",
-            "pooling": head.pooling,
+            "pooling": "avg",
             "conv1": persist.layer_record(head.conv1),
             "conv2": persist.layer_record(head.conv2),
         },
@@ -281,8 +263,13 @@ def load_head(path):
 
 
 def head_from_doc(doc):
-    """Rebuild a head from a parsed clf-head-v1 document, checking its shapes."""
+    """Rebuild a head from a parsed clf-head-v1 document, checking its shapes.
+
+    The document's ``pooling`` must be ``"avg"``, the one pooling the head has.
+    """
+    if doc["pooling"] != "avg":
+        raise ValueError(f"pooling must be 'avg', got {doc['pooling']!r}")
     conv1, conv2 = persist.layer_chain(
         [doc["conv1"], doc["conv2"]], "conv2d", "classifier head"
     )
-    return ClassifierHead(conv1=conv1, conv2=conv2, pooling=doc["pooling"])
+    return ClassifierHead(conv1=conv1, conv2=conv2)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, classifier, cyclegan, dataset, mcae, metrics, persist
 from . import gradcheck, stanosa
-from .numerics import derive_seed
+from .numerics import derive_seed, mlp_forward
 
 
 class UsageError(ValueError):
@@ -37,10 +37,10 @@ DEFAULT_PERTURBATIONS = {
 
 @dataclass(frozen=True)
 class Setting:
-    """One config key.  Bool and dict keys are config-file only; a None default
-    is left to the command (the first domain of the dataset or model)."""
+    """One config key.  Dict keys are config-file only; a None default is left
+    to the command (the first domain of the dataset or model)."""
 
-    kind: object  # int, float, bool, str, dict, or a tuple of allowed strings
+    kind: object  # int, float, str, dict, or a tuple of allowed strings
     default: object
     bound: str = ""  # a key of _BOUNDS
 
@@ -49,7 +49,8 @@ _BOUNDS = {
     "": lambda v: True,
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
-    ">= 8": lambda v: v >= 8,  # an image must hold one 8x8 patch
+    # every stage cuts an image into 8x8 patches, the classifier into a whole grid of them
+    ">= 8 and a multiple of 8": lambda v: v >= 8 and v % 8 == 0,
     "> 0": lambda v: v > 0,
     "in (0, 1)": lambda v: 0 < v < 1,
 }
@@ -60,7 +61,7 @@ _TRAIN_FRACTION = Setting(float, 0.8, "in (0, 1)")  # share of triplets in the t
 SETTINGS = {
     "seed": Setting(int, 0),
     "synth.triplets": Setting(int, 200, ">= 1"),
-    "synth.size": Setting(int, 32, ">= 8"),
+    "synth.size": Setting(int, 32, ">= 8 and a multiple of 8"),
     "synth.perturbations": Setting(dict, DEFAULT_PERTURBATIONS),
     "mcae.epochs": Setting(int, mcae.McaeTrainConfig.epochs, ">= 0"),
     "mcae.lr": Setting(float, mcae.McaeTrainConfig.lr, "> 0"),
@@ -83,26 +84,24 @@ SETTINGS = {
     "classifier.lr": Setting(float, classifier.ClassifierTrainConfig.lr, "> 0"),
     "classifier.batch": Setting(int, classifier.ClassifierTrainConfig.batch, ">= 1"),
     "classifier.per_class": Setting(int, 60, ">= 1"),
-    "classifier.size": Setting(int, 32, ">= 1"),
+    "classifier.size": Setting(int, 32, ">= 8 and a multiple of 8"),
     "classifier.domain": Setting(str, None),
-    "classifier.pooling": Setting(("avg", "max"), classifier.ClassifierHead.pooling),
     "cyclegan.epochs": Setting(int, cyclegan.CycleGanConfig.epochs, ">= 0"),
     "cyclegan.batch": Setting(int, cyclegan.CycleGanConfig.batch, ">= 1"),
     "cyclegan.lr": Setting(float, cyclegan.CycleGanConfig.lr, "> 0"),
     "cyclegan.lambda1": Setting(float, cyclegan.CycleGanConfig.lambda1, ">= 0"),
     "cyclegan.lambda2": Setting(float, cyclegan.CycleGanConfig.lambda2, ">= 0"),
     "cyclegan.patches": Setting(int, 256, ">= 1"),
-    "cyclegan.saturating": Setting(bool, cyclegan.CycleGanConfig.saturating),
 }
 _BLOCKS = {name.partition(".")[0] for name in SETTINGS if "." in name}
 
-_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
-               str: "a string", dict: "a JSON object"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               dict: "a JSON object"}
 
 
 def flag(name):
     """The command-line flag of a setting, or None for a config-file-only key."""
-    if SETTINGS[name].kind not in (bool, dict):
+    if SETTINGS[name].kind is not dict:
         return "--" + name.rpartition(".")[2].replace("_", "-")
 
 
@@ -142,9 +141,9 @@ def _check_perturbations(name, table):
     """Check each ``domain: {key: value}`` entry; a UsageError names ``name.domain.key``."""
     for domain, entry in table.items():
         where = f"{name}.{domain}"
-        if domain == "A":
-            raise UsageError(f"{where} (config file only) must be absent: A is the reference "
-                             "domain, left unperturbed")
+        if domain == dataset.REFERENCE_DOMAIN:
+            raise UsageError(f"{where} (config file only) must be absent: {domain} is the "
+                             "reference domain, left unperturbed")
         if not isinstance(entry, dict):
             raise UsageError(f"{where} (config file only) must be a JSON object, got {entry!r}")
         for key, value in entry.items():
@@ -364,16 +363,10 @@ def _classifier_extractor(args, s):
 def cmd_train_clf(args, s, out_dir, seed):
     extractor = _classifier_extractor(args, s)
     data = _labeled_data(args, s, seed)
-    train, val, _ = classifier.split_labeled(
-        data, seed=derive_seed(seed, "clf-split")
-    )
+    train, val, _ = classifier.split_labeled(data, seed=derive_seed(seed, "clf-split"))
     train_config = _trainer_config(classifier.ClassifierTrainConfig, s, derive_seed(seed, "clf"))
-    head = classifier.head_init(
-        len(data.class_names),
-        seed=derive_seed(seed, "clf"),
-        in_channels=extractor.feature_dim,
-        pooling=s["pooling"],
-    )
+    head = classifier.head_init(len(data.class_names), seed=derive_seed(seed, "clf"),
+                                in_channels=extractor.feature_dim)
     head, log = classifier.train_classifier(extractor, head, train, val, train_config)
     classifier.save_head(head, os.path.join(out_dir, "clf_head.json"))
     # with no validation split the val_accuracy cells stay empty
@@ -422,7 +415,7 @@ def cmd_train_cyclegan_toy(args, s, out_dir, seed):
     summary = {
         "mean_colour_a": mean_colour(domain_a),
         "mean_colour_b": mean_colour(domain_b),
-        "mean_colour_f_of_a": mean_colour(cyclegan.generate(f, domain_a)),
+        "mean_colour_f_of_a": mean_colour(mlp_forward(f, domain_a)),
     }
     persist.write_json(os.path.join(out_dir, "cyclegan_summary.json"), summary)
     return ["cyclegan_history.csv", "cyclegan_summary.json"]

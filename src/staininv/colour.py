@@ -60,10 +60,10 @@ class HsdImage:
     background: np.ndarray  # bool mask of near-zero-density pixels
 
 
-def hsd_forward(od, background_eps=BACKGROUND_DENSITY_EPS):
+def hsd_forward(od):
     """Optical densities (..., 3) -> HSD planes.
 
-    Background pixels (mean OD below ``background_eps``) get c_x = c_y = 0
+    Background pixels (mean OD below ``BACKGROUND_DENSITY_EPS``) get c_x = c_y = 0
     and are flagged; their density is kept as-is.
     """
     arr = np.asarray(od, dtype=np.float64)
@@ -73,7 +73,7 @@ def hsd_forward(od, background_eps=BACKGROUND_DENSITY_EPS):
         raise ValueError("optical densities must be non-negative")
     r, g, b = arr[..., 0], arr[..., 1], arr[..., 2]
     density = (r + g + b) / 3.0
-    background = density < background_eps
+    background = density < BACKGROUND_DENSITY_EPS
     safe = np.where(background, 1.0, density)
     # (2r - g - b)/(3I) == r/I - 1, but is exactly zero for grey pixels.
     c_x = np.where(background, 0.0, (2.0 * r - g - b) / (3.0 * safe))

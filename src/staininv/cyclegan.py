@@ -1,7 +1,8 @@
 """Toy-scale cycle-consistent adversarial training over flattened patches.
 
 Two MLP generators map between colour domains A and B; two MLP
-discriminators score domain membership in (0, 1).  The objective combines
+discriminators score domain membership in (0, 1).  Each network is a plain
+DenseLayer list, run with ``numerics.mlp_forward``.  The objective combines
 log-likelihood GAN terms for both directions with weighted identity and
 cycle-consistency l1 penalties:
 
@@ -9,8 +10,10 @@ cycle-consistency l1 penalties:
 
 Training alternates a four-step generator pass (identity, cross-domain GAN
 scoring, cycle-back, weighted sum + Adam) with a discriminator ascent pass.
-Generators descend the non-saturating variant (-log D(fake)) by default;
-the saturating form from the min-max objective is available behind a flag.
+Generators descend the non-saturating loss -log D(fake) (Goodfellow et al.,
+"Generative Adversarial Nets", 2014), as in Zhu et al., "Unpaired
+Image-to-Image Translation using Cycle-Consistent Adversarial Networks"
+(2017).
 """
 
 from dataclasses import dataclass
@@ -33,45 +36,19 @@ from .numerics import (
 PROB_CLAMP = 1e-9  # keeps the log terms bounded
 
 
-@dataclass
-class ToyGenerator:
-    layers: list  # DenseLayer stack, d -> d
-
-    def __post_init__(self):
-        if self.layers[0].n_in != self.layers[-1].n_out:
-            raise ValueError("generator input and output dims must match")
-
-
-@dataclass
-class ToyDiscriminator:
-    layers: list  # DenseLayer stack, d -> 1, sigmoid head
-
-    def __post_init__(self):
-        if self.layers[-1].n_out != 1 or self.layers[-1].activation != "sigmoid":
-            raise ValueError("discriminator must end in a 1-unit sigmoid")
-
-
 def generator_init(dim, rng, hidden=64):
-    return ToyGenerator(
-        layers=[dense_init(dim, hidden, "tanh", rng), dense_init(hidden, dim, "sigmoid", rng)]
-    )
+    """A generator's DenseLayer list, d -> d: tanh hidden layer, sigmoid output."""
+    return [dense_init(dim, hidden, "tanh", rng), dense_init(hidden, dim, "sigmoid", rng)]
 
 
 def discriminator_init(dim, rng, hidden=32):
-    return ToyDiscriminator(
-        layers=[
-            dense_init(dim, hidden, "leaky_relu", rng),
-            dense_init(hidden, 1, "sigmoid", rng),
-        ]
-    )
+    """A discriminator's DenseLayer list, d -> 1: leaky-relu hidden layer, sigmoid score."""
+    return [dense_init(dim, hidden, "leaky_relu", rng), dense_init(hidden, 1, "sigmoid", rng)]
 
 
-def generate(model, batch):
-    return mlp_forward(model.layers, batch)
-
-
-def discriminate(model, batch):
-    return mlp_forward(model.layers, batch)[:, 0]
+def discriminate(layers, batch):
+    """A discriminator's score per row of ``batch``, shape (batch,)."""
+    return mlp_forward(layers, batch)[:, 0]
 
 
 def _clamp(scores):
@@ -101,7 +78,7 @@ def identity_loss(f, g, batch_a, batch_b):
     b = np.asarray(batch_b, dtype=np.float64)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("empty batch")
-    return _l1(generate(g, a) - a) + _l1(generate(f, b) - b)
+    return _l1(mlp_forward(g, a) - a) + _l1(mlp_forward(f, b) - b)
 
 
 def cycle_loss(f, g, batch_a, batch_b):
@@ -110,7 +87,8 @@ def cycle_loss(f, g, batch_a, batch_b):
     b = np.asarray(batch_b, dtype=np.float64)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("empty batch")
-    return _l1(generate(g, generate(f, a)) - a) + _l1(generate(f, generate(g, b)) - b)
+    return (_l1(mlp_forward(g, mlp_forward(f, a)) - a)
+            + _l1(mlp_forward(f, mlp_forward(g, b)) - b))
 
 
 def full_objective(losses, config):
@@ -131,7 +109,6 @@ class CycleGanConfig:
     epochs: int = 200
     batch: int = 32
     seed: int = 0
-    saturating: bool = False  # min-max generator objective instead of -log D(fake)
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -159,9 +136,8 @@ def _generator_pass(f, g, d_a, d_b, a, b, config):
     cycled back through G; then G maps b towards A, scored by D_A and cycled
     back through F.  Step 4 then runs for F, then for G.
     """
-    f_grads = zero_grads(mlp_params(f.layers))
-    g_grads = zero_grads(mlp_params(g.layers))
-    dlog_fake = _dlog_one_minus if config.saturating else _dlog_scores
+    f_grads = zero_grads(mlp_params(f))
+    g_grads = zero_grads(mlp_params(g))
     l_identity = l_cycle = 0.0
     l_gan, folds = [], []
     for gen, back, disc, src, tgt, gen_grads, back_grads in (
@@ -171,30 +147,30 @@ def _generator_pass(f, g, d_a, d_b, a, b, config):
         n = src.shape[0]
         # step 1: identity -- the returning generator maps the source onto itself
         caches = []
-        same = mlp_forward(back.layers, src, caches)
+        same = mlp_forward(back, src, caches)
         l_identity += _l1(same - src)
-        mlp_backward(back.layers, caches, config.lambda1 * np.sign(same - src) / n,
+        mlp_backward(back, caches, config.lambda1 * np.sign(same - src) / n,
                      back_grads, input_grad=False)
 
         # step 2: cross-domain mapping, scored by the target discriminator
         gen_caches, disc_caches = [], []
-        fake = mlp_forward(gen.layers, src, gen_caches)
-        fake_scores = mlp_forward(disc.layers, fake, disc_caches)
+        fake = mlp_forward(gen, src, gen_caches)
+        fake_scores = mlp_forward(disc, fake, disc_caches)
         l_gan.append(gan_loss(discriminate(disc, tgt), fake_scores[:, 0]))
-        d_fake = mlp_backward(disc.layers, disc_caches, dlog_fake(fake_scores, n))
+        d_fake = mlp_backward(disc, disc_caches, _dlog_scores(fake_scores, n))
 
         # step 3: cycle back to the source domain
         caches = []
-        rec = mlp_forward(back.layers, fake, caches)
+        rec = mlp_forward(back, fake, caches)
         l_cycle += _l1(rec - src)
-        d_cyc = mlp_backward(back.layers, caches, config.lambda2 * np.sign(rec - src) / n,
+        d_cyc = mlp_backward(back, caches, config.lambda2 * np.sign(rec - src) / n,
                              back_grads)
         folds.append((gen, gen_caches, d_fake + d_cyc, gen_grads))
 
     # step 4: weighted sum -- fold the adversarial and cycle paths back
     # through each generator
     for gen, caches, upstream, grads in folds:
-        mlp_backward(gen.layers, caches, upstream, grads, input_grad=False)
+        mlp_backward(gen, caches, upstream, grads, input_grad=False)
 
     losses = {"identity": l_identity, "gan_f": l_gan[0], "gan_g": l_gan[1], "cycle": l_cycle}
     return losses, f_grads, g_grads
@@ -202,16 +178,16 @@ def _generator_pass(f, g, d_a, d_b, a, b, config):
 
 def _discriminator_pass(disc, real, fake):
     """Gradient-ascent gradients on mean log D(real) + mean log(1 - D(fake))."""
-    grads = zero_grads(mlp_params(disc.layers))
+    grads = zero_grads(mlp_params(disc))
     caches = []
-    real_scores = mlp_forward(disc.layers, real, caches)
+    real_scores = mlp_forward(disc, real, caches)
     mlp_backward(
-        disc.layers, caches, _dlog_scores(real_scores, real.shape[0]), grads, input_grad=False
+        disc, caches, _dlog_scores(real_scores, real.shape[0]), grads, input_grad=False
     )
     caches = []
-    fake_scores = mlp_forward(disc.layers, fake, caches)
+    fake_scores = mlp_forward(disc, fake, caches)
     mlp_backward(
-        disc.layers, caches, -_dlog_one_minus(fake_scores, fake.shape[0]), grads,
+        disc, caches, -_dlog_one_minus(fake_scores, fake.shape[0]), grads,
         input_grad=False,
     )
     value = gan_loss(real_scores[:, 0], fake_scores[:, 0])
@@ -221,8 +197,9 @@ def _discriminator_pass(disc, real, fake):
 def train_cyclegan(domain_a, domain_b, config):
     """Alternating optimisation; returns (F, G, D_A, D_B, loss history).
 
-    History rows carry, per batch: identity, the two GAN losses, cycle, the
-    weighted generator total, then both discriminator losses.
+    F, G, D_A and D_B are DenseLayer lists.  History rows carry, per batch:
+    identity, the two GAN losses, cycle, the weighted generator total, then
+    both discriminator losses.
     """
     a_all = np.asarray(domain_a, dtype=np.float64)
     b_all = np.asarray(domain_b, dtype=np.float64)
@@ -235,8 +212,8 @@ def train_cyclegan(domain_a, domain_b, config):
     d_a = discriminator_init(dim, rng)
     d_b = discriminator_init(dim, rng)
 
-    gen_params = mlp_params(f.layers) + mlp_params(g.layers)
-    disc_params = mlp_params(d_a.layers) + mlp_params(d_b.layers)
+    gen_params = mlp_params(f) + mlp_params(g)
+    disc_params = mlp_params(d_a) + mlp_params(d_b)
     gen_adam = adam_init(gen_params, config.lr)
     disc_adam = adam_init(disc_params, config.lr)
 
@@ -254,8 +231,8 @@ def train_cyclegan(domain_a, domain_b, config):
             losses, f_grads, g_grads = _generator_pass(f, g, d_a, d_b, a, b, config)
             adam_step(gen_adam, gen_params, f_grads + g_grads, epoch)
 
-            fake_b = generate(f, a)
-            fake_a = generate(g, b)
+            fake_b = mlp_forward(f, a)
+            fake_a = mlp_forward(g, b)
             l_disc_b, db_grads = _discriminator_pass(d_b, b, fake_b)
             l_disc_a, da_grads = _discriminator_pass(d_a, a, fake_a)
             adam_step(disc_adam, disc_params, da_grads + db_grads, epoch)

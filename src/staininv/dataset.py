@@ -20,6 +20,7 @@ from .persist import write_json
 GCN_GUARD = 1e-8
 ZCA_EPSILON = 1e-5
 _ROW_BLOCK = 4096  # rows per block of a whole-matrix GCN or whitening pass
+REFERENCE_DOMAIN = "A"  # the unperturbed domain of every synthetic triplet
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -280,20 +281,20 @@ class TripletDataset:
         return len(self.triplets)
 
 
-def synth_triplets(base_images, perturbations, seed, reference_domain="A"):
-    """Build aligned triplets: reference domain plus one perturbed twin each.
+def synth_triplets(base_images, perturbations, seed):
+    """Build aligned triplets: each base image as ``REFERENCE_DOMAIN`` plus one perturbed twin.
 
     ``perturbations`` maps each non-reference domain id to its
     StainPerturbation.  Out-of-gamut pixels are clamped at zero OD and
     counted in the manifest.
     """
-    if reference_domain in perturbations:
+    if REFERENCE_DOMAIN in perturbations:
         raise ValueError("reference domain must not carry a perturbation")
-    domain_ids = [reference_domain, *perturbations]
+    domain_ids = [REFERENCE_DOMAIN, *perturbations]
     triplets = []
     clamp_count = 0
     for base in base_images:
-        group = {reference_domain: base}
+        group = {REFERENCE_DOMAIN: base}
         for domain, pert in perturbations.items():
             mapped, clamped = perturb_image(base, pert)
             clamp_count += clamped

@@ -18,6 +18,7 @@ from .numerics import (
     dense_init,
     finite_diff_grad,
     max_relative_error,
+    mlp_forward,
     mlp_params,
 )
 
@@ -40,9 +41,7 @@ def check_dense(activation, seed):
         return float((dense_forward(layer, x) * weight).sum())
 
     grads, dx = dense_backward(layer, x, weight, dense_forward(layer, x))
-    worst = _check_params(
-        loss, [(layer.weights, grads.weights), (layer.bias, grads.bias)]
-    )
+    worst = _check_params(loss, zip((layer.weights, layer.bias), grads))
     numeric = finite_diff_grad(lambda _v: loss(), x)
     return max(worst, max_relative_error(dx, numeric))
 
@@ -57,9 +56,7 @@ def check_conv2d(activation, seed):
         return float((conv2d_forward(layer, x)[0] * weight).sum())
 
     grads, dx = conv2d_backward(layer, x, weight, *conv2d_forward(layer, x))
-    worst = _check_params(
-        loss, [(layer.kernels, grads.weights), (layer.bias, grads.bias)]
-    )
+    worst = _check_params(loss, zip((layer.kernels, layer.bias), grads))
     numeric = finite_diff_grad(lambda _v: loss(), x)
     return max(worst, max_relative_error(dx, numeric))
 
@@ -109,13 +106,13 @@ def check_cyclegan_generators(seed):
     def loss():
         l_id = cyclegan.identity_loss(f, g, a, b)
         l_cyc = cyclegan.cycle_loss(f, g, a, b)
-        sb = np.clip(cyclegan.discriminate(d_b, cyclegan.generate(f, a)), 1e-9, 1 - 1e-9)
-        sa = np.clip(cyclegan.discriminate(d_a, cyclegan.generate(g, b)), 1e-9, 1 - 1e-9)
+        sb = np.clip(cyclegan.discriminate(d_b, mlp_forward(f, a)), 1e-9, 1 - 1e-9)
+        sa = np.clip(cyclegan.discriminate(d_a, mlp_forward(g, b)), 1e-9, 1 - 1e-9)
         adv = float(-np.mean(np.log(sb)) - np.mean(np.log(sa)))
         return config.lambda1 * l_id + config.lambda2 * l_cyc + adv
 
     _, f_grads, g_grads = cyclegan._generator_pass(f, g, d_a, d_b, a, b, config)
-    pairs = list(zip(mlp_params(f.layers) + mlp_params(g.layers), f_grads + g_grads))
+    pairs = list(zip(mlp_params(f) + mlp_params(g), f_grads + g_grads))
     return _check_params(loss, pairs)
 
 

@@ -118,13 +118,13 @@ def cxcy_sample(images, n_pixels, seed, tag):
     return rows, n_excluded
 
 
-def density_ssim_table(dataset, config=None):
+def density_ssim_table(dataset):
     """Mean and std of density-plane SSIM per domain pair.
 
     The dynamic range for each comparison is the maximum density observed
     over the pair, matching the SSIM configuration default.
     """
-    config = config or SsimConfig()
+    config = SsimConfig()
     pairs = domain_pairs(dataset.domain_ids)
     scores = {pair: [] for pair in pairs}
     for triplet in dataset.triplets:

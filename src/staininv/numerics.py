@@ -93,12 +93,6 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-@dataclass
-class LayerGrads:
-    weights: np.ndarray
-    bias: np.ndarray
-
-
 def glorot_uniform(n_out, n_in, rng, receptive=1):
     limit = np.sqrt(6.0 / ((n_in + n_out) * receptive))
     return rng.uniform(-limit, limit, size=(n_out, n_in * receptive))
@@ -137,8 +131,9 @@ def dense_backward(layer, x, upstream, out, params=True, inputs=True):
 
     ``upstream`` is dLoss/dOutput and ``out`` the cached forward output
     ``dense_forward(layer, x)``; the two share one shape.  Returns
-    ``(LayerGrads, input gradient)`` in the weights' dtype; ``params=False``
-    or ``inputs=False`` skips that part and returns None in its place.
+    ``([dW, db], input gradient)`` in the weights' dtype, the pair in
+    ``mlp_params`` order; ``params=False`` or ``inputs=False`` skips that
+    part and returns None in its place.
     """
     dtype = layer.weights.dtype
     x = np.asarray(x, dtype=dtype)
@@ -148,7 +143,7 @@ def dense_backward(layer, x, upstream, out, params=True, inputs=True):
             f"upstream gradient shape {upstream.shape} does not match output {out.shape}"
         )
     dpre = upstream * activation_derivative(layer.activation, out)
-    grads = LayerGrads(weights=dpre.T @ x, bias=dpre.sum(axis=0)) if params else None
+    grads = [dpre.T @ x, dpre.sum(axis=0)] if params else None
     return grads, dpre @ layer.weights if inputs else None
 
 
@@ -231,7 +226,10 @@ def conv2d_forward(layer, x):
 
 
 def conv2d_backward(layer, x, upstream, out, cols):
-    """Analytic gradients of ``conv2d_forward`` from its cached output and cols."""
+    """Analytic gradients of ``conv2d_forward`` from its cached output and cols.
+
+    Returns ``([dkernels, dbias], input gradient)``.
+    """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != out.shape:
@@ -246,7 +244,7 @@ def conv2d_backward(layer, x, upstream, out, cols):
     dbias = dpre_cols.sum(axis=(0, 1))
     dcols = dpre_cols @ layer.kernels.reshape(out_ch, -1)
     dx = _col2im(dcols, x.shape, k, layer.padding)
-    return LayerGrads(weights=dkern, bias=dbias), dx
+    return [dkern, dbias], dx
 
 
 @dataclass
@@ -356,8 +354,8 @@ def mlp_backward(layers, caches, upstream, grads=None, input_grad=True):
             layers[idx], x, d, out, params=grads is not None, inputs=idx > 0 or input_grad
         )
         if grads is not None:
-            grads[2 * idx] += layer_grads.weights
-            grads[2 * idx + 1] += layer_grads.bias
+            grads[2 * idx] += layer_grads[0]
+            grads[2 * idx + 1] += layer_grads[1]
     return d
 
 

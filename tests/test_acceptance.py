@@ -22,6 +22,7 @@ from staininv.metrics import (
     nfmse_per_triplet,
     normalize_feature_map,
 )
+from staininv.numerics import mlp_forward
 
 GRAD_TOL = 1e-4
 HSD_TOL = 1e-12
@@ -175,6 +176,13 @@ def test_criterion_04_nfmse_analytics():
 
 
 def test_criterion_05_mcae_beats_stanosa(desk_run):
+    """MCAE cross-domain NFMSE below RATIO_BOUND times the baseline's on every pair.
+
+    The fixture runs at seed 2024.  ``SEED_SWEEP.json`` (``scripts/seed_sweep.py``,
+    the same fixture at seeds 2024-2033) shows the bound holding at 9 of those 10
+    seeds: seed 2028 breaks it on A-C, at a ratio of 0.762.  So the claim rests on
+    most seeds, not on every one.
+    """
     ratios = {}
     for pair in ("A-B", "A-C", "B-C"):
         ours = desk_run["mcae_summary"][pair]["mean"]
@@ -225,7 +233,7 @@ def test_criterion_07_cyclegan_toy_convergence():
     domain_a, domain_b = _toy_colour_domains(256, seed=99)
     config = cyclegan.CycleGanConfig(epochs=200, batch=32, lr=0.0002, seed=3)
     f, _, _, _, history = cyclegan.train_cyclegan(domain_a, domain_b, config)
-    mapped = cyclegan.generate(f, domain_a).reshape(-1, 16, 3).mean(axis=(0, 1))
+    mapped = mlp_forward(f, domain_a).reshape(-1, 16, 3).mean(axis=(0, 1))
     mean_a = domain_a.reshape(-1, 16, 3).mean(axis=(0, 1))
     mean_b = domain_b.reshape(-1, 16, 3).mean(axis=(0, 1))
     dist_b = float(np.linalg.norm(mapped - mean_b))

@@ -221,6 +221,19 @@ def test_unreadable_model_is_usage_error(tiny_dataset, tmp_path, capsys, content
     _assert_usage_error_naming(code, capsys, head)
 
 
+def test_head_with_max_pooling_is_usage_error(tmp_path, capsys):
+    # the head has one pooling, the average; a file that says otherwise is not a head file
+    model, head = tmp_path / "model.json", tmp_path / "head.json"
+    _save_model(model)
+    _save_head(head)
+    doc = json.loads(head.read_text())
+    doc["pooling"] = "max"
+    head.write_text(json.dumps(doc))
+    code = main(["eval-clf", "--model", str(model), "--head", str(head), "--per-class", "2",
+                 "--out-dir", str(tmp_path / "c")])
+    _assert_usage_error_naming(code, capsys, head)
+
+
 def test_head_for_other_feature_dim_is_usage_error(tmp_path, capsys):
     model, head = tmp_path / "model.json", tmp_path / "head.json"
     _save_model(model)
@@ -288,7 +301,22 @@ def test_synth_below_one_patch_is_usage_error(tmp_path, capsys):
     code = main(["synth", "--triplets", "2", "--size", "4", "--out-dir", str(out)])
     assert code == 2
     message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
-    assert message == "synth.size (--size) must be an integer >= 8, got 4"
+    assert message == "synth.size (--size) must be an integer >= 8 and a multiple of 8, got 4"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, name", [("synth", "synth.size"),
+                                           ("train-clf", "classifier.size"),
+                                           ("eval-clf", "classifier.size")])
+def test_size_off_the_patch_grid_is_usage_error(tmp_path, capsys, command, name):
+    # every stage cuts whole 8x8 patches: 12 px would fail later, after work was done
+    inputs = {"train-clf": ["--model", "missing.json"],
+              "eval-clf": ["--model", "missing.json", "--head", "missing.json"]}
+    out = tmp_path / "o"
+    code = main([command, *inputs.get(command, []), "--size", "12", "--out-dir", str(out)])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert message == f"{name} (--size) must be an integer >= 8 and a multiple of 8, got 12"
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -346,8 +374,8 @@ FLAGS = {
                       "--train-fraction", "--domain"},
     "eval-nfmse": {"--dataset", "--model", "--train-fraction", "--split"},
     "eval-hsd": {"--dataset", "--pixels"},
-    "train-clf": {"--model", "--labeled-dir", "--domain", "--pooling", "--epochs", "--batch",
-                  "--per-class", "--size", "--lr"},
+    "train-clf": {"--model", "--labeled-dir", "--domain", "--epochs", "--batch", "--per-class",
+                  "--size", "--lr"},
     "eval-clf": {"--model", "--head", "--labeled-dir", "--domain", "--per-class", "--size"},
     "train-cyclegan-toy": {"--epochs", "--batch", "--patches", "--lr", "--lambda1",
                            "--lambda2"},
@@ -372,9 +400,9 @@ CONFIG_KEYS = {
     "nfmse.train_fraction", "nfmse.split",
     "hsd.pixels",
     "classifier.epochs", "classifier.lr", "classifier.batch", "classifier.per_class",
-    "classifier.size", "classifier.domain", "classifier.pooling",
+    "classifier.size", "classifier.domain",
     "cyclegan.epochs", "cyclegan.batch", "cyclegan.lr", "cyclegan.lambda1", "cyclegan.lambda2",
-    "cyclegan.patches", "cyclegan.saturating",
+    "cyclegan.patches",
 }
 
 
@@ -397,9 +425,8 @@ def test_flags_and_config_keys_are_pinned(tmp_path):
                        for a in parser._actions if a.choices)
         required = {a.option_strings[0] for a in parser._actions if a.required}
         assert required == {"--out-dir"} | REQUIRED.get(command, set()), command
-    assert choices == {("eval-nfmse", "--split"): ("train", "test", "all"),
-                       ("train-clf", "--pooling"): ("avg", "max")}
-    assert len(CONFIG_KEYS) == 35 and set(SETTINGS) == CONFIG_KEYS
+    assert choices == {("eval-nfmse", "--split"): ("train", "test", "all")}
+    assert len(CONFIG_KEYS) == 33 and set(SETTINGS) == CONFIG_KEYS
     # a file naming every key at its default (a first domain for the domains) loads
     every = {n: "A" if SETTINGS[n].default is None else SETTINGS[n].default for n in SETTINGS}
     path = tmp_path / "every.json"
@@ -413,11 +440,10 @@ def test_flags_and_config_keys_are_pinned(tmp_path):
     ('{"mcae": {"lr": NaN}}', None),
     ('{"mcae": {"lr": Infinity}}', None),
     ('{"mcae": {"lr": 1' + "0" * 400 + '}}', None),
-    ('{"cyclegan": {"saturating": 0}}', None),
     ('{"nfmse": {"split": ["all"]}}', None),
     ('{"mcae.k": 3}', None),
     ('{"mcae": {"lr": 1}, "seed": -3}', {"mcae.lr": 1.0, "seed": -3}),
-], ids=["bool-int", "float-int", "nan", "inf", "huge-int", "int-bool", "list-choice",
+], ids=["bool-int", "float-int", "nan", "inf", "huge-int", "list-choice",
         "dotted-top-level", "int-for-float"])
 def test_load_config_checks_each_type(tmp_path, text, expected):
     path = tmp_path / "config.json"
@@ -445,8 +471,8 @@ def _write_config(tmp_path, config):
                  id="epochs-negative"),
     pytest.param("synth", [], {"synth": {"triplets": 2.7}}, "synth.triplets", "--triplets",
                  id="triplets-float"),
-    pytest.param("train-cyclegan-toy", [], {"cyclegan": {"saturating": "no"}},
-                 "cyclegan.saturating", "config file only", id="saturating-string"),
+    pytest.param("train-cyclegan-toy", [], {"cyclegan": {"saturating": True}},
+                 "cyclegan.saturating", None, id="saturating-removed"),
     pytest.param("eval-hsd", [], {"seed": "abc"}, "seed", "--seed", id="seed-string"),
     pytest.param("eval-nfmse", ["--train-fraction", "1.5"], None, "nfmse.train_fraction",
                  "--train-fraction", id="fraction-above-one"),
@@ -455,8 +481,8 @@ def _write_config(tmp_path, config):
                  id="stride-zero"),
     pytest.param("train-stanosa", [], {"stanosa": {"lr": -1}}, "stanosa.lr", "--lr",
                  id="lr-negative"),
-    pytest.param("train-clf", [], {"classifier": {"pooling": "min"}}, "classifier.pooling",
-                 "--pooling", id="pooling-unknown"),
+    pytest.param("train-clf", [], {"classifier": {"pooling": "avg"}}, "classifier.pooling",
+                 None, id="pooling-removed"),
 ])
 def test_bad_setting_is_usage_error_before_any_work(tmp_path, capsys, command, flags, config,
                                                     name, flag):
@@ -475,7 +501,9 @@ def test_bad_setting_is_usage_error_before_any_work(tmp_path, capsys, command, f
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "UsageError"
-    assert f"{name} ({flag})" in record["error"]["message"]
+    # flag None: a key the settings table no longer has
+    expected = f"unknown config key {name!r}" if flag is None else f"{name} ({flag})"
+    assert expected in record["error"]["message"]
     assert not out.exists() or not any(out.iterdir())
 
 

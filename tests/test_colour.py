@@ -262,7 +262,7 @@ def test_density_ssim_table_matches_sliding_window_formula():
     base = dataset.generate_base_images(8, 32, seed=21)
     ds = dataset.synth_triplets(base, perts, seed=21)
     config = SsimConfig()
-    table = density_ssim_table(ds, config)
+    table = density_ssim_table(ds)
     assert [row["pair"] for row in table] == ["A-B", "A-C", "B-C"]
     for row in table:
         first, second = row["pair"].split("-")

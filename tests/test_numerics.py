@@ -100,7 +100,7 @@ def test_dense_backward_zero_upstream():
     layer = dense_init(4, 3, "tanh", rng)
     x = rng.normal(size=(5, 4))
     grads, dx = dense_backward(layer, x, np.zeros((5, 3)), out=dense_forward(layer, x))
-    assert np.all(grads.weights == 0) and np.all(grads.bias == 0) and np.all(dx == 0)
+    assert np.all(grads[0] == 0) and np.all(grads[1] == 0) and np.all(dx == 0)
 
 
 def test_dense_backward_linear_outer_product():
@@ -109,7 +109,7 @@ def test_dense_backward_linear_outer_product():
     x = rng.normal(size=(1, 4))
     upstream = rng.normal(size=(1, 3))
     grads, _ = dense_backward(layer, x, upstream, out=dense_forward(layer, x))
-    assert np.allclose(grads.weights, np.outer(upstream[0], x[0]), atol=1e-12)
+    assert np.allclose(grads[0], np.outer(upstream[0], x[0]), atol=1e-12)
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)
@@ -125,7 +125,7 @@ def test_dense_backward_matches_finite_differences(activation):
         return float((dense_forward(layer, x) * weight).sum())
 
     grads, dx = dense_backward(layer, x, weight, out=dense_forward(layer, x))
-    for param, analytic in ((layer.weights, grads.weights), (layer.bias, grads.bias)):
+    for param, analytic in zip((layer.weights, layer.bias), grads):
         numeric = finite_diff_grad(lambda _v: loss(), param)
         assert max_relative_error(analytic, numeric, GRAD_ATOL) < GRAD_RTOL
     numeric = finite_diff_grad(lambda _v: loss(), x)
@@ -190,9 +190,9 @@ def test_conv2d_backward_matches_finite_differences(activation):
     out, cols = conv2d_forward(layer, x)
     grads, dx = conv2d_backward(layer, x, weight, out=out, cols=cols)
     numeric = finite_diff_grad(lambda _v: loss(), layer.kernels)
-    assert max_relative_error(grads.weights, numeric, GRAD_ATOL) < GRAD_RTOL
+    assert max_relative_error(grads[0], numeric, GRAD_ATOL) < GRAD_RTOL
     numeric = finite_diff_grad(lambda _v: loss(), layer.bias)
-    assert max_relative_error(grads.bias, numeric, GRAD_ATOL) < GRAD_RTOL
+    assert max_relative_error(grads[1], numeric, GRAD_ATOL) < GRAD_RTOL
     numeric = finite_diff_grad(lambda _v: loss(), x)
     assert max_relative_error(dx, numeric, GRAD_ATOL) < GRAD_RTOL
 
@@ -260,7 +260,7 @@ def test_property_dense_gradient_check(seed, activation):
     numeric = finite_diff_grad(
         lambda _v: float((dense_forward(layer, x) * weight).sum()), layer.weights
     )
-    assert max_relative_error(grads.weights, numeric, GRAD_ATOL) < GRAD_RTOL
+    assert max_relative_error(grads[0], numeric, GRAD_ATOL) < GRAD_RTOL
 
 
 # --- the shared MLP core and minibatch iterator ---
