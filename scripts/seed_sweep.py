@@ -23,6 +23,8 @@ import time
 
 import numpy as np
 
+from staininv import persist
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
 from test_acceptance import RATIO_BOUND, run_desk  # noqa: E402
 
@@ -63,9 +65,7 @@ def main():
         "ratios": summary,
         "holds": all(s["max"] < RATIO_BOUND for s in summary.values()),
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    persist.write_json(args.out, doc)
     print(json.dumps(summary, sort_keys=True))
     return 0 if doc["holds"] else 1
 

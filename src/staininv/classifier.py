@@ -15,8 +15,7 @@ import numpy as np
 
 from . import persist
 from .dataset import (
-    DatasetError, Image, extract_patches, listed_value, load_listed_image, paint_blobs,
-    read_listing, save_image,
+    Image, extract_patches, listed_value, load_listed_image, paint_blobs, save_image,
 )
 from .numerics import (
     conv2d_backward,
@@ -166,12 +165,12 @@ def save_labeled_set(dataset, directory):
 def load_labeled_set(directory):
     """Read a set written by ``save_labeled_set``.
 
-    DatasetError names the file when ``labels.json`` is missing or malformed
+    A UsageError names the file when ``labels.json`` is missing or malformed
     (it needs ``classes``, and ``items`` each with a ``path`` and a ``label``
-    in the class set), or an image it lists is missing.
+    in the class set), or an image it lists fails ``load_listed_image``.
     """
     listing = os.path.join(directory, "labels.json")
-    doc = read_listing(listing)
+    doc = persist.read_json_object(listing, "dataset listing")
     classes = listed_value(doc, "classes", list, listing)
     images, labels = [], []
     for i, item in enumerate(listed_value(doc, "items", list, listing)):
@@ -181,7 +180,7 @@ def load_labeled_set(directory):
     try:
         return LabeledImageSet(images=images, labels=labels, class_names=list(classes))
     except (ValueError, OverflowError) as exc:  # a label outside the classes or int64
-        raise DatasetError(f"malformed dataset listing {listing}: {exc}") from None
+        raise persist.UsageError(f"malformed dataset listing {listing}: {exc}") from None
 
 
 @dataclass

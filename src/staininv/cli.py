@@ -10,7 +10,6 @@ failure, 2 usage/config error; failures emit a JSON error record on stderr.
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -21,10 +20,7 @@ import numpy as np
 from . import __version__, classifier, cyclegan, dataset, mcae, metrics, persist
 from . import gradcheck, stanosa
 from .numerics import derive_seed, mlp_forward
-
-
-class UsageError(ValueError):
-    pass
+from .persist import UsageError
 
 
 DEFAULT_PERTURBATIONS = {
@@ -42,20 +38,8 @@ class Setting:
 
     kind: object  # int, float, str, dict, or a tuple of allowed strings
     default: object
-    bound: str = ""  # a key of _BOUNDS
+    bound: str = ""  # a key of persist.BOUNDS
 
-
-_BOUNDS = {
-    "": lambda v: True,
-    ">= 0": lambda v: v >= 0,
-    ">= 1": lambda v: v >= 1,
-    # every stage cuts an image into 8x8 patches, the classifier into a whole grid of them
-    ">= 8 and a multiple of 8": lambda v: v >= 8 and v % 8 == 0,
-    "> 0": lambda v: v > 0,
-    "in (0, 1)": lambda v: 0 < v < 1,
-}
-
-_TRAIN_FRACTION = Setting(float, 0.8, "in (0, 1)")  # share of triplets in the train split
 
 #: every config key, as ``block.key`` (``seed`` is the one top-level key)
 SETTINGS = {
@@ -69,15 +53,12 @@ SETTINGS = {
     "mcae.stride": Setting(int, mcae.McaeTrainConfig.stride, ">= 1"),
     "mcae.k": Setting(int, mcae.McaeTrainConfig.k, ">= 1"),
     "mcae.kmeans_sample": Setting(int, mcae.McaeTrainConfig.kmeans_sample, ">= 1"),
-    "mcae.train_fraction": _TRAIN_FRACTION,
     "stanosa.epochs": Setting(int, stanosa.StanosaTrainConfig.epochs, ">= 0"),
     "stanosa.lr": Setting(float, stanosa.StanosaTrainConfig.lr, "> 0"),
     "stanosa.batch": Setting(int, stanosa.StanosaTrainConfig.batch, ">= 1"),
     "stanosa.stride": Setting(int, 8, ">= 1"),
     "stanosa.zca_sample": Setting(int, stanosa.StanosaTrainConfig.zca_sample, ">= 1"),
     "stanosa.domain": Setting(str, None),
-    "stanosa.train_fraction": _TRAIN_FRACTION,
-    "nfmse.train_fraction": _TRAIN_FRACTION,
     "nfmse.split": Setting(("train", "test", "all"), "test"),
     "hsd.pixels": Setting(int, 2000, ">= 1"),
     "classifier.epochs": Setting(int, classifier.ClassifierTrainConfig.epochs, ">= 0"),
@@ -95,9 +76,6 @@ SETTINGS = {
 }
 _BLOCKS = {name.partition(".")[0] for name in SETTINGS if "." in name}
 
-_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
-               dict: "a JSON object"}
-
 
 def flag(name):
     """The command-line flag of a setting, or None for a config-file-only key."""
@@ -107,76 +85,26 @@ def flag(name):
 
 def describe(name):
     """What a setting accepts, e.g. ``an integer >= 1``."""
-    setting = SETTINGS[name]
-    if isinstance(setting.kind, tuple):
-        return "one of " + ", ".join(setting.kind)
-    return f"{_KIND_NAMES[setting.kind]} {setting.bound}".rstrip()
+    return persist.describe(SETTINGS[name].kind, SETTINGS[name].bound)
 
 
 def _checked(name, value):
     """The value as the setting's type, or a UsageError naming the key and its flag."""
-    kind = SETTINGS[name].kind
-    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-        value = float(value)
-    if isinstance(kind, tuple):
-        ok = value in kind
-    else:  # a bool is not an integer here, and a number is finite
-        ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-        ok = ok and (kind is not float or math.isfinite(value))
-    if not (ok and _BOUNDS[SETTINGS[name].bound](value)):
-        where = flag(name) or "config file only"
-        raise UsageError(f"{name} ({where}) must be {describe(name)}, got {value!r}")
-    if kind is dict:
-        _check_perturbations(name, value)
+    setting = SETTINGS[name]
+    value = persist.checked(value, setting.kind, f"{name} ({flag(name) or 'config file only'})",
+                            setting.bound)
+    if setting.kind is dict:
+        dataset.perturbations_from_config(value, name)
     return value
-
-
-#: key of a synth.perturbations entry -> (how many numbers it holds, must they be > 0)
-_PERTURBATION_FIELDS = {
-    "rotation": (1, False), "scale": (2, True), "offset": (2, False), "density_gain": (1, True),
-}
-
-
-def _check_perturbations(name, table):
-    """Check each ``domain: {key: value}`` entry; a UsageError names ``name.domain.key``."""
-    for domain, entry in table.items():
-        where = f"{name}.{domain}"
-        if domain == dataset.REFERENCE_DOMAIN:
-            raise UsageError(f"{where} (config file only) must be absent: {domain} is the "
-                             "reference domain, left unperturbed")
-        if not isinstance(entry, dict):
-            raise UsageError(f"{where} (config file only) must be a JSON object, got {entry!r}")
-        for key, value in entry.items():
-            if key not in _PERTURBATION_FIELDS:
-                raise UsageError(f"unknown config key '{where}.{key}'")
-            count, positive = _PERTURBATION_FIELDS[key]
-            numbers = value if count == 2 and isinstance(value, list) else [value]
-            ok = len(numbers) == count and all(  # a bool is no number; NaN fails the bound
-                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in numbers
-            ) and not (positive and min(numbers) <= 0)
-            if not ok:
-                what = "two finite numbers" if count == 2 else "a finite number"
-                raise UsageError(f"{where}.{key} (config file only) must be {what}"
-                                 f"{' > 0' if positive else ''}, got {value!r}")
 
 
 def load_config(path):
     """Load a JSON config as ``{block.key: value}``, each key known and each value checked."""
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise UsageError(f"malformed config {path}: {exc}") from None
-    if not isinstance(config, dict):
-        raise UsageError("config root must be a JSON object")
     flat = {}
-    for key, value in config.items():
-        if key in _BLOCKS and isinstance(value, dict):
-            flat.update((f"{key}.{sub}", sub_value) for sub, sub_value in value.items())
-        elif key in _BLOCKS:
-            raise UsageError(f"config block {key!r} must be an object")
+    for key, value in persist.read_json_object(path, "config file").items():
+        if key in _BLOCKS:
+            block = persist.checked(value, dict, f"config block {key!r}")
+            flat.update((f"{key}.{sub}", sub_value) for sub, sub_value in block.items())
         elif key in SETTINGS and "." not in key:
             flat[key] = value
         else:
@@ -225,25 +153,25 @@ _MODEL_BUILDERS = {
 }
 
 
-def _extractors_for(path, domains):
+def _extractors(path, domains, what):
+    """Read a model file: its kind, and its feature extractor for each of ``domains``.
+
+    A None domain is an MCAE's first.  The baseline's one encoder serves every
+    domain; an MCAE that lacks one of ``domains`` is a UsageError naming
+    ``what``, the file and both domain lists.
+    """
     kind, model = persist.read_model(path, _MODEL_BUILDERS)
-    if kind == "mcae":
-        return kind, {d: mcae.feature_extractor(model, d) for d in domains}
-    ext = stanosa.feature_extractor(model)
-    return kind, {d: ext for d in domains}
+    if kind == "stanosa":
+        return kind, dict.fromkeys(domains, stanosa.feature_extractor(model))
+    domains = [model.domain_ids[0] if d is None else d for d in domains]
+    if not set(domains) <= set(model.domain_ids):
+        raise UsageError(f"{what} must be among the domains {model.domain_ids} of the model "
+                         f"{path}, got {domains}")
+    return kind, {d: mcae.feature_extractor(model, d) for d in domains}
 
 
-def _domain(s, block, domains, source):
-    """The block's ``domain`` setting, by default the first of ``domains``."""
-    domain = s.setdefault("domain", domains[0])
-    if domain not in domains:
-        raise UsageError(f"{block}.domain (--domain) must be one of the {source} domains "
-                         f"{domains}, got {domain!r}")
-    return domain
-
-
-def _train_split(ds, fraction, root_seed):
-    return dataset.split(ds, fraction, derive_seed(root_seed, "split"))
+def _train_split(ds, root_seed):
+    return dataset.split(ds, derive_seed(root_seed, "split"))
 
 
 def _grid_cells(image, stride, size=8):
@@ -255,7 +183,7 @@ def _grid_cells(image, stride, size=8):
 
 
 def cmd_synth(args, s, out_dir, seed):
-    perts = {d: dataset.StainPerturbation.from_dict(p) for d, p in s["perturbations"].items()}
+    perts = dataset.perturbations_from_config(s["perturbations"], "synth.perturbations")
     synth_seed = derive_seed(seed, "synth")
     base = dataset.generate_base_images(s["triplets"], s["size"], seed=synth_seed)
     ds = dataset.synth_triplets(base, perts, seed=synth_seed)
@@ -273,7 +201,7 @@ def cmd_train_mcae(args, s, out_dir, seed):
             f"got {s['kmeans_sample']} < {s['k']}"
         )
     ds = dataset.load_dataset(args.dataset)
-    train, _ = _train_split(ds, s["train_fraction"], seed)
+    train, _ = _train_split(ds, seed)
     cells = sum(_grid_cells(t[ds.domain_ids[0]], s["stride"]) for t in train.triplets)
     if cells < s["k"]:
         raise UsageError(
@@ -291,8 +219,11 @@ def cmd_train_mcae(args, s, out_dir, seed):
 
 def cmd_train_stanosa(args, s, out_dir, seed):
     ds = dataset.load_dataset(args.dataset)
-    domain = _domain(s, "stanosa", ds.domain_ids, "dataset")
-    train, _ = _train_split(ds, s["train_fraction"], seed)
+    domain = s.setdefault("domain", ds.domain_ids[0])
+    if domain not in ds.domain_ids:
+        raise UsageError(f"stanosa.domain (--domain) must be one of the dataset domains "
+                         f"{ds.domain_ids}, got {domain!r}")
+    train, _ = _train_split(ds, seed)
     patches = np.concatenate(
         [dataset.extract_patches(t[domain], 8, s["stride"]) for t in train.triplets]
     )
@@ -312,12 +243,12 @@ def cmd_eval_nfmse(args, s, out_dir, seed):
     if s["split"] == "all":
         part = ds
     else:
-        train, test = _train_split(ds, s["train_fraction"], seed)
+        train, test = _train_split(ds, seed)
         part = train if s["split"] == "train" else test
     outputs = []
     summary = {"split": s["split"], "triplets": len(part), "models": {}}
     for path in args.model:
-        kind, extractors = _extractors_for(path, ds.domain_ids)
+        kind, extractors = _extractors(path, ds.domain_ids, "the dataset domains")
         rows, stats = metrics.nfmse_per_triplet(extractors, part)
         name = f"nfmse_{kind}.csv"
         persist.write_csv(os.path.join(out_dir, name), ["triplet_id", "pair", "value"], rows)
@@ -354,10 +285,13 @@ def _labeled_data(args, s, seed):
 
 
 def _classifier_extractor(args, s):
-    kind, model = persist.read_model(args.model, _MODEL_BUILDERS)
+    """The extractor of ``classifier.domain``, by default the MCAE's first domain, which
+    then goes into the settings the run manifest records."""
+    kind, extractors = _extractors(args.model, [s.get("domain")], "classifier.domain (--domain)")
+    [(domain, extractor)] = extractors.items()
     if kind == "mcae":
-        return mcae.feature_extractor(model, _domain(s, "classifier", model.domain_ids, "model"))
-    return stanosa.feature_extractor(model)
+        s["domain"] = domain
+    return extractor
 
 
 def cmd_train_clf(args, s, out_dir, seed):
@@ -494,12 +428,9 @@ def build_parser():
     return parser
 
 
-#: a bad config, flag or input file: exit 2, reported as a UsageError naming it
-_USAGE_ERRORS = (UsageError, dataset.DatasetError, persist.ModelFileError)
-
-
-def _error_record(kind, exc):
-    return json.dumps({"error": {"type": kind, "message": str(exc)}}, sort_keys=True)
+def _error_record(exc):
+    return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
+                      sort_keys=True)
 
 
 def main(argv=None):
@@ -511,12 +442,9 @@ def main(argv=None):
         spec = COMMANDS[args.command]
         os.makedirs(args.out_dir, exist_ok=True)
         outputs = spec.run(args, settings.get(spec.block, {}), args.out_dir, settings["seed"])
-    except _USAGE_ERRORS as exc:
-        print(_error_record("UsageError", exc), file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - report and signal failure
-        print(_error_record(type(exc).__name__, exc), file=sys.stderr)
-        return 1
+        print(_error_record(exc), file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
     manifest = {
         "command": args.command,
         "config": settings,

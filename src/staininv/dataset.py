@@ -7,7 +7,6 @@ in HSD space so that aligned domains share their density plane by
 construction, which gives the evaluation suite an exact oracle.
 """
 
-import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 
@@ -15,18 +14,15 @@ import numpy as np
 
 from .colour import hsd_forward, hsd_inverse_clamped, od_to_rgb, rgb_to_od
 from .numerics import derive_seed
-from .persist import write_json
+from .persist import UsageError, checked, read_json_object, write_json
 
 GCN_GUARD = 1e-8
 ZCA_EPSILON = 1e-5
 _ROW_BLOCK = 4096  # rows per block of a whole-matrix GCN or whitening pass
 REFERENCE_DOMAIN = "A"  # the unperturbed domain of every synthetic triplet
+TRAIN_FRACTION = 0.8  # share of triplets in the train split
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
-
-
-class DatasetError(ValueError):
-    """A saved dataset whose listing is missing, malformed or names a missing image."""
 
 
 class PpmParseError(ValueError):
@@ -217,6 +213,12 @@ def zca_apply(transform, patch):
     )
 
 
+#: field of a StainPerturbation -> (how many numbers it holds, their bound)
+_PERTURBATION_FIELDS = {
+    "rotation": (1, ""), "scale": (2, "> 0"), "offset": (2, ""), "density_gain": (1, "> 0"),
+}
+
+
 @dataclass
 class StainPerturbation:
     """Parametric chroma transform in HSD space (identity by default).
@@ -231,20 +233,31 @@ class StainPerturbation:
     offset: tuple = (0.0, 0.0)
     density_gain: float = 1.0
 
-    def __post_init__(self):
-        if self.scale[0] <= 0 or self.scale[1] <= 0:
-            raise ValueError("scale factors must be positive")
-        if self.density_gain <= 0:
-            raise ValueError("density_gain must be positive")
-
     @classmethod
-    def from_dict(cls, record):
-        return cls(
-            rotation=record.get("rotation", 0.0),
-            scale=tuple(record.get("scale", (1.0, 1.0))),
-            offset=tuple(record.get("offset", (0.0, 0.0))),
-            density_gain=record.get("density_gain", 1.0),
-        )
+    def from_dict(cls, record, what="perturbation"):
+        """A perturbation from a JSON object of some of its fields; a UsageError names
+        ``what.key`` of a bad or unknown key."""
+        fields = {}
+        for key, value in checked(record, dict, what).items():
+            if key not in _PERTURBATION_FIELDS:
+                raise UsageError(f"unknown config key '{what}.{key}'")
+            count, bound = _PERTURBATION_FIELDS[key]
+            if count == 1:
+                fields[key] = checked(value, float, f"{what}.{key}", bound)
+            elif isinstance(value, list) and len(value) == 2:
+                fields[key] = tuple(checked(v, float, f"{what}.{key}", bound) for v in value)
+            else:
+                raise UsageError(f"{what}.{key} must be a list of two numbers, got {value!r}")
+        return cls(**fields)
+
+
+def perturbations_from_config(table, what):
+    """{domain: StainPerturbation} of a ``synth.perturbations`` table, checked; a UsageError
+    names ``what.domain`` or ``what.domain.key``."""
+    if REFERENCE_DOMAIN in table:
+        raise UsageError(f"{what}.{REFERENCE_DOMAIN} must be absent: {REFERENCE_DOMAIN} is "
+                         "the reference domain, left unperturbed")
+    return {d: StainPerturbation.from_dict(entry, f"{what}.{d}") for d, entry in table.items()}
 
 
 def perturb_image(image, perturbation):
@@ -311,14 +324,13 @@ def synth_triplets(base_images, perturbations, seed):
     return TripletDataset(domain_ids=domain_ids, triplets=triplets, manifest=manifest)
 
 
-def split(dataset, fraction, seed):
-    """Deterministic disjoint/exhaustive train-test split of triplets."""
+def split(dataset, seed):
+    """Deterministic disjoint/exhaustive train-test split of triplets, ``TRAIN_FRACTION``
+    of them in the train part."""
     if len(dataset) == 0:
         raise ValueError("cannot split an empty dataset")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie in (0, 1)")
     order = np.random.default_rng(seed).permutation(len(dataset))
-    n_train = int(round(len(dataset) * fraction))
+    n_train = int(round(len(dataset) * TRAIN_FRACTION))
     parts = []
     for idx in (order[:n_train], order[n_train:]):
         parts.append(
@@ -348,57 +360,43 @@ def save_dataset(dataset, directory):
     write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
-def read_listing(path):
-    """Parse a dataset's JSON listing, an object; DatasetError names an unreadable or
-    malformed file."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset listing {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise DatasetError(f"malformed dataset listing {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DatasetError(f"malformed dataset listing {path}: the root must be an object")
-    return doc
-
-
-_KIND_NAMES = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
-
-
 def listed_value(record, key, kind, path, where="the root"):
-    """``record[key]`` of a parsed listing, checked to be a ``kind`` (a bool is no integer);
-    DatasetError names the listing file and the key."""
+    """``record[key]`` of a parsed listing, checked to be a ``kind``; a UsageError names the
+    listing file and the key."""
     value = record.get(key) if isinstance(record, dict) and isinstance(key, str) else None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise DatasetError(
-            f"malformed dataset listing {path}: {where} needs {key!r} as {_KIND_NAMES[kind]}"
-        )
-    return value
+    return checked(value, kind, f"malformed dataset listing {path}: {key!r} of {where}")
 
 
 def load_listed_image(path):
-    """An image a dataset lists; DatasetError names it when it cannot be read."""
+    """An image a dataset or labelled set lists.  A UsageError names the file when it cannot
+    be read or parsed, or when a side is not a multiple of 8: every stage cuts whole 8x8
+    patches."""
     try:
-        return load_image(path)
+        image = load_image(path)
     except OSError as exc:
-        raise DatasetError(f"cannot read listed image {path}: {exc.strerror}") from None
+        raise UsageError(f"cannot read listed image {path}: {exc.strerror}") from None
+    except PpmParseError as exc:
+        raise UsageError(f"malformed listed image {path}: {exc}") from None
+    if image.width % 8 or image.height % 8:
+        raise UsageError(f"listed image {path} is {image.width}x{image.height}: each side "
+                         "must be a multiple of 8")
+    return image
 
 
 def load_dataset(directory):
     """Read a dataset written by ``save_dataset``.
 
-    Raises DatasetError, naming the file, when the manifest is missing or
+    Raises a UsageError, naming the file, when the manifest is missing or
     malformed (it needs ``domains``, and a non-empty ``triplets`` list whose
-    ``paths`` name one image per domain), or an image it lists is missing or
-    differs in size from the rest of its triplet.
+    ``paths`` name one image per domain), or an image it lists fails
+    ``load_listed_image`` or differs in size from the rest of its triplet.
     """
     listing = os.path.join(directory, "manifest.json")
-    manifest = read_listing(listing)
+    manifest = read_json_object(listing, "dataset listing")
     domains = listed_value(manifest, "domains", list, listing)
     listed = listed_value(manifest, "triplets", list, listing)
     if not listed:
-        raise DatasetError(f"malformed dataset listing {listing}: 'triplets' is empty")
+        raise UsageError(f"malformed dataset listing {listing}: 'triplets' is empty")
     triplets = []
     for i, entry in enumerate(listed):
         paths = listed_value(entry, "paths", dict, listing, f"triplet {i}")
@@ -411,7 +409,7 @@ def load_dataset(directory):
             if first_path is None:
                 first_path, first = path, image
             elif image.pixels.shape != first.pixels.shape:
-                raise DatasetError(
+                raise UsageError(
                     f"{path} is {image.width}x{image.height} but {first_path} in "
                     f"triplet {i} is {first.width}x{first.height}"
                 )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import persist
-from .dataset import DatasetError, extract_patches, scale_to_pm1
+from .dataset import extract_patches, scale_to_pm1
 from .numerics import (
     FeatureExtractor,
     autoencoder_init,
@@ -347,7 +347,7 @@ def _patch_store(dataset, domain_ids, patch_size, stride):
             elif patches.shape != store.shape[2:]:
                 h, w = triplet[domain].pixels.shape[:2]
                 h0, w0 = dataset.triplets[0][domain_ids[0]].pixels.shape[:2]
-                raise DatasetError(
+                raise persist.UsageError(
                     f"triplet {t} of the training split has {h}x{w} {domain} images, "
                     f"triplet 0 has {h0}x{w0}: the MCAE needs one image size"
                 )

@@ -5,20 +5,82 @@ Model files are versioned JSON (``mcae-v1``, ``stanosa-v1``,
 digits, which uniquely identifies every finite double, so save -> load
 reproduces parameters bit-for-bit.  CSV cells use the same 17 digits;
 small result documents (summaries, manifests) are indented JSON with
-sorted keys.  PPM images (``dataset``) and ``labels.json`` (``classifier``)
-keep their own readers and writers.
+sorted keys.  PPM images keep their own reader and writer (``dataset``),
+and ``labels.json`` its own writer (``classifier``).
+
+Every check of outside input goes through this module: it raises the one
+error type, UsageError, and reads JSON with the one object reader (config
+files, listings), the one value check and the model-file reader.
 """
 
 import csv
 import json
+import math
+import sys
 
 import numpy as np
 
 from .numerics import LEAKY_SLOPE, Conv2dLayer, DenseLayer
 
 
-class ModelFileError(ValueError):
-    """A model or head file that is missing, unparsable or malformed."""
+class UsageError(ValueError):
+    """Bad input: a flag, a config key or an input file.  The message names it, and the
+    command line exits 2."""
+
+
+#: what a value of each JSON kind is called in a message
+KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list",
+              dict: "a JSON object"}
+
+#: a bound on a checked value, by its name in messages
+BOUNDS = {
+    "": lambda v: True,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    # every stage cuts an image into 8x8 patches, the classifier into a whole grid of them
+    ">= 8 and a multiple of 8": lambda v: v >= 8 and v % 8 == 0,
+    "> 0": lambda v: v > 0,
+}
+
+
+def describe(kind, bound=""):
+    """What a check accepts, e.g. ``an integer >= 1``; a tuple kind lists allowed strings."""
+    if isinstance(kind, tuple):
+        return "one of " + ", ".join(kind)
+    return f"{KIND_NAMES[kind]} {bound}".rstrip()
+
+
+def checked(value, kind, what, bound=""):
+    """A parsed JSON value as a ``kind`` within ``bound``, or a UsageError ``{what} must be ...``.
+
+    A bool is no integer and a number is finite; an integer stands for the
+    float it equals.  A tuple kind lists the strings allowed.
+    """
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if isinstance(kind, tuple):
+        ok = value in kind
+    else:
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+        ok = ok and (kind is not float or math.isfinite(value))
+    if not (ok and BOUNDS[bound](value)):
+        raise UsageError(f"{what} must be {describe(kind, bound)}, got {value!r}")
+    return value
+
+
+def read_json_object(path, what):
+    """The JSON object in a file; a UsageError names the ``what`` and the file when it
+    cannot be read, is not JSON, or holds another kind of value."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise UsageError(f"malformed {what} {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"malformed {what} {path}: the root must be a JSON object")
+    return doc
 
 
 def format_float(value):
@@ -194,21 +256,21 @@ def read_model(path, builders):
 
     ``builders`` maps format tags to functions of the parsed document.  A
     missing or unparsable file, an unknown format tag, or a document the
-    builder rejects raises ModelFileError naming the file.
+    builder rejects raises a UsageError naming the file.
     """
     try:
         doc = load_json(path)
     except (OSError, ValueError) as exc:
-        raise ModelFileError(f"cannot read model file {path}: {exc}") from None
+        raise UsageError(f"cannot read model file {path}: {exc}") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if not isinstance(fmt, str) or fmt not in builders:
-        raise ModelFileError(
+        raise UsageError(
             f"unrecognised model format {fmt!r} in {path}; "
             f"expected {' or '.join(builders)}"
         )
     try:
         return builders[fmt](doc)
     except KeyError as exc:
-        raise ModelFileError(f"invalid {fmt} file {path}: missing key {exc}") from None
+        raise UsageError(f"invalid {fmt} file {path}: missing key {exc}") from None
     except (TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise ModelFileError(f"invalid {fmt} file {path}: {exc}") from None
+        raise UsageError(f"invalid {fmt} file {path}: {exc}") from None

@@ -56,7 +56,7 @@ def run_desk(seed):
         for d, p in DEFAULT_PERTURBATIONS.items()
     }
     ds = dataset.synth_triplets(base, perts, seed=seed)
-    train, test = dataset.split(ds, 0.8, seed=seed)
+    train, test = dataset.split(ds, seed=seed)
     timings["synth"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()

@@ -241,12 +241,12 @@ def test_train_classifier_rejects_zero_batch():
 def test_load_head_rejects_dense_layer_naming_file(tmp_path):
     import json
 
-    from staininv.persist import ModelFileError
+    from staininv.persist import UsageError
 
     path = tmp_path / "head.json"
     save_head(head_init(3, seed=1), path)
     doc = json.loads(path.read_text())
     doc["conv1"]["kind"] = "dense"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFileError, match=str(path)):
+    with pytest.raises(UsageError, match=str(path)):
         load_head(path)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staininv import classifier, dataset, mcae
+from staininv import classifier, dataset, gradcheck, mcae
 from staininv.cli import (
     COMMANDS, SETTINGS, UsageError, build_parser, describe, flag, load_config, main, resolve,
 )
@@ -79,20 +79,13 @@ def test_malformed_config_and_missing_paths(tmp_path, capsys):
     assert code == 2
 
 
-def test_runtime_failure_exit_code(tmp_path, capsys):
-    # a dataset directory with a corrupt image triggers a runtime error (1)
-    ds = tmp_path / "ds"
-    ds.mkdir()
-    (ds / "manifest.json").write_text(json.dumps({
-        "domains": ["A"],
-        "triplets": [{"id": 0, "paths": {"A": "img.ppm"}}],
-    }))
-    (ds / "img.ppm").write_bytes(b"P6\n4 4\n255\n\x00")
-    code = main(["train-mcae", "--dataset", str(ds), "--epochs", "1",
-                 "--out-dir", str(tmp_path / "o")])
-    assert code == 1
+def test_runtime_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a failure of the run itself, not of its input, exits 1 with the exception's type
+    monkeypatch.setattr(gradcheck, "run_grad_checks", lambda seed: [("dense/tanh", 1.0)])
+    assert main(["grad-check", "--out-dir", str(tmp_path / "gc")]) == 1
     record = json.loads(capsys.readouterr().err.strip())
-    assert "truncated" in record["error"]["message"]
+    assert record["error"] == {"type": "RuntimeError",
+                               "message": "gradient check failed; see grad_check.csv"}
 
 
 def test_eval_nfmse_schema_with_untrained_model(tiny_dataset, tmp_path):
@@ -258,7 +251,7 @@ def test_train_clf_without_validation_split_leaves_cell_empty(tmp_path):
 
 
 def _truncated_ppm_dataset(tmp_path):
-    """A dataset that fails with exit 1 as soon as it is loaded."""
+    """A dataset whose one image is truncated: loading it exits 2, naming the image."""
     ds = tmp_path / "bad_ds"
     ds.mkdir()
     (ds / "manifest.json").write_text(json.dumps({
@@ -339,10 +332,12 @@ def test_train_mcae_on_mixed_image_sizes_is_usage_error(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert main(["synth", "--triplets", "4", "--size", "16", "--out-dir", str(ds)]) == 0
     manifest = json.loads((ds / "manifest.json").read_text())
-    for name in manifest["triplets"][2]["paths"].values():
-        dataset.save_image(dataset.Image(np.zeros((24, 24, 3), np.uint8)), ds / name)
+    # the train split holds 3 of the 4 triplets: at least one resized and one not
+    for triplet in manifest["triplets"][1:3]:
+        for name in triplet["paths"].values():
+            dataset.save_image(dataset.Image(np.zeros((24, 24, 3), np.uint8)), ds / name)
     code = main(["train-mcae", "--dataset", str(ds), "--epochs", "1", "--k", "2",
-                 "--train-fraction", "0.99", "--out-dir", str(tmp_path / "o")])
+                 "--out-dir", str(tmp_path / "o")])
     assert code == 2
     message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
     assert "24x24" in message and "16x16" in message and "triplet" in message
@@ -365,14 +360,53 @@ def test_broken_dataset_image_is_usage_error(tiny_dataset, tmp_path, capsys, fau
     assert str(image) in record["error"]["message"]
 
 
+#: fault name -> (writer of a bad listed image, a part of the message it gives)
+BAD_IMAGES = {
+    "truncated": (lambda path: path.write_bytes(b"P6\n8 8\n255\n\x00"), "truncated payload"),
+    "12px": (lambda path: dataset.save_image(dataset.Image(np.zeros((12, 12, 3), np.uint8)),
+                                             path), "is 12x12"),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_IMAGES)
+def test_bad_listed_image_is_usage_error(tiny_dataset, tmp_path, capsys, fault):
+    write, expected = BAD_IMAGES[fault]
+    model = tmp_path / "model.json"
+    _save_model(model)
+    ds, labeled = tmp_path / "ds", tmp_path / "labeled"
+    shutil.copytree(tiny_dataset, ds)
+    classifier.save_labeled_set(classifier.generate_labeled_set(2, size=16, seed=1), labeled)
+    for image, command in [
+        (ds / "triplet_00002_B.ppm", ["eval-nfmse", "--dataset", ds, "--model", model]),
+        (labeled / "image_00001.ppm", ["train-clf", "--model", model, "--labeled-dir", labeled]),
+    ]:
+        write(image)
+        assert main([*map(str, command), "--out-dir", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"]["type"] == "UsageError"
+        assert str(image) in record["error"]["message"]
+        assert expected in record["error"]["message"]
+
+
+def test_model_lacking_a_dataset_domain_is_usage_error(tiny_dataset, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    mcae.save_mcae(mcae.mcae_init(["A", "B", "D"], seed=0), model)
+    code = main(["eval-nfmse", "--dataset", str(tiny_dataset), "--model", str(model),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert str(model) in message and "['A', 'B', 'D']" in message
+    assert "['A', 'B', 'C']" in message
+
+
 #: the flags of each subcommand besides -h, --config, --seed and --out-dir
 FLAGS = {
     "synth": {"--triplets", "--size"},
     "train-mcae": {"--dataset", "--epochs", "--batch", "--stride", "--k", "--kmeans-sample",
-                   "--lr", "--train-fraction"},
+                   "--lr"},
     "train-stanosa": {"--dataset", "--epochs", "--batch", "--stride", "--zca-sample", "--lr",
-                      "--train-fraction", "--domain"},
-    "eval-nfmse": {"--dataset", "--model", "--train-fraction", "--split"},
+                      "--domain"},
+    "eval-nfmse": {"--dataset", "--model", "--split"},
     "eval-hsd": {"--dataset", "--pixels"},
     "train-clf": {"--model", "--labeled-dir", "--domain", "--epochs", "--batch", "--per-class",
                   "--size", "--lr"},
@@ -394,10 +428,9 @@ CONFIG_KEYS = {
     "seed",
     "synth.triplets", "synth.size", "synth.perturbations",
     "mcae.epochs", "mcae.lr", "mcae.batch", "mcae.stride", "mcae.k", "mcae.kmeans_sample",
-    "mcae.train_fraction",
     "stanosa.epochs", "stanosa.lr", "stanosa.batch", "stanosa.stride", "stanosa.zca_sample",
-    "stanosa.domain", "stanosa.train_fraction",
-    "nfmse.train_fraction", "nfmse.split",
+    "stanosa.domain",
+    "nfmse.split",
     "hsd.pixels",
     "classifier.epochs", "classifier.lr", "classifier.batch", "classifier.per_class",
     "classifier.size", "classifier.domain",
@@ -426,7 +459,7 @@ def test_flags_and_config_keys_are_pinned(tmp_path):
         required = {a.option_strings[0] for a in parser._actions if a.required}
         assert required == {"--out-dir"} | REQUIRED.get(command, set()), command
     assert choices == {("eval-nfmse", "--split"): ("train", "test", "all")}
-    assert len(CONFIG_KEYS) == 33 and set(SETTINGS) == CONFIG_KEYS
+    assert len(CONFIG_KEYS) == 30 and set(SETTINGS) == CONFIG_KEYS
     # a file naming every key at its default (a first domain for the domains) loads
     every = {n: "A" if SETTINGS[n].default is None else SETTINGS[n].default for n in SETTINGS}
     path = tmp_path / "every.json"
@@ -474,8 +507,8 @@ def _write_config(tmp_path, config):
     pytest.param("train-cyclegan-toy", [], {"cyclegan": {"saturating": True}},
                  "cyclegan.saturating", None, id="saturating-removed"),
     pytest.param("eval-hsd", [], {"seed": "abc"}, "seed", "--seed", id="seed-string"),
-    pytest.param("eval-nfmse", ["--train-fraction", "1.5"], None, "nfmse.train_fraction",
-                 "--train-fraction", id="fraction-above-one"),
+    pytest.param("eval-nfmse", [], {"nfmse": {"split": "val"}}, "nfmse.split", "--split",
+                 id="split-unknown"),
     pytest.param("train-mcae", ["--batch", "0"], None, "mcae.batch", "--batch", id="batch-zero"),
     pytest.param("train-stanosa", [], {"stanosa": {"stride": 0}}, "stanosa.stride", "--stride",
                  id="stride-zero"),
@@ -486,7 +519,8 @@ def _write_config(tmp_path, config):
 ])
 def test_bad_setting_is_usage_error_before_any_work(tmp_path, capsys, command, flags, config,
                                                     name, flag):
-    # the dataset and model given would fail to load: exit 2 proves the check came first
+    # the dataset and model given would fail to load, with messages naming them: a message
+    # naming the setting proves the check came first
     unloadable = ["--dataset", _truncated_ppm_dataset(tmp_path)]
     inputs = {
         "train-mcae": unloadable,
@@ -514,7 +548,7 @@ def test_manifest_records_resolved_settings(tiny_dataset, tmp_path):
     config = json.loads((out / "run_manifest.json").read_text())["config"]
     assert config == {"seed": 0, "stanosa": {
         "epochs": 1, "lr": 0.0002, "batch": 256, "stride": 8, "zca_sample": 500,
-        "domain": "A", "train_fraction": 0.8}}
+        "domain": "A"}}
     # the recorded settings are a config file that repeats the run bit for bit
     again = tmp_path / "again"
     assert main(["train-stanosa", "--dataset", str(tiny_dataset),

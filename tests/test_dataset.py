@@ -6,7 +6,6 @@ from staininv import dataset
 from staininv.colour import hsd_forward, rgb_to_od
 from staininv.dataset import (
     GCN_GUARD,
-    DatasetError,
     Image,
     PpmParseError,
     StainPerturbation,
@@ -26,6 +25,7 @@ from staininv.dataset import (
     zca_apply,
     zca_fit,
 )
+from staininv.persist import UsageError
 
 
 def _random_image(rng, h=16, w=16):
@@ -356,29 +356,25 @@ def test_split_20000_by_08():
     # count arithmetic only; images are shared references so this stays cheap
     img = _random_image(np.random.default_rng(17), 4, 4)
     ds = TripletDataset(domain_ids=["A"], triplets=[{"A": img}] * 20000)
-    train, test = split(ds, 0.8, seed=1)
+    train, test = split(ds, seed=1)
     assert len(train) == 16000 and len(test) == 4000
 
 
 def test_split_disjoint_exhaustive_deterministic():
     base = generate_base_images(10, 8, seed=18)
     ds = synth_triplets(base, {"B": StainPerturbation(rotation=0.1)}, seed=18)
-    train, test = split(ds, 0.8, seed=5)
+    train, test = split(ds, seed=5)
     assert len(train) == 8 and len(test) == 2
     ids = lambda part: {id(t["A"]) for t in part.triplets}
     assert not (ids(train) & ids(test))
     assert ids(train) | ids(test) == ids(ds)
-    train2, test2 = split(ds, 0.8, seed=5)
+    train2, test2 = split(ds, seed=5)
     assert ids(train) == ids(train2) and ids(test) == ids(test2)
 
 
-def test_split_empty_and_bad_fraction():
+def test_split_empty():
     with pytest.raises(ValueError):
-        split(TripletDataset(domain_ids=["A"], triplets=[]), 0.8, 0)
-    img = _random_image(np.random.default_rng(19), 4, 4)
-    ds = TripletDataset(domain_ids=["A"], triplets=[{"A": img}])
-    with pytest.raises(ValueError):
-        split(ds, 1.0, 0)
+        split(TripletDataset(domain_ids=["A"], triplets=[]), 0)
 
 
 # --- dataset io ---
@@ -398,7 +394,7 @@ def test_save_load_dataset_roundtrip(tmp_path):
 
 def test_load_dataset_rejects_an_empty_listing(tmp_path):
     (tmp_path / "manifest.json").write_text('{"domains": ["A", "B"], "triplets": []}')
-    with pytest.raises(DatasetError, match=r"manifest\.json.*'triplets' is empty"):
+    with pytest.raises(UsageError, match=r"manifest\.json.*'triplets' is empty"):
         load_dataset(tmp_path)
 
 

@@ -467,7 +467,7 @@ def _shrink_rows(record, n_out):
 
 @pytest.mark.parametrize("fault", ["kmeans-dim", "unequal-domains", "missing-domain"])
 def test_load_mcae_rejects_inconsistent_model_naming_file(tmp_path, fault):
-    from staininv.persist import ModelFileError
+    from staininv.persist import UsageError
 
     model = mcae_init(["A", "B"], seed=1)
     model.kmeans = KMeansState(centroids=np.zeros((3, model.feature_dim)))
@@ -483,5 +483,5 @@ def test_load_mcae_rejects_inconsistent_model_naming_file(tmp_path, fault):
     else:
         doc["domains"].append("C")
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFileError, match=str(path)):
+    with pytest.raises(UsageError, match=str(path)):
         load_mcae(path)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from staininv.numerics import LEAKY_SLOPE, Conv2dLayer, DenseLayer
 from staininv.persist import (
-    ModelFileError,
+    UsageError,
     autoencoder_stacks,
     dump_json,
     format_float,
@@ -153,7 +153,7 @@ def test_read_model_rejects_bad_files_naming_them(tmp_path, fault):
         first["stage"] = "middle"
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFileError, match=str(path)):
+    with pytest.raises(UsageError, match=str(path)):
         _read(path)
 
 

@@ -138,7 +138,7 @@ def test_train_rejects_zero_batch():
 
 
 def test_load_stanosa_rejects_mismatched_zca_naming_file(tmp_path):
-    from staininv.persist import ModelFileError
+    from staininv.persist import UsageError
 
     data = _patches(8, n_images=4, size=16)
     model, _ = train_stanosa(stanosa_init(seed=1), data, StanosaTrainConfig(epochs=1))
@@ -147,5 +147,5 @@ def test_load_stanosa_rejects_mismatched_zca_naming_file(tmp_path):
     doc = json.loads(path.read_text())
     doc["zca"]["mean"].pop()
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFileError, match=str(path)):
+    with pytest.raises(UsageError, match=str(path)):
         load_stanosa(path)
