@@ -15,7 +15,8 @@ import numpy as np
 
 from . import persist
 from .dataset import (
-    Image, extract_patches, listed_value, load_listed_image, paint_blobs, save_image,
+    Image, extract_patches, listed_names, listed_value, load_listed_image, paint_blobs,
+    save_image,
 )
 from .numerics import (
     conv2d_backward,
@@ -166,14 +167,18 @@ def load_labeled_set(directory):
     """Read a set written by ``save_labeled_set``.
 
     A UsageError names the file when ``labels.json`` is missing or malformed
-    (it needs ``classes``, and ``items`` each with a ``path`` and a ``label``
-    in the class set), or an image it lists fails ``load_listed_image``.
+    (it needs ``classes``, a non-empty list of distinct names, and a non-empty
+    ``items`` list, each with a ``path`` and a ``label`` in the class set), or
+    an image it lists fails ``load_listed_image``.
     """
     listing = os.path.join(directory, "labels.json")
     doc = persist.read_json_object(listing, "dataset listing")
-    classes = listed_value(doc, "classes", list, listing)
+    classes = listed_names(doc, "classes", listing)
+    items = listed_value(doc, "items", list, listing)
+    if not items:
+        raise persist.UsageError(f"malformed dataset listing {listing}: 'items' is empty")
     images, labels = [], []
-    for i, item in enumerate(listed_value(doc, "items", list, listing)):
+    for i, item in enumerate(items):
         name = listed_value(item, "path", str, listing, f"item {i}")
         labels.append(listed_value(item, "label", int, listing, f"item {i}"))
         images.append(load_listed_image(os.path.join(directory, name)))

@@ -201,6 +201,9 @@ def cmd_train_mcae(args, s, out_dir, seed):
             f"got {s['kmeans_sample']} < {s['k']}"
         )
     ds = dataset.load_dataset(args.dataset)
+    if len(ds.domain_ids) < 2:
+        raise UsageError(f"dataset {args.dataset} has the one domain {ds.domain_ids}: "
+                         "the MCAE needs at least two")
     train, _ = _train_split(ds, seed)
     cells = sum(_grid_cells(t[ds.domain_ids[0]], s["stride"]) for t in train.triplets)
     if cells < s["k"]:
@@ -315,6 +318,9 @@ def cmd_eval_clf(args, s, out_dir, seed):
     if head.conv1.kernels.shape[1] != extractor.feature_dim:
         raise UsageError(f"head {args.head} does not take {extractor.feature_dim} features")
     data = _labeled_data(args, s, seed)
+    if head.n_classes != len(data.class_names):
+        raise UsageError(f"head {args.head} predicts {head.n_classes} classes, the labelled "
+                         f"set has {len(data.class_names)}")
     _, _, test = classifier.split_labeled(data, seed=derive_seed(seed, "clf-split"))
     y_true, y_pred = classifier.evaluate_classifier(extractor, head, test)
     report = metrics.classification_report(y_true, y_pred, data.class_names)

@@ -18,7 +18,6 @@ come from summed-area tables (Crow 1984), so each output pixel costs O(1)
 whatever the window size.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +27,10 @@ SQRT3 = np.sqrt(3.0)
 #: mean-OD threshold below which a pixel counts as background (near-white).
 BACKGROUND_DENSITY_EPS = 1e-4
 
-
-class GamutError(ValueError):
-    """Chromatic coordinates that imply a negative channel density."""
+#: SSIM window side and stabilising constants (Wang et al. 2004).
+SSIM_WINDOW = 8
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
 
 
 def rgb_to_od(rgb):
@@ -81,7 +81,12 @@ def hsd_forward(od):
     return HsdImage(c_x=c_x, c_y=c_y, density=density, background=background)
 
 
-def _hsd_channels(hsd):
+def hsd_inverse_clamped(hsd):
+    """HSD planes -> optical densities, negatives clamped to zero.
+
+    Returns the densities and the number of pixels that had a channel below
+    zero (beyond round-off), i.e. chromatic coordinates outside the OD gamut.
+    """
     c_x = np.asarray(hsd.c_x, dtype=np.float64)
     c_y = np.asarray(hsd.c_y, dtype=np.float64)
     density = np.asarray(hsd.density, dtype=np.float64)
@@ -89,78 +94,35 @@ def _hsd_channels(hsd):
     od_r = density * (c_x + 1.0)
     od_g = density * (3.0 - (c_x + 1.0) + SQRT3 * c_y) / 2.0
     od_b = density * (3.0 - (c_x + 1.0) - SQRT3 * c_y) / 2.0
-    return np.stack([od_r, od_g, od_b], axis=-1)
-
-
-def hsd_inverse(hsd, tol=1e-9):
-    """HSD planes -> optical densities; raises GamutError on negative ODs.
-
-    Round-off-level negatives (within ``tol``) are clipped to zero so that
-    ``hsd_inverse(hsd_forward(od))`` is the identity on valid pixels.
-    """
-    od = _hsd_channels(hsd)
-    worst = od.min()
-    if worst < -tol:
-        raise GamutError(
-            f"chromatic coordinates leave the OD gamut (min channel {worst:.3e})"
-        )
-    return np.maximum(od, 0.0)
-
-
-def hsd_inverse_clamped(hsd):
-    """Total variant of ``hsd_inverse``: clamp negative ODs, count pixels."""
-    od = _hsd_channels(hsd)
+    od = np.stack([od_r, od_g, od_b], axis=-1)
     clamped = int(np.count_nonzero((od < -1e-12).any(axis=-1)))
     return np.maximum(od, 0.0), clamped
 
 
-@dataclass
-class SsimConfig:
-    """Sliding-window SSIM parameters (uniform window, stride 1)."""
-
-    window: int = 8
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float | None = None  # None: max observed value over the pair
-
-
-def _check_ssim_config(config):
-    w = config.window
-    if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1:
-        raise ValueError(f"SsimConfig.window must be an integer >= 1, got {w!r}")
-    for name in ("k1", "k2"):
-        value = getattr(config, name)
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and value > 0):
-            raise ValueError(f"SsimConfig.{name} must be a number > 0, got {value!r}")
-
-
-def ssim(a, b, config=None):
+def ssim(a, b):
     """Mean local structural similarity between two single-channel images.
 
-    Window statistics come from summed-area tables of a, b, a², b² and ab.
+    The window is ``SSIM_WINDOW`` square and the dynamic range the pair's
+    maximum.  Window statistics come from summed-area tables of a, b, a², b²
+    and ab.
     """
-    config = config or SsimConfig()
-    _check_ssim_config(config)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise ValueError(f"images must be 2-d and equal-shaped, got {a.shape} vs {b.shape}")
-    w = config.window
+    w = SSIM_WINDOW
     if a.shape[0] < w or a.shape[1] < w:
         raise ValueError(f"image {a.shape} smaller than {w}x{w} window")
-    dyn = config.dynamic_range
-    if dyn is None:
-        dyn = max(float(a.max()), float(b.max()))
+    dyn = max(float(a.max()), float(b.max()))
     if dyn <= 0:
         dyn = 1.0  # degenerate pair (all-zero images): constants only
-    c1 = (config.k1 * dyn) ** 2
-    c2 = (config.k2 * dyn) ** 2
+    c1 = (SSIM_K1 * dyn) ** 2
+    c2 = (SSIM_K2 * dyn) ** 2
     if c1 * c2 < np.finfo(float).tiny:
         # near-zero range: the score would underflow to 0/0; SSIM is unchanged
         # when the images and the range are scaled together, so use unit range
         a, b = a / dyn, b / dyn
-        c1, c2 = config.k1**2, config.k2**2
+        c1, c2 = SSIM_K1**2, SSIM_K2**2
 
     # The tables' rounding error grows with their running sums, so both
     # images are first shifted by the pair's mean.  The shift cancels in the

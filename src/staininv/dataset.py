@@ -367,6 +367,16 @@ def listed_value(record, key, kind, path, where="the root"):
     return checked(value, kind, f"malformed dataset listing {path}: {key!r} of {where}")
 
 
+def listed_names(record, key, path):
+    """``record[key]`` of a parsed listing, checked to be a non-empty list of distinct
+    strings; a UsageError names the listing file and the key."""
+    names = listed_value(record, key, list, path)
+    if not names or not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
+        raise UsageError(f"malformed dataset listing {path}: {key!r} of the root must be a "
+                         f"non-empty list of distinct strings, got {names!r}")
+    return names
+
+
 def load_listed_image(path):
     """An image a dataset or labelled set lists.  A UsageError names the file when it cannot
     be read or parsed, or when a side is not a multiple of 8: every stage cuts whole 8x8
@@ -387,13 +397,14 @@ def load_dataset(directory):
     """Read a dataset written by ``save_dataset``.
 
     Raises a UsageError, naming the file, when the manifest is missing or
-    malformed (it needs ``domains``, and a non-empty ``triplets`` list whose
-    ``paths`` name one image per domain), or an image it lists fails
-    ``load_listed_image`` or differs in size from the rest of its triplet.
+    malformed (it needs ``domains``, a non-empty list of distinct names, and a
+    non-empty ``triplets`` list whose ``paths`` name one image per domain), or
+    an image it lists fails ``load_listed_image`` or differs in size from the
+    rest of its triplet.
     """
     listing = os.path.join(directory, "manifest.json")
     manifest = read_json_object(listing, "dataset listing")
-    domains = listed_value(manifest, "domains", list, listing)
+    domains = listed_names(manifest, "domains", listing)
     listed = listed_value(manifest, "triplets", list, listing)
     if not listed:
         raise UsageError(f"malformed dataset listing {listing}: 'triplets' is empty")

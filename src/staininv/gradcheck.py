@@ -67,14 +67,14 @@ def check_mcae_combined(seed):
         ["A", "B", "C"], seed=seed, input_dim=192, hidden_dim=8, feature_dim=4
     )
     patches = rng.uniform(-0.9, 0.9, size=(3, 3, 192))
-    anchor = mcae.encode(model, "A", patches[0])
+    anchor = mlp_forward(model.encoders["A"], patches[0])
     model.kmeans = mcae.kmeans_fit(anchor + 0.05 * rng.normal(size=anchor.shape),
                                    k=2, seed=seed)
     labels = mcae.kmeans_assign(model.kmeans, anchor)
     _, _, grads = mcae.combined_loss_and_grads(model, patches, labels=labels)
 
     def loss():
-        return mcae.combined_loss(model, patches, labels=labels)[0]
+        return mcae.combined_loss_and_grads(model, patches, labels=labels)[0]
 
     worst = 0.0
     for param, analytic in zip(mcae.mcae_params(model), grads):

@@ -18,8 +18,8 @@ Training computes in float32 on float64 master weights (see ``numerics``):
 every step runs forward and backward on a float32 copy of the model and a
 float32 minibatch, and Adam updates the float64 parameters.  The K-Means
 refits encode in float32 and fit in float64; losses are accumulated and
-logged in float64.  Saved models, ``encode`` and the feature extractors are
-float64, so a model encodes exactly like its saved file.
+logged in float64.  Saved models and the feature extractors are float64, so
+a model encodes exactly like its saved file.
 """
 
 import functools
@@ -161,26 +161,6 @@ def mcae_init(domain_ids, seed, input_dim=192, hidden_dim=100, feature_dim=10):
     return McaeModel(domain_ids=list(domain_ids), encoders=encoders, decoders=decoders)
 
 
-def _domain_layers(model, table, domain_id):
-    try:
-        return table[domain_id]
-    except KeyError:
-        raise KeyError(f"unknown domain {domain_id!r}") from None
-
-
-def encode(model, domain_id, patch):
-    """Encode [-1, 1] patch vector(s) to feature vector(s) in (-1, 1)."""
-    layers = _domain_layers(model, model.encoders, domain_id)
-    x = np.asarray(patch, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
-    if x.size and np.abs(x).max() > 1.0 + 1e-9:
-        raise ValueError("patch values must lie in [-1, 1]")
-    out = mlp_forward(layers, x)
-    return out[0] if single else out
-
-
 def _float_array(values):
     """float32 arrays as they are, anything else as float64."""
     values = np.asarray(values)
@@ -231,10 +211,6 @@ def mcae_params(model):
     return params
 
 
-def _compute_dtype(model):
-    return model.encoders[model.domain_ids[0]][0].weights.dtype
-
-
 def _float32_copy(model):
     """The model with float32 copies of its layers, sharing the K-Means state."""
     return McaeModel(
@@ -245,58 +221,34 @@ def _float32_copy(model):
     )
 
 
-def _forward_all(model, patches):
+def combined_loss_and_grads(model, patches, labels=None):
+    """Total loss, per-term breakdown and analytic gradients for every parameter.
+
+    ``patches`` has shape (domains, patches, input_dim) with values in
+    [-1, 1], ordered like ``model.domain_ids``; they are cast to the dtype of
+    the model's weights, in which everything is computed, gradients included.
+    The loss values are float64.  Labels default to the current K-Means
+    assignment of the anchor domain's features.
+    """
+    dtype = model.encoders[model.domain_ids[0]][0].weights.dtype
+    patches = np.asarray(patches, dtype=dtype)
+    if model.kmeans is None:
+        raise ValueError("K-Means state not fitted")
+    n_dom, n_patch, n_in = patches.shape
     features, recons, caches = [], [], []
     for i, domain in enumerate(model.domain_ids):
         enc_caches, dec_caches = [], []
-        z = mlp_forward(model.encoders[domain], patches[i], enc_caches)
-        r = mlp_forward(model.decoders[domain], z, dec_caches)
-        features.append(z)
-        recons.append(r)
+        features.append(mlp_forward(model.encoders[domain], patches[i], enc_caches))
+        recons.append(mlp_forward(model.decoders[domain], features[-1], dec_caches))
         caches.append((enc_caches, dec_caches))
-    return np.stack(features), recons, caches
-
-
-def _losses(model, target, z, recons, labels):
+    z = np.stack(features)
+    if labels is None:
+        labels = kmeans_assign(model.kmeans, z[0])
+    target = (patches + 1.0) / 2.0  # the decoder's (0, 1) range
     rec = reconstruction_loss(target, np.stack(recons))
     feat = feature_loss(z)
     clu = cluster_loss(z, model.kmeans, labels)
     breakdown = {"reconstruction": rec, "feature": feat, "cluster": clu}
-    return rec + feat + clu, breakdown
-
-
-def combined_loss(model, patches, labels=None):
-    """Total loss and per-term breakdown for aligned patch groups.
-
-    ``patches`` has shape (domains, patches, input_dim) with values in
-    [-1, 1], ordered like ``model.domain_ids``; they are cast to the dtype of
-    the model's weights.  Labels default to the current K-Means assignment
-    of the anchor domain's features.
-    """
-    patches = np.asarray(patches, dtype=_compute_dtype(model))
-    if model.kmeans is None:
-        raise ValueError("K-Means state not fitted")
-    z, recons, _ = _forward_all(model, patches)
-    if labels is None:
-        labels = kmeans_assign(model.kmeans, z[0])
-    return _losses(model, (patches + 1.0) / 2.0, z, recons, labels)
-
-
-def combined_loss_and_grads(model, patches, labels=None):
-    """Loss, breakdown, and analytic gradients for every model parameter.
-
-    Computes in the dtype of the model's weights, gradients included; the
-    loss values are float64.
-    """
-    patches = np.asarray(patches, dtype=_compute_dtype(model))
-    if model.kmeans is None:
-        raise ValueError("K-Means state not fitted")
-    n_dom, n_patch, n_in = patches.shape
-    z, recons, caches = _forward_all(model, patches)
-    if labels is None:
-        labels = kmeans_assign(model.kmeans, z[0])
-    target = (patches + 1.0) / 2.0  # the decoder's (0, 1) range
-    total, breakdown = _losses(model, target, z, recons, labels)
 
     n_feat = z.shape[2]
     mu = model.kmeans.centroids[np.asarray(labels)].astype(z.dtype, copy=False)
@@ -317,7 +269,7 @@ def combined_loss_and_grads(model, patches, labels=None):
         enc_grads = zero_grads(mlp_params(encoder))
         mlp_backward(encoder, enc_caches, dz, enc_grads, input_grad=False)
         grads.extend(enc_grads + dec_grads)
-    return total, breakdown, grads
+    return rec + feat + clu, breakdown, grads
 
 
 @dataclass
@@ -393,7 +345,7 @@ def train_mcae(model, train, config):
 
 def feature_extractor(model, domain_id):
     """The frozen encoder of one domain, with the model's [-1, 1] preprocessing."""
-    return FeatureExtractor(_domain_layers(model, model.encoders, domain_id), scale_to_pm1)
+    return FeatureExtractor(model.encoders[domain_id], scale_to_pm1)
 
 
 def save_mcae(model, path):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import featurize
-from .colour import SsimConfig, hsd_forward, rgb_to_od, ssim
+from .colour import hsd_forward, rgb_to_od, ssim
 
 NORMALIZE_EPSILON = 1e-8
 
@@ -122,9 +122,8 @@ def density_ssim_table(dataset):
     """Mean and std of density-plane SSIM per domain pair.
 
     The dynamic range for each comparison is the maximum density observed
-    over the pair, matching the SSIM configuration default.
+    over the pair (see ``colour.ssim``).
     """
-    config = SsimConfig()
     pairs = domain_pairs(dataset.domain_ids)
     scores = {pair: [] for pair in pairs}
     for triplet in dataset.triplets:
@@ -133,7 +132,7 @@ def density_ssim_table(dataset):
             for d in dataset.domain_ids
         }
         for pair in pairs:
-            scores[pair].append(ssim(density[pair[0]], density[pair[1]], config))
+            scores[pair].append(ssim(density[pair[0]], density[pair[1]]))
     return [
         {
             "pair": f"{pair[0]}-{pair[1]}",

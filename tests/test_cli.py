@@ -236,6 +236,29 @@ def test_head_for_other_feature_dim_is_usage_error(tmp_path, capsys):
     _assert_usage_error_naming(code, capsys, head)
 
 
+def _two_class_set(directory):
+    data = classifier.generate_labeled_set(2, seed=1)
+    keep = data.labels < 2
+    classifier.save_labeled_set(classifier.LabeledImageSet(
+        [image for image, k in zip(data.images, keep) if k], data.labels[keep],
+        data.class_names[:2]), directory)
+    return ["--labeled-dir", str(directory)]
+
+
+@pytest.mark.parametrize("head_classes, n_classes", [(3, 2), (2, 3)])
+def test_head_for_other_class_count_is_usage_error(tmp_path, capsys, head_classes, n_classes):
+    model, head = tmp_path / "model.json", tmp_path / "head.json"
+    _save_model(model)
+    classifier.save_head(classifier.head_init(head_classes, seed=0), head)
+    labeled = _two_class_set(tmp_path / "labeled") if n_classes == 2 else ["--per-class", "2"]
+    code = main(["eval-clf", "--model", str(model), "--head", str(head), *labeled,
+                 "--out-dir", str(tmp_path / "c")])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert str(head) in message
+    assert f"{head_classes} classes" in message and f"has {n_classes}" in message
+
+
 def test_train_clf_without_validation_split_leaves_cell_empty(tmp_path):
     model = tmp_path / "model.json"
     _save_model(model)
@@ -326,6 +349,17 @@ def test_train_mcae_fewer_sub_patches_than_k_is_usage_error(tmp_path, capsys):
     # with k at the count the same data trains
     assert main(["train-mcae", "--dataset", str(ds), "--epochs", "1", "--k", "1",
                  "--kmeans-sample", "1", "--out-dir", str(out)]) == 0
+
+
+def test_train_mcae_on_one_domain_is_usage_error(tiny_dataset, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, ds)
+    manifest = json.loads((ds / "manifest.json").read_text())
+    manifest["domains"] = ["A"]
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["train-mcae", "--dataset", str(ds), "--epochs", "0",
+                 "--out-dir", str(tmp_path / "o")])
+    _assert_usage_error_naming(code, capsys, ds)
 
 
 def test_train_mcae_on_mixed_image_sizes_is_usage_error(tmp_path, capsys):
@@ -602,6 +636,12 @@ def _assert_listing_error(code, capsys, listing, key):
     pytest.param({"domains": ["A", "B"], "triplets": [{"paths": {"A": "triplet_00000_A.ppm"}}]},
                  "'B'", id="no-path-for-domain"),
     pytest.param({"domains": ["A", "B"], "triplets": []}, "'triplets' is empty", id="no-triplet"),
+    pytest.param({"domains": [], "triplets": [{"paths": {}}]}, "'domains'", id="domains-empty"),
+    pytest.param({"domains": ["A", "A", "B"], "triplets": [{"paths": {
+        "A": "triplet_00000_A.ppm", "B": "triplet_00000_B.ppm"}}]}, "'domains'",
+        id="domains-repeated"),
+    pytest.param({"domains": [1, 2], "triplets": [{"paths": {}}]}, "'domains'",
+                 id="domains-not-strings"),
 ])
 def test_malformed_manifest_structure_is_usage_error(tiny_dataset, tmp_path, capsys, document,
                                                      key):
@@ -626,6 +666,13 @@ def test_malformed_manifest_structure_is_usage_error(tiny_dataset, tmp_path, cap
                  "class set", id="label-negative"),
     pytest.param({"classes": ["a"], "items": [{"path": "image_00000.ppm", "label": 1}]},
                  "class set", id="label-too-large"),
+    pytest.param({"classes": ["a"], "items": []}, "'items' is empty", id="no-item"),
+    pytest.param({"classes": [], "items": [{"path": "image_00000.ppm", "label": 0}]},
+                 "'classes'", id="classes-empty"),
+    pytest.param({"classes": [1, 2], "items": [{"path": "image_00000.ppm", "label": 0}]},
+                 "'classes'", id="classes-not-strings"),
+    pytest.param({"classes": ["a", "a"], "items": [{"path": "image_00000.ppm", "label": 0}]},
+                 "'classes'", id="classes-repeated"),
 ])
 def test_malformed_labels_structure_is_usage_error(tmp_path, capsys, document, key):
     model = tmp_path / "model.json"

@@ -8,11 +8,11 @@ from hypothesis.extra.numpy import arrays
 from staininv import dataset
 from staininv.cli import DEFAULT_PERTURBATIONS
 from staininv.colour import (
-    GamutError,
+    SSIM_K1,
+    SSIM_K2,
+    SSIM_WINDOW,
     HsdImage,
-    SsimConfig,
     hsd_forward,
-    hsd_inverse,
     hsd_inverse_clamped,
     od_to_rgb,
     rgb_to_od,
@@ -73,21 +73,21 @@ def test_hsd_background_flag():
 
 
 def test_hsd_inverse_grey():
-    od = hsd_inverse(HsdImage(np.float64(0), np.float64(0), np.float64(0.7), np.False_))
-    assert np.array_equal(od, [0.7, 0.7, 0.7])
+    od, clamped = hsd_inverse_clamped(
+        HsdImage(np.float64(0), np.float64(0), np.float64(0.7), np.False_)
+    )
+    assert clamped == 0 and np.array_equal(od, [0.7, 0.7, 0.7])
 
 
 def test_hsd_inverse_hand_value():
-    od = hsd_inverse(
+    od, clamped = hsd_inverse_clamped(
         HsdImage(np.float64(0.5), np.float64(0.0), np.float64(0.8 / 3.0), np.False_)
     )
-    assert np.allclose(od, [0.4, 0.2, 0.2], atol=1e-15)
+    assert clamped == 0 and np.allclose(od, [0.4, 0.2, 0.2], atol=1e-15)
 
 
 def test_hsd_inverse_gamut_error():
     bad = HsdImage(np.float64(-1.5), np.float64(0.0), np.float64(1.0), np.False_)
-    with pytest.raises(GamutError):
-        hsd_inverse(bad)
     od, clamped = hsd_inverse_clamped(bad)
     assert clamped == 1 and od.min() == 0.0
 
@@ -96,8 +96,8 @@ def test_hsd_inverse_gamut_error():
 @given(od_values, od_values, od_values)
 def test_property_hsd_roundtrip(r, g, b):
     od = np.array([r, g, b])
-    back = hsd_inverse(hsd_forward(od))
-    assert np.max(np.abs(back - od)) < 1e-12
+    back, clamped = hsd_inverse_clamped(hsd_forward(od))
+    assert clamped == 0 and np.max(np.abs(back - od)) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -113,9 +113,11 @@ def test_property_hsd_scale_invariance(r, g, b, lam):
 # --- ssim ---
 
 
-def _brute_force_ssim(a, b, window, k1, k2, dyn):
+def _brute_force_ssim(a, b):
     """Independent windowed SSIM: explicit loops, population statistics."""
-    c1, c2 = (k1 * dyn) ** 2, (k2 * dyn) ** 2
+    window = SSIM_WINDOW
+    dyn = max(a.max(), b.max())
+    c1, c2 = (SSIM_K1 * dyn) ** 2, (SSIM_K2 * dyn) ** 2
     h, w = a.shape
     scores = []
     for i in range(h - window + 1):
@@ -166,10 +168,8 @@ def test_ssim_matches_brute_force_and_inversion_low():
     rng = np.random.default_rng(9)
     img = rng.uniform(0.0, 1.0, size=(14, 14))
     inverted = 1.0 - img
-    config = SsimConfig()
-    dyn = max(img.max(), inverted.max())
-    expected = _brute_force_ssim(img, inverted, config.window, config.k1, config.k2, dyn)
-    got = ssim(img, inverted, config)
+    expected = _brute_force_ssim(img, inverted)
+    got = ssim(img, inverted)
     assert got == pytest.approx(expected, rel=1e-10)
     assert got < 0.5
 
@@ -188,59 +188,42 @@ def test_ssim_shape_errors():
         ssim(np.zeros((4, 4)), np.zeros((4, 4)))  # smaller than the window
 
 
-def test_ssim_small_window_config():
-    a = np.zeros((4, 4))
-    assert ssim(a, a, SsimConfig(window=3)) == 1.0
-
-
 @pytest.mark.parametrize(
-    "shape, window",
-    [((32, 32), 8), ((20, 13), 3), ((32, 32), 1), ((20, 13), 13), ((13, 20), 13)],
+    "shape",
+    # many windows; one window; a window that fills the height, then the width
+    [(32, 32), (20, 13), (8, 8), (8, 13), (13, 8)],
 )
-def test_ssim_summed_area_matches_brute_force(shape, window):
+def test_ssim_summed_area_matches_brute_force(shape):
     rng = np.random.default_rng(11)
     a = rng.uniform(0.0, 1.5, size=shape)
     b = np.clip(a + rng.normal(0.0, 0.2, size=shape), 0.0, None)
-    dyn = max(a.max(), b.max())
-    expected = _brute_force_ssim(a, b, window, 0.01, 0.03, dyn)
-    assert abs(ssim(a, b, SsimConfig(window=window)) - expected) <= 1e-12
+    assert abs(ssim(a, b) - _brute_force_ssim(a, b)) <= 1e-12
 
 
 @st.composite
 def _image_pairs(draw):
-    h = draw(st.integers(1, 24))
-    w = draw(st.integers(1, 24))
-    window = draw(st.integers(1, min(h, w)))
+    h = draw(st.integers(SSIM_WINDOW, 24))
+    w = draw(st.integers(SSIM_WINDOW, 24))
     # Zero (background) plus densities on the scale of real OD planes.
     values = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0))
     a = draw(arrays(np.float64, (h, w), elements=values))
     b = draw(arrays(np.float64, (h, w), elements=values))
-    return a, b, window
+    return a, b
 
 
 @settings(max_examples=200, deadline=None)
 @given(_image_pairs())
 def test_property_ssim_symmetric_and_self_one(pair):
-    a, b, window = pair
-    config = SsimConfig(window=window)
-    assert ssim(a, b, config) == ssim(b, a, config)
-    assert ssim(a, a, config) == 1.0
+    a, b = pair
+    assert ssim(a, b) == ssim(b, a)
+    assert ssim(a, a) == 1.0
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("window", 0), ("window", -2), ("window", 2.5), ("k1", 0.0), ("k2", -0.03)],
-)
-def test_ssim_rejects_bad_config(field, value):
-    with pytest.raises(ValueError, match=f"SsimConfig.{field}"):
-        ssim(np.ones((8, 8)), np.ones((8, 8)), SsimConfig(**{field: value}))
-
-
-def _sliding_window_ssim(a, b, config):
+def _sliding_window_ssim(a, b):
     """The former implementation: O(w²) window means over strided views."""
-    w = config.window
+    w = SSIM_WINDOW
     dyn = max(float(a.max()), float(b.max()))
-    c1, c2 = (config.k1 * dyn) ** 2, (config.k2 * dyn) ** 2
+    c1, c2 = (SSIM_K1 * dyn) ** 2, (SSIM_K2 * dyn) ** 2
     win_a = np.lib.stride_tricks.sliding_window_view(a, (w, w))
     win_b = np.lib.stride_tricks.sliding_window_view(b, (w, w))
     mu_a = win_a.mean(axis=(2, 3))
@@ -261,7 +244,6 @@ def test_density_ssim_table_matches_sliding_window_formula():
     }
     base = dataset.generate_base_images(8, 32, seed=21)
     ds = dataset.synth_triplets(base, perts, seed=21)
-    config = SsimConfig()
     table = density_ssim_table(ds)
     assert [row["pair"] for row in table] == ["A-B", "A-C", "B-C"]
     for row in table:
@@ -270,7 +252,6 @@ def test_density_ssim_table_matches_sliding_window_formula():
             _sliding_window_ssim(
                 hsd_forward(rgb_to_od(t[first].pixels)).density,
                 hsd_forward(rgb_to_od(t[second].pixels)).density,
-                config,
             )
             for t in ds.triplets
         ]

@@ -12,9 +12,7 @@ from staininv.mcae import (
     KMeansState,
     McaeTrainConfig,
     cluster_loss,
-    combined_loss,
     combined_loss_and_grads,
-    encode,
     feature_extractor,
     feature_loss,
     kmeans_assign,
@@ -130,25 +128,19 @@ def test_kmeans_deterministic():
 def test_encode_decode_shapes_and_ranges():
     model = mcae_init(["A", "B", "C"], seed=0)
     rng = np.random.default_rng(5)
-    patch = rng.uniform(-1, 1, size=192)
-    z = encode(model, "A", patch)
-    assert z.shape == (10,)
+    patch = rng.uniform(-1, 1, size=(1, 192))
+    z = mlp_forward(model.encoders["A"], patch)
+    assert z.shape == (1, 10)
     assert np.all(np.abs(z) < 1.0)
-    out = mlp_forward(model.decoders["A"], z[None])[0]
-    assert out.shape == (192,)
+    out = mlp_forward(model.decoders["A"], z)
+    assert out.shape == (1, 192)
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
 def test_encode_unknown_domain():
     model = mcae_init(["A", "B"], seed=0)
     with pytest.raises(KeyError):
-        encode(model, "Z", np.zeros(192))
-
-
-def test_encode_rejects_out_of_range():
-    model = mcae_init(["A", "B"], seed=0)
-    with pytest.raises(ValueError):
-        encode(model, "A", np.full(192, 1.5))
+        feature_extractor(model, "Z")
 
 
 def test_zero_model_outputs():
@@ -156,20 +148,22 @@ def test_zero_model_outputs():
     for layer in model.encoders["A"] + model.decoders["A"]:
         layer.weights[:] = 0.0
         layer.bias[:] = 0.0
-    assert np.all(encode(model, "A", np.random.default_rng(6).uniform(-1, 1, 192)) == 0.0)
+    patch = np.random.default_rng(6).uniform(-1, 1, (1, 192))
+    assert np.all(mlp_forward(model.encoders["A"], patch) == 0.0)
     assert np.all(mlp_forward(model.decoders["A"], np.zeros((1, 10))) == 0.5)
 
 
 def test_encode_empty_batch():
     model = mcae_init(["A", "B"], seed=0)
-    features = encode(model, "A", np.zeros((0, 192)))
+    features = feature_extractor(model, "A").encode_patches(np.zeros((0, 192), np.uint8))
     assert features.shape == (0, model.feature_dim)
 
 
 def test_encode_deterministic():
     model = mcae_init(["A", "B"], seed=0)
-    patch = np.random.default_rng(7).uniform(-1, 1, 192)
-    assert np.array_equal(encode(model, "A", patch), encode(model, "A", patch))
+    patch = np.random.default_rng(7).integers(0, 256, (1, 192), dtype=np.uint8)
+    extractor = feature_extractor(model, "A")
+    assert np.array_equal(extractor.encode_patches(patch), extractor.encode_patches(patch))
 
 
 # --- losses ---
@@ -258,7 +252,7 @@ def test_combined_loss_zero_at_fabricated_fixed_point():
             layer.bias[:] = 0.0
     patches = np.zeros((2, 3, 12))
     model.kmeans = KMeansState(centroids=np.zeros((1, 4)))
-    total, breakdown = combined_loss(model, patches)
+    total, breakdown, _ = combined_loss_and_grads(model, patches)
     assert total == 0.0
     assert set(breakdown) == {"reconstruction", "feature", "cluster"}
 
@@ -267,8 +261,8 @@ def test_combined_loss_is_sum_of_terms():
     model = mcae_init(["A", "B", "C"], seed=2, input_dim=12, hidden_dim=5, feature_dim=4)
     rng = np.random.default_rng(11)
     patches = rng.uniform(-1, 1, size=(3, 6, 12))
-    model.kmeans = kmeans_fit(encode(model, "A", patches[0]), k=2, seed=0)
-    total, breakdown = combined_loss(model, patches)
+    model.kmeans = kmeans_fit(mlp_forward(model.encoders["A"], patches[0]), k=2, seed=0)
+    total, breakdown, _ = combined_loss_and_grads(model, patches)
     assert total == pytest.approx(sum(breakdown.values()), abs=1e-12)
 
 
@@ -277,14 +271,14 @@ def test_combined_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     patches = rng.uniform(-0.9, 0.9, size=(3, 4, 192))
     model.kmeans = kmeans_fit(
-        encode(model, "A", patches[0]) + 0.05 * rng.normal(size=(4, 4)), k=2, seed=0
+        mlp_forward(model.encoders["A"], patches[0]) + 0.05 * rng.normal(size=(4, 4)), k=2, seed=0
     )
-    labels = kmeans_assign(model.kmeans, encode(model, "A", patches[0]))
+    labels = kmeans_assign(model.kmeans, mlp_forward(model.encoders["A"], patches[0]))
     _, _, grads = combined_loss_and_grads(model, patches, labels=labels)
     params = mcae_params(model)
 
     def loss(_v):
-        return combined_loss(model, patches, labels=labels)[0]
+        return combined_loss_and_grads(model, patches, labels=labels)[0]
 
     # spot-check a representative subset: every parameter of domain A's
     # encoder / decoder biases, plus full weight checks on small layers
@@ -314,9 +308,9 @@ def test_float32_gradients_agree_with_float64():
     rng = np.random.default_rng(12)
     patches = rng.uniform(-0.9, 0.9, size=(3, 16, 192))
     model.kmeans = kmeans_fit(
-        encode(model, "A", patches[0]) + 0.05 * rng.normal(size=(16, 4)), k=2, seed=0
+        mlp_forward(model.encoders["A"], patches[0]) + 0.05 * rng.normal(size=(16, 4)), k=2, seed=0
     )
-    labels = kmeans_assign(model.kmeans, encode(model, "A", patches[0]))
+    labels = kmeans_assign(model.kmeans, mlp_forward(model.encoders["A"], patches[0]))
     total64, _, grads64 = combined_loss_and_grads(model, patches, labels=labels)
     total32, breakdown, grads32 = combined_loss_and_grads(
         _float32_copy(model), patches.astype(np.float32), labels=labels
@@ -422,7 +416,7 @@ def test_trained_model_beats_untrained_on_feature_loss():
     trained, _ = train_mcae(mcae_init(ds.domain_ids, seed=7), ds, config)
     untrained = mcae_init(ds.domain_ids, seed=7)
 
-    from staininv.dataset import extract_patches, scale_to_pm1
+    from staininv.dataset import extract_patches
 
     holdout = _tiny_dataset(25, n=6)
 
@@ -431,7 +425,7 @@ def test_trained_model_beats_untrained_on_feature_loss():
         for triplet in holdout.triplets:
             z = np.stack(
                 [
-                    encode(model, d, scale_to_pm1(extract_patches(triplet[d], 8, 8)))
+                    feature_extractor(model, d).encode_patches(extract_patches(triplet[d], 8, 8))
                     for d in holdout.domain_ids
                 ]
             )
