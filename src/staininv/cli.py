@@ -23,20 +23,12 @@ from .numerics import derive_seed, mlp_forward
 from .persist import UsageError
 
 
-DEFAULT_PERTURBATIONS = {
-    "B": {"rotation": 0.55, "scale": [1.08, 0.92], "offset": [0.03, 0.02],
-          "density_gain": 1.0},
-    "C": {"rotation": -0.5, "scale": [0.93, 1.07], "offset": [-0.02, 0.04],
-          "density_gain": 1.0},
-}
-
-
 @dataclass(frozen=True)
 class Setting:
-    """One config key.  Dict keys are config-file only; a None default is left
-    to the command (the first domain of the dataset or model)."""
+    """One config key and its flag.  A None default is left to the command (the first
+    domain of the dataset or model)."""
 
-    kind: object  # int, float, str, dict, or a tuple of allowed strings
+    kind: object  # int, float, str, or a tuple of allowed strings
     default: object
     bound: str = ""  # a key of persist.BOUNDS
 
@@ -46,7 +38,6 @@ SETTINGS = {
     "seed": Setting(int, 0),
     "synth.triplets": Setting(int, 200, ">= 1"),
     "synth.size": Setting(int, 32, ">= 8 and a multiple of 8"),
-    "synth.perturbations": Setting(dict, DEFAULT_PERTURBATIONS),
     "mcae.epochs": Setting(int, mcae.McaeTrainConfig.epochs, ">= 0"),
     "mcae.lr": Setting(float, mcae.McaeTrainConfig.lr, "> 0"),
     "mcae.batch": Setting(int, mcae.McaeTrainConfig.batch, ">= 1"),
@@ -57,7 +48,6 @@ SETTINGS = {
     "stanosa.lr": Setting(float, stanosa.StanosaTrainConfig.lr, "> 0"),
     "stanosa.batch": Setting(int, stanosa.StanosaTrainConfig.batch, ">= 1"),
     "stanosa.stride": Setting(int, 8, ">= 1"),
-    "stanosa.zca_sample": Setting(int, stanosa.StanosaTrainConfig.zca_sample, ">= 1"),
     "stanosa.domain": Setting(str, None),
     "nfmse.split": Setting(("train", "test", "all"), "test"),
     "hsd.pixels": Setting(int, 2000, ">= 1"),
@@ -65,22 +55,17 @@ SETTINGS = {
     "classifier.lr": Setting(float, classifier.ClassifierTrainConfig.lr, "> 0"),
     "classifier.batch": Setting(int, classifier.ClassifierTrainConfig.batch, ">= 1"),
     "classifier.per_class": Setting(int, 60, ">= 1"),
-    "classifier.size": Setting(int, 32, ">= 8 and a multiple of 8"),
     "classifier.domain": Setting(str, None),
     "cyclegan.epochs": Setting(int, cyclegan.CycleGanConfig.epochs, ">= 0"),
     "cyclegan.batch": Setting(int, cyclegan.CycleGanConfig.batch, ">= 1"),
-    "cyclegan.lr": Setting(float, cyclegan.CycleGanConfig.lr, "> 0"),
-    "cyclegan.lambda1": Setting(float, cyclegan.CycleGanConfig.lambda1, ">= 0"),
-    "cyclegan.lambda2": Setting(float, cyclegan.CycleGanConfig.lambda2, ">= 0"),
     "cyclegan.patches": Setting(int, 256, ">= 1"),
 }
 _BLOCKS = {name.partition(".")[0] for name in SETTINGS if "." in name}
 
 
 def flag(name):
-    """The command-line flag of a setting, or None for a config-file-only key."""
-    if SETTINGS[name].kind is not dict:
-        return "--" + name.rpartition(".")[2].replace("_", "-")
+    """The command-line flag of a setting."""
+    return "--" + name.rpartition(".")[2].replace("_", "-")
 
 
 def describe(name):
@@ -91,11 +76,7 @@ def describe(name):
 def _checked(name, value):
     """The value as the setting's type, or a UsageError naming the key and its flag."""
     setting = SETTINGS[name]
-    value = persist.checked(value, setting.kind, f"{name} ({flag(name) or 'config file only'})",
-                            setting.bound)
-    if setting.kind is dict:
-        dataset.perturbations_from_config(value, name)
-    return value
+    return persist.checked(value, setting.kind, f"{name} ({flag(name)})", setting.bound)
 
 
 def load_config(path):
@@ -123,7 +104,7 @@ def resolve(command, args, config):
     values = {}
     for name in ("seed", *spec.settings):
         key = name.rpartition(".")[2]
-        value = getattr(args, key, None)  # None also for config-file-only keys
+        value = getattr(args, key, None)
         if value is None:
             value = config.get(name, SETTINGS[name].default)
         if value is not None:
@@ -183,15 +164,10 @@ def _grid_cells(image, stride, size=8):
 
 
 def cmd_synth(args, s, out_dir, seed):
-    perts = dataset.perturbations_from_config(s["perturbations"], "synth.perturbations")
     synth_seed = derive_seed(seed, "synth")
     base = dataset.generate_base_images(s["triplets"], s["size"], seed=synth_seed)
-    ds = dataset.synth_triplets(base, perts, seed=synth_seed)
-    dataset.save_dataset(ds, out_dir)
-    names = [
-        f"triplet_{i:05d}_{d}.ppm" for i in range(len(ds)) for d in ds.domain_ids
-    ]
-    return ["manifest.json", *names]
+    ds = dataset.synth_triplets(base, dataset.PERTURBATIONS, seed=synth_seed)
+    return dataset.save_dataset(ds, out_dir)
 
 
 def cmd_train_mcae(args, s, out_dir, seed):
@@ -248,10 +224,19 @@ def cmd_eval_nfmse(args, s, out_dir, seed):
     else:
         train, test = _train_split(ds, seed)
         part = train if s["split"] == "train" else test
-    outputs = []
-    summary = {"split": s["split"], "triplets": len(part), "models": {}}
+    if not len(part):  # the 80/20 split leaves no test triplet in a set of 1 or 2
+        raise UsageError(f"nfmse.split (--split) {s['split']!r} of the dataset {args.dataset} "
+                         f"is empty: the dataset has {len(ds)} triplet(s)")
+    models = {}
     for path in args.model:
         kind, extractors = _extractors(path, ds.domain_ids, "the dataset domains")
+        if kind in models:
+            raise UsageError(f"--model {path} is a second {kind} model after "
+                             f"{models[kind][0]}: give one model of each kind")
+        models[kind] = path, extractors
+    outputs = []
+    summary = {"split": s["split"], "triplets": len(part), "models": {}}
+    for kind, (path, extractors) in models.items():
         rows, stats = metrics.nfmse_per_triplet(extractors, part)
         name = f"nfmse_{kind}.csv"
         persist.write_csv(os.path.join(out_dir, name), ["triplet_id", "pair", "value"], rows)
@@ -282,9 +267,7 @@ def cmd_eval_hsd(args, s, out_dir, seed):
 def _labeled_data(args, s, seed):
     if args.labeled_dir:
         return classifier.load_labeled_set(args.labeled_dir)
-    return classifier.generate_labeled_set(
-        s["per_class"], size=s["size"], seed=derive_seed(seed, "labeled")
-    )
+    return classifier.generate_labeled_set(s["per_class"], seed=derive_seed(seed, "labeled"))
 
 
 def _classifier_extractor(args, s):
@@ -322,6 +305,10 @@ def cmd_eval_clf(args, s, out_dir, seed):
         raise UsageError(f"head {args.head} predicts {head.n_classes} classes, the labelled "
                          f"set has {len(data.class_names)}")
     _, _, test = classifier.split_labeled(data, seed=derive_seed(seed, "clf-split"))
+    if not len(test):  # 75/5/20 leaves none of 1 or 2 items; a generated set has 3 or more
+        raise UsageError(f"the test split of the labelled set "
+                         f"{os.path.join(args.labeled_dir, 'labels.json')} is empty: the set "
+                         f"has {len(data)} item(s)")
     y_true, y_pred = classifier.evaluate_classifier(extractor, head, test)
     report = metrics.classification_report(y_true, y_pred, data.class_names)
     persist.write_csv(os.path.join(out_dir, "clf_report.csv"), *metrics.report_table(report))
@@ -406,7 +393,7 @@ COMMANDS = {
     "train-clf": Command(cmd_train_clf, "train a classifier head on frozen features",
                          "classifier", inputs=_LABELED),
     "eval-clf": Command(cmd_eval_clf, "classification report on the test split", "classifier",
-                        keys=("per_class", "size", "domain"),
+                        keys=("per_class", "domain"),
                         inputs={**_LABELED, "--head": {"required": True}}),
     "train-cyclegan-toy": Command(cmd_train_cyclegan_toy, "toy adversarial stain transfer",
                                   "cyclegan"),
@@ -426,7 +413,7 @@ def build_parser():
         p.add_argument("--out-dir", required=True, help="output directory")
         for path_flag, options in spec.inputs.items():
             p.add_argument(path_flag, **options)
-        for name in filter(flag, ("seed", *spec.settings)):
+        for name in ("seed", *spec.settings):
             kind, default = SETTINGS[name].kind, SETTINGS[name].default
             typing = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             p.add_argument(flag(name), **typing, help=f"{name}: {describe(name)}, default "

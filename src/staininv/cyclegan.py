@@ -6,7 +6,7 @@ DenseLayer list, run with ``numerics.mlp_forward``.  The objective combines
 log-likelihood GAN terms for both directions with weighted identity and
 cycle-consistency l1 penalties:
 
-    total = gan(F) + gan(G) + lambda1 * identity + lambda2 * cycle
+    total = gan(F) + gan(G) + LAMBDA1 * identity + LAMBDA2 * cycle
 
 Training alternates a four-step generator pass (identity, cross-domain GAN
 scoring, cycle-back, weighted sum + Adam) with a discriminator ascent pass.
@@ -34,6 +34,10 @@ from .numerics import (
 )
 
 PROB_CLAMP = 1e-9  # keeps the log terms bounded
+# Zhu et al.'s weights: cycle weight lambda, identity weight 0.5 * lambda, Adam at 2e-4
+LAMBDA1 = 5.0  # identity weight
+LAMBDA2 = 10.0  # cycle weight
+LR = 0.0002
 
 
 def generator_init(dim, rng, hidden=64):
@@ -91,28 +95,23 @@ def cycle_loss(f, g, batch_a, batch_b):
             + _l1(mlp_forward(f, mlp_forward(g, b)) - b))
 
 
-def full_objective(losses, config):
-    """gan_f + gan_g + lambda1 * identity + lambda2 * cycle."""
+def full_objective(losses):
+    """gan_f + gan_g + LAMBDA1 * identity + LAMBDA2 * cycle."""
     return (
         losses["gan_f"]
         + losses["gan_g"]
-        + config.lambda1 * losses["identity"]
-        + config.lambda2 * losses["cycle"]
+        + LAMBDA1 * losses["identity"]
+        + LAMBDA2 * losses["cycle"]
     )
 
 
 @dataclass
 class CycleGanConfig:
-    lambda1: float = 5.0  # identity weight
-    lambda2: float = 10.0  # cycle weight
-    lr: float = 0.0002
     epochs: int = 200
     batch: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be non-negative")
         if self.batch < 1:
             raise ValueError(f"batch must be at least 1, got {self.batch}")
 
@@ -129,7 +128,7 @@ def _dlog_one_minus(scores, n):
     return np.where(inside, -1.0 / (n * (1.0 - _clamp(scores))), 0.0)
 
 
-def _generator_pass(f, g, d_a, d_b, a, b, config):
+def _generator_pass(f, g, d_a, d_b, a, b):
     """Steps 1-4 for one minibatch: losses, and gradients for F and G.
 
     Steps 1-3 run once per direction: F maps a towards B, scored by D_B and
@@ -149,7 +148,7 @@ def _generator_pass(f, g, d_a, d_b, a, b, config):
         caches = []
         same = mlp_forward(back, src, caches)
         l_identity += _l1(same - src)
-        mlp_backward(back, caches, config.lambda1 * np.sign(same - src) / n,
+        mlp_backward(back, caches, LAMBDA1 * np.sign(same - src) / n,
                      back_grads, input_grad=False)
 
         # step 2: cross-domain mapping, scored by the target discriminator
@@ -163,7 +162,7 @@ def _generator_pass(f, g, d_a, d_b, a, b, config):
         caches = []
         rec = mlp_forward(back, fake, caches)
         l_cycle += _l1(rec - src)
-        d_cyc = mlp_backward(back, caches, config.lambda2 * np.sign(rec - src) / n,
+        d_cyc = mlp_backward(back, caches, LAMBDA2 * np.sign(rec - src) / n,
                              back_grads)
         folds.append((gen, gen_caches, d_fake + d_cyc, gen_grads))
 
@@ -214,8 +213,8 @@ def train_cyclegan(domain_a, domain_b, config):
 
     gen_params = mlp_params(f) + mlp_params(g)
     disc_params = mlp_params(d_a) + mlp_params(d_b)
-    gen_adam = adam_init(gen_params, config.lr)
-    disc_adam = adam_init(disc_params, config.lr)
+    gen_adam = adam_init(gen_params, LR)
+    disc_adam = adam_init(disc_params, LR)
 
     batch = min(config.batch, a_all.shape[0], b_all.shape[0])
     steps = min(a_all.shape[0], b_all.shape[0]) // batch
@@ -228,7 +227,7 @@ def train_cyclegan(domain_a, domain_b, config):
         for step, (idx_a, idx_b) in enumerate(islice(pairs, steps)):
             a, b = a_all[idx_a], b_all[idx_b]
 
-            losses, f_grads, g_grads = _generator_pass(f, g, d_a, d_b, a, b, config)
+            losses, f_grads, g_grads = _generator_pass(f, g, d_a, d_b, a, b)
             adam_step(gen_adam, gen_params, f_grads + g_grads, epoch)
 
             fake_b = mlp_forward(f, a)
@@ -245,7 +244,7 @@ def train_cyclegan(domain_a, domain_b, config):
                     "l_gan_f": losses["gan_f"],
                     "l_gan_g": losses["gan_g"],
                     "l_cycle": losses["cycle"],
-                    "l_total_gen": full_objective(losses, config),
+                    "l_total_gen": full_objective(losses),
                     "l_disc_a": l_disc_a,
                     "l_disc_b": l_disc_b,
                 }

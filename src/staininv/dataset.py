@@ -213,13 +213,7 @@ def zca_apply(transform, patch):
     )
 
 
-#: field of a StainPerturbation -> (how many numbers it holds, their bound)
-_PERTURBATION_FIELDS = {
-    "rotation": (1, ""), "scale": (2, "> 0"), "offset": (2, ""), "density_gain": (1, "> 0"),
-}
-
-
-@dataclass
+@dataclass(frozen=True)
 class StainPerturbation:
     """Parametric chroma transform in HSD space (identity by default).
 
@@ -233,31 +227,13 @@ class StainPerturbation:
     offset: tuple = (0.0, 0.0)
     density_gain: float = 1.0
 
-    @classmethod
-    def from_dict(cls, record, what="perturbation"):
-        """A perturbation from a JSON object of some of its fields; a UsageError names
-        ``what.key`` of a bad or unknown key."""
-        fields = {}
-        for key, value in checked(record, dict, what).items():
-            if key not in _PERTURBATION_FIELDS:
-                raise UsageError(f"unknown config key '{what}.{key}'")
-            count, bound = _PERTURBATION_FIELDS[key]
-            if count == 1:
-                fields[key] = checked(value, float, f"{what}.{key}", bound)
-            elif isinstance(value, list) and len(value) == 2:
-                fields[key] = tuple(checked(v, float, f"{what}.{key}", bound) for v in value)
-            else:
-                raise UsageError(f"{what}.{key} must be a list of two numbers, got {value!r}")
-        return cls(**fields)
 
-
-def perturbations_from_config(table, what):
-    """{domain: StainPerturbation} of a ``synth.perturbations`` table, checked; a UsageError
-    names ``what.domain`` or ``what.domain.key``."""
-    if REFERENCE_DOMAIN in table:
-        raise UsageError(f"{what}.{REFERENCE_DOMAIN} must be absent: {REFERENCE_DOMAIN} is "
-                         "the reference domain, left unperturbed")
-    return {d: StainPerturbation.from_dict(entry, f"{what}.{d}") for d, entry in table.items()}
+#: the perturbed domains of ``synth``, each a fixed chroma shift of ``REFERENCE_DOMAIN``;
+#: they stand in for the paper's CycleGAN-translated stain domains
+PERTURBATIONS = {
+    "B": StainPerturbation(rotation=0.55, scale=(1.08, 0.92), offset=(0.03, 0.02)),
+    "C": StainPerturbation(rotation=-0.5, scale=(0.93, 1.07), offset=(-0.02, 0.04)),
+}
 
 
 def perturb_image(image, perturbation):
@@ -344,7 +320,8 @@ def split(dataset, seed):
 
 
 def save_dataset(dataset, directory):
-    """Write PPM images plus a manifest.json naming them."""
+    """Write PPM images plus a manifest.json naming them; return the names of the files
+    written."""
     os.makedirs(directory, exist_ok=True)
     entries = []
     for i, triplet in enumerate(dataset.triplets):
@@ -358,6 +335,7 @@ def save_dataset(dataset, directory):
     manifest["domains"] = list(dataset.domain_ids)
     manifest["triplets"] = entries
     write_json(os.path.join(directory, "manifest.json"), manifest)
+    return [*(name for entry in entries for name in entry["paths"].values()), "manifest.json"]
 
 
 def listed_value(record, key, kind, path, where="the root"):

@@ -101,7 +101,6 @@ def check_cyclegan_generators(seed):
     d_b = cyclegan.discriminator_init(dim, rng, hidden=4)
     a = rng.uniform(0.1, 0.9, (2, dim))
     b = rng.uniform(0.1, 0.9, (2, dim))
-    config = cyclegan.CycleGanConfig(lambda1=5.0, lambda2=10.0)
 
     def loss():
         l_id = cyclegan.identity_loss(f, g, a, b)
@@ -109,9 +108,9 @@ def check_cyclegan_generators(seed):
         sb = np.clip(cyclegan.discriminate(d_b, mlp_forward(f, a)), 1e-9, 1 - 1e-9)
         sa = np.clip(cyclegan.discriminate(d_a, mlp_forward(g, b)), 1e-9, 1 - 1e-9)
         adv = float(-np.mean(np.log(sb)) - np.mean(np.log(sa)))
-        return config.lambda1 * l_id + config.lambda2 * l_cyc + adv
+        return cyclegan.LAMBDA1 * l_id + cyclegan.LAMBDA2 * l_cyc + adv
 
-    _, f_grads, g_grads = cyclegan._generator_pass(f, g, d_a, d_b, a, b, config)
+    _, f_grads, g_grads = cyclegan._generator_pass(f, g, d_a, d_b, a, b)
     pairs = list(zip(mlp_params(f) + mlp_params(g), f_grads + g_grads))
     return _check_params(loss, pairs)
 

@@ -51,12 +51,14 @@ def stanosa_preprocess(patch, zca):
     return zca_apply(zca, gcn(patch))
 
 
+ZCA_SAMPLE = 100000  # most training patches the whitening transform is fitted on
+
+
 @dataclass
 class StanosaTrainConfig:
     epochs: int = 300
     lr: float = 0.0002
     batch: int = 256  # patch vectors per minibatch
-    zca_sample: int = 100000
     seed: int = 0
 
 
@@ -65,7 +67,7 @@ def train_stanosa(model, patches, config):
 
     ``patches`` may be uint8, as ``extract_patches`` returns them, or any real
     dtype holding the same values: the model and log are the same.  Fits the
-    whitening transform on up to ``zca_sample`` randomly chosen training
+    whitening transform on up to ``ZCA_SAMPLE`` randomly chosen training
     patches if the model does not carry one yet.  The decoder's sigmoid
     output is matched against the whitened input mapped affinely to [0, 1]
     and clipped, one minibatch at a time.  Each step computes in float32 on a
@@ -76,7 +78,7 @@ def train_stanosa(model, patches, config):
         raise ValueError("expected a non-empty (patches, dims) matrix")
     if model.zca is None:
         rng = np.random.default_rng(derive_seed(config.seed, "zca-sample"))
-        n = min(config.zca_sample, patches.shape[0])
+        n = min(ZCA_SAMPLE, patches.shape[0])
         sample = patches[rng.choice(patches.shape[0], size=n, replace=False)]
         model.zca = zca_fit(gcn(sample))
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from staininv import classifier, cyclegan, dataset, mcae, metrics, stanosa
-from staininv.cli import DEFAULT_PERTURBATIONS, _toy_colour_domains, main
+from staininv.cli import _toy_colour_domains, main
 from staininv.colour import hsd_forward, hsd_inverse_clamped
 from staininv.gradcheck import run_grad_checks
 from staininv.metrics import (
@@ -51,11 +51,7 @@ def run_desk(seed):
     timings = {}
     t0 = time.perf_counter()
     base = dataset.generate_base_images(2000, 32, seed=seed)
-    perts = {
-        d: dataset.StainPerturbation.from_dict(p)
-        for d, p in DEFAULT_PERTURBATIONS.items()
-    }
-    ds = dataset.synth_triplets(base, perts, seed=seed)
+    ds = dataset.synth_triplets(base, dataset.PERTURBATIONS, seed=seed)
     train, test = dataset.split(ds, seed=seed)
     timings["synth"] = time.perf_counter() - t0
 
@@ -231,7 +227,7 @@ def test_criterion_06_density_preservation(desk_run):
 def test_criterion_07_cyclegan_toy_convergence():
     started = time.perf_counter()
     domain_a, domain_b = _toy_colour_domains(256, seed=99)
-    config = cyclegan.CycleGanConfig(epochs=200, batch=32, lr=0.0002, seed=3)
+    config = cyclegan.CycleGanConfig(epochs=200, batch=32, seed=3)
     f, _, _, _, history = cyclegan.train_cyclegan(domain_a, domain_b, config)
     mapped = mlp_forward(f, domain_a).reshape(-1, 16, 3).mean(axis=(0, 1))
     mean_a = domain_a.reshape(-1, 16, 3).mean(axis=(0, 1))

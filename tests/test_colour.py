@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from staininv import dataset
-from staininv.cli import DEFAULT_PERTURBATIONS
 from staininv.colour import (
     SSIM_K1,
     SSIM_K2,
@@ -238,12 +237,8 @@ def _sliding_window_ssim(a, b):
 
 
 def test_density_ssim_table_matches_sliding_window_formula():
-    perts = {
-        d: dataset.StainPerturbation.from_dict(p)
-        for d, p in DEFAULT_PERTURBATIONS.items()
-    }
     base = dataset.generate_base_images(8, 32, seed=21)
-    ds = dataset.synth_triplets(base, perts, seed=21)
+    ds = dataset.synth_triplets(base, dataset.PERTURBATIONS, seed=21)
     table = density_ssim_table(ds)
     assert [row["pair"] for row in table] == ["A-B", "A-C", "B-C"]
     for row in table:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from staininv.cyclegan import (
+    LAMBDA1,
+    LAMBDA2,
     CycleGanConfig,
     _discriminator_pass,
     _generator_pass,
@@ -107,21 +109,11 @@ def test_cycle_loss_two_point_hand_composition():
 
 
 def test_full_objective_weighting():
+    # Zhu et al.'s weights: identity 5, cycle 10
+    assert (LAMBDA1, LAMBDA2) == (5.0, 10.0)
     losses = {"gan_f": -1.0, "gan_g": -2.0, "identity": 3.0, "cycle": 4.0}
-    cfg0 = CycleGanConfig(lambda1=0.0, lambda2=0.0)
-    assert full_objective(losses, cfg0) == -3.0
-    cfg1 = CycleGanConfig(lambda1=1.0, lambda2=0.0)
-    cfg2 = CycleGanConfig(lambda1=2.0, lambda2=0.0)
-    assert full_objective(losses, cfg2) - full_objective(losses, cfg1) == pytest.approx(3.0)
-    rng = np.random.default_rng(6)
-    cfg = CycleGanConfig(lambda1=rng.uniform(0, 5), lambda2=rng.uniform(0, 5))
-    recomputed = (
-        losses["gan_f"]
-        + losses["gan_g"]
-        + cfg.lambda1 * losses["identity"]
-        + cfg.lambda2 * losses["cycle"]
-    )
-    assert full_objective(losses, cfg) == pytest.approx(recomputed, abs=1e-12)
+    assert full_objective(losses) == -1.0 - 2.0 + 5.0 * 3.0 + 10.0 * 4.0
+    assert full_objective({**losses, "identity": 0.0, "cycle": 0.0}) == -3.0
 
 
 def test_losses_batch_permutation_invariant():
@@ -141,14 +133,14 @@ def test_losses_batch_permutation_invariant():
 # --- gradients ---
 
 
-def _gen_objective(f, g, d_a, d_b, a, b, config):
+def _gen_objective(f, g, d_a, d_b, a, b):
     """The objective the generator phase descends, recomputed from scratch."""
     l_id = identity_loss(f, g, a, b)
     l_cyc = cycle_loss(f, g, a, b)
     fake_b_scores = np.clip(discriminate(d_b, mlp_forward(f, a)), 1e-9, 1 - 1e-9)
     fake_a_scores = np.clip(discriminate(d_a, mlp_forward(g, b)), 1e-9, 1 - 1e-9)
     adv = float(-np.mean(np.log(fake_b_scores)) - np.mean(np.log(fake_a_scores)))
-    return config.lambda1 * l_id + config.lambda2 * l_cyc + adv
+    return LAMBDA1 * l_id + LAMBDA2 * l_cyc + adv
 
 
 def test_generator_gradients_match_finite_differences():
@@ -160,14 +152,12 @@ def test_generator_gradients_match_finite_differences():
     d_b = discriminator_init(dim, rng, hidden=4)
     a = rng.uniform(0.1, 0.9, (2, dim))
     b = rng.uniform(0.1, 0.9, (2, dim))
-    config = CycleGanConfig(lambda1=5.0, lambda2=10.0)
-
-    _, f_grads, g_grads = _generator_pass(f, g, d_a, d_b, a, b, config)
+    _, f_grads, g_grads = _generator_pass(f, g, d_a, d_b, a, b)
     analytic = f_grads + g_grads
     params = mlp_params(f) + mlp_params(g)
     for param, grad in zip(params, analytic):
         numeric = finite_diff_grad(
-            lambda _v: _gen_objective(f, g, d_a, d_b, a, b, config), param
+            lambda _v: _gen_objective(f, g, d_a, d_b, a, b), param
         )
         assert max_relative_error(grad, numeric) < 1e-4
 
@@ -213,7 +203,7 @@ def test_train_cyclegan_smoke_and_history_schema():
     rng = np.random.default_rng(11)
     a = np.clip(rng.normal([0.7, 0.3, 0.3] * 16, 0.05, (64, 48)), 0, 1)
     b = np.clip(rng.normal([0.3, 0.3, 0.7] * 16, 0.05, (64, 48)), 0, 1)
-    config = CycleGanConfig(epochs=3, batch=16, lr=0.001, seed=0)
+    config = CycleGanConfig(epochs=3, batch=16, seed=0)
     f, g, d_a, d_b, history = train_cyclegan(a, b, config)
     assert len(history) == 3 * 4
     row = history[0]

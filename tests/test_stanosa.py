@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from staininv import dataset
+from staininv import dataset, stanosa
 from staininv.dataset import extract_patches, gcn, generate_base_images, zca_apply, zca_fit
 from staininv.mcae import mcae_init
 from staininv.stanosa import (
@@ -105,11 +105,13 @@ def test_train_deterministic_bitwise(tmp_path):
         assert np.array_equal(l1.weights, l2.weights)
 
 
-def test_train_on_bytes_equals_train_on_their_float64_cast(tmp_path):
-    # more rows than one GCN/whitening block, so the blocked path runs
+def test_train_on_bytes_equals_train_on_their_float64_cast(tmp_path, monkeypatch):
+    # more rows than one GCN/whitening block, so the blocked path runs, and more than the
+    # ZCA sample, so the whitening transform is fitted on a random subset
+    monkeypatch.setattr(stanosa, "ZCA_SAMPLE", 3000)
     data = _patches(8, n_images=70, size=64)
     assert data.dtype == np.uint8 and data.shape[0] > dataset._ROW_BLOCK
-    config = StanosaTrainConfig(epochs=1, batch=1000, zca_sample=3000, seed=6)
+    config = StanosaTrainConfig(epochs=1, batch=1000, seed=6)
     runs = []
     for patches in (data, data.astype(np.float64)):
         model, log = train_stanosa(stanosa_init(seed=5), patches, config)
