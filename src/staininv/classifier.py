@@ -169,7 +169,8 @@ def load_labeled_set(directory):
     A UsageError names the file when ``labels.json`` is missing or malformed
     (it needs ``classes``, a non-empty list of distinct names, and a non-empty
     ``items`` list, each with a ``path`` and a ``label`` in the class set), or
-    an image it lists fails ``load_listed_image``.
+    an image it lists fails ``load_listed_image`` or differs in size from the
+    first.
     """
     listing = os.path.join(directory, "labels.json")
     doc = persist.read_json_object(listing, "dataset listing")
@@ -181,7 +182,16 @@ def load_labeled_set(directory):
     for i, item in enumerate(items):
         name = listed_value(item, "path", str, listing, f"item {i}")
         labels.append(listed_value(item, "label", int, listing, f"item {i}"))
-        images.append(load_listed_image(os.path.join(directory, name)))
+        path = os.path.join(directory, name)
+        image = load_listed_image(path)
+        if not images:
+            first_path, first = path, image
+        elif image.pixels.shape != first.pixels.shape:
+            raise persist.UsageError(
+                f"malformed dataset listing {listing}: {path} is {image.width}x{image.height} "
+                f"but {first_path} is {first.width}x{first.height}"
+            )
+        images.append(image)
     try:
         return LabeledImageSet(images=images, labels=labels, class_names=list(classes))
     except (ValueError, OverflowError) as exc:  # a label outside the classes or int64

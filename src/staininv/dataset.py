@@ -145,7 +145,7 @@ def scale_to_pm1(values):
     return np.asarray(values, dtype=np.float64) / 127.5 - 1.0
 
 
-def _row_blocked(rows_fn, arr, width):
+def _row_blocked(rows_fn, arr, width, out=None):
     """``rows_fn(arr)`` for a matrix, computed in blocks of rows for a tall one.
 
     A matrix of more than ``_ROW_BLOCK`` rows is cut into near-equal blocks,
@@ -153,13 +153,21 @@ def _row_blocked(rows_fn, arr, width):
     block large: on OpenBLAS a block of one or two rows takes another kernel
     and moves the last bits of its matmul, while blocks of thousands of rows
     give the whole matrix's bits.
+
+    The result goes into ``out`` when it is given, and ``out`` is returned.
+    ``out`` may be ``arr`` itself: each block is computed whole before it is
+    stored, and no later block reads it.
     """
     if arr.ndim != 2 or arr.shape[0] <= _ROW_BLOCK:
-        return rows_fn(arr)
+        if out is None:
+            return rows_fn(arr)
+        out[...] = rows_fn(arr)
+        return out
     n = arr.shape[0]
     count = -(-n // _ROW_BLOCK)
     edges = [n * i // count for i in range(count + 1)]
-    out = np.empty((n, width))
+    if out is None:
+        out = np.empty((n, width))
     for lo, hi in zip(edges, edges[1:]):
         out[lo:hi] = rows_fn(arr[lo:hi])
     return out
@@ -190,13 +198,23 @@ class ZcaTransform:
     epsilon: float
 
 
-def zca_fit(patches, epsilon=ZCA_EPSILON):
-    """Fit ZCA whitening: U diag(1/sqrt(lambda+eps)) U^T of the covariance."""
+def zca_fit(patches, epsilon=ZCA_EPSILON, overwrite_input=False):
+    """Fit ZCA whitening: U diag(1/sqrt(lambda+eps)) U^T of the covariance.
+
+    With ``overwrite_input``, a float64 ``patches`` array is centred in
+    place, so the caller hands it over and must not read it again; otherwise
+    ``patches`` is left unchanged and the centred rows are a new array.  The
+    transform is the same either way.
+    """
     x = np.asarray(patches, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a (samples, dims) matrix")
     mean = x.mean(axis=0)
-    centered = x - mean
+    if overwrite_input:
+        x -= mean
+        centered = x
+    else:
+        centered = x - mean
     cov = centered.T @ centered / x.shape[0]
     lam, u = np.linalg.eigh(cov)
     lam = np.maximum(lam, 0.0)
@@ -205,11 +223,16 @@ def zca_fit(patches, epsilon=ZCA_EPSILON):
     return ZcaTransform(mean=mean, matrix=matrix, epsilon=epsilon)
 
 
-def zca_apply(transform, patch):
-    """Whiten one patch vector or a batch of rows."""
+def zca_apply(transform, patch, out=None):
+    """Whiten one patch vector or a batch of rows.
+
+    The whitened rows go into ``out`` when it is given (it may be ``patch``
+    itself, whitened in place), and ``out`` is returned.
+    """
     arr = np.asarray(patch, dtype=np.float64)
     return _row_blocked(
-        lambda rows: (rows - transform.mean) @ transform.matrix.T, arr, transform.matrix.shape[0]
+        lambda rows: (rows - transform.mean) @ transform.matrix.T, arr,
+        transform.matrix.shape[0], out,
     )
 
 

@@ -99,14 +99,24 @@ def cxcy_sample(images, n_pixels, seed, tag):
     """Uniformly sample chroma coordinates from an image pool.
 
     Background-flagged pixels are excluded; returns (rows, n_excluded) with
-    rows of (c_x, c_y, tag).
+    rows of (c_x, c_y, tag).  Each image's planes are copied into the pool
+    as soon as they are computed, so only the pool is full-size.
     """
     if n_pixels < 1:
         raise ValueError("n_pixels must be at least 1")
-    planes = [hsd_forward(rgb_to_od(img.pixels)) for img in images]
-    c_x = np.concatenate([p.c_x.reshape(-1) for p in planes])
-    c_y = np.concatenate([p.c_y.reshape(-1) for p in planes])
-    background = np.concatenate([p.background.reshape(-1) for p in planes])
+    if not images:
+        raise ValueError("no images to sample")
+    sizes = [img.height * img.width for img in images]
+    c_x = np.empty(sum(sizes))
+    c_y = np.empty(c_x.size)
+    background = np.empty(c_x.size, dtype=bool)
+    lo = 0
+    for img, size in zip(images, sizes):
+        hsd = hsd_forward(rgb_to_od(img.pixels))
+        c_x[lo:lo + size] = hsd.c_x.reshape(-1)
+        c_y[lo:lo + size] = hsd.c_y.reshape(-1)
+        background[lo:lo + size] = hsd.background.reshape(-1)
+        lo += size
     rng = np.random.default_rng(seed)
     n = min(n_pixels, c_x.size)
     chosen = rng.choice(c_x.size, size=n, replace=False)

@@ -255,6 +255,7 @@ class AdamState:
     step_count: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
+    scratch: list = field(default_factory=list)  # per parameter, two float64 arrays of its shape
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -266,33 +267,51 @@ def adam_init(params, learning_rate):
     state = AdamState(learning_rate)
     state.first_moment = [np.zeros_like(p) for p in params]
     state.second_moment = [np.zeros_like(p) for p in params]
+    # the scratch arrays are views of two shared buffers, as large as the largest parameter
+    buffers = [np.empty(max((p.size for p in params), default=0)) for _ in range(2)]
+    state.scratch = [[buf[:p.size].reshape(p.shape) for buf in buffers] for p in params]
     return state
 
 
 def adam_step(state, params, grads, epoch):
     """One Adam update with bias correction; the listed parameters are updated in place.
 
+    Every gradient is checked before any state changes, so a step that raises
+    leaves the parameters, the moments and the step count as they were.
     ``epoch`` is the caller's training epoch, named in the non-finite error.
     """
     if not len(params) == len(grads) == len(state.first_moment):
         raise ValueError("params, grads and the Adam moments must pair up")
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    for i, (p, g, m, v) in enumerate(zip(params, grads, state.first_moment, state.second_moment)):
-        g = np.asarray(g, dtype=np.float64)
+    t = state.step_count + 1
+    grads = [np.asarray(g) for g in grads]
+    for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError(
                 f"non-finite gradient: parameter {i}, shape {p.shape}, step {t}, epoch {epoch}"
             )
+    state.step_count = t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for p, g, m, v, (term, denom) in zip(params, grads, state.first_moment, state.second_moment,
+                                         state.scratch):
+        # the gradient is read as float64, and the operations keep the order of
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bits are the expression's
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        np.multiply(g, 1.0 - ADAM_BETA1, out=term, dtype=np.float64)
+        m += term
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+        np.multiply(g, g, out=term, dtype=np.float64)
+        term *= 1.0 - ADAM_BETA2
+        v += term
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPSILON
+        np.divide(m, bc1, out=term)
+        term *= state.learning_rate
+        term /= denom
+        p -= term
 
 
 def finite_diff_grad(f, x, h=1e-5, indices=None):

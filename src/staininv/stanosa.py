@@ -45,10 +45,15 @@ def stanosa_init(seed, input_dim=192, hidden_dim=100, feature_dim=10):
 
 
 def stanosa_preprocess(patch, zca):
-    """Global contrast normalisation, then whitening, in that order."""
+    """Global contrast normalisation, then whitening, in that order.
+
+    ``patch`` is left unchanged: the whitened rows overwrite the new GCN
+    output, so a matrix costs one float64 array of its size, not two.
+    """
     if zca is None:
         raise ValueError("ZCA transform not fitted")
-    return zca_apply(zca, gcn(patch))
+    normalised = gcn(patch)
+    return zca_apply(zca, normalised, out=normalised)
 
 
 ZCA_SAMPLE = 100000  # most training patches the whitening transform is fitted on
@@ -79,8 +84,8 @@ def train_stanosa(model, patches, config):
     if model.zca is None:
         rng = np.random.default_rng(derive_seed(config.seed, "zca-sample"))
         n = min(ZCA_SAMPLE, patches.shape[0])
-        sample = patches[rng.choice(patches.shape[0], size=n, replace=False)]
-        model.zca = zca_fit(gcn(sample))
+        chosen = rng.choice(patches.shape[0], size=n, replace=False)
+        model.zca = zca_fit(gcn(patches[chosen]), overwrite_input=True)
 
     x = stanosa_preprocess(patches, model.zca)
     layers = model.encoder + model.decoder

@@ -653,6 +653,24 @@ def test_broken_labeled_set_is_usage_error(tmp_path, capsys, fault):
     _assert_usage_error_naming(code, capsys, broken)
 
 
+def test_labeled_set_of_mixed_sizes_is_usage_error(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    _save_model(model)
+    labeled = tmp_path / "labeled"
+    classifier.save_labeled_set(classifier.generate_labeled_set(2, size=16, seed=1), labeled)
+    items = json.loads((labeled / "labels.json").read_text())["items"]
+    first, odd = labeled / items[0]["path"], labeled / items[3]["path"]
+    dataset.save_image(dataset.Image(np.zeros((24, 24, 3), np.uint8)), odd)
+    code = main(["train-clf", "--model", str(model), "--labeled-dir", str(labeled),
+                 "--epochs", "1", "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "UsageError"
+    message = record["error"]["message"]
+    assert str(labeled / "labels.json") in message
+    assert f"{odd} is 24x24" in message and f"{first} is 16x16" in message
+
+
 def test_malformed_dataset_manifest_is_usage_error(tiny_dataset, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(tiny_dataset, ds)

@@ -215,6 +215,27 @@ def test_row_blocked_gcn_and_whitening_equal_one_pass_bitwise(rows):
     assert zca_apply(t, white).tobytes() == ((white - t.mean) @ t.matrix.T).tobytes()
 
 
+@pytest.mark.parametrize("rows", [50, dataset._ROW_BLOCK + 1, 3 * dataset._ROW_BLOCK - 5])
+def test_whitening_in_place_equals_out_of_place_bitwise(rows):
+    # one block, and more than one: each block is computed whole before it is stored
+    normalised = gcn(np.random.default_rng(25).integers(0, 256, size=(rows, 48), dtype=np.uint8))
+    t = zca_fit(normalised[:2000])
+    expected = zca_apply(t, normalised)
+    assert zca_apply(t, normalised, out=normalised) is normalised
+    assert normalised.tobytes() == expected.tobytes()
+
+
+def test_zca_fit_on_a_handed_over_array_equals_a_fit_on_a_copy():
+    x = gcn(np.random.default_rng(26).integers(0, 256, size=(600, 48), dtype=np.uint8))
+    before = x.copy()
+    kept = zca_fit(x)
+    assert x.tobytes() == before.tobytes()  # not handed over: left as it was
+    handed = zca_fit(x, overwrite_input=True)
+    for field in ("mean", "matrix"):
+        assert getattr(handed, field).tobytes() == getattr(kept, field).tobytes()
+    assert x.tobytes() == (before - kept.mean).tobytes()  # centred in place
+
+
 def test_scale_to_pm1_endpoints():
     assert scale_to_pm1(0) == -1.0
     assert scale_to_pm1(255) == 1.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +177,23 @@ def test_cxcy_deterministic_and_counted():
 def test_cxcy_rejects_zero_request():
     with pytest.raises(ValueError):
         cxcy_sample([], n_pixels=0, seed=0, tag="x")
+    with pytest.raises(ValueError, match="no images"):
+        cxcy_sample([], n_pixels=1, seed=0, tag="x")
+
+
+def test_cxcy_holds_the_pool_planes_not_every_image_plane():
+    # the pool's c_x and c_y are two float64 planes of every pixel; keeping each
+    # image's four HSD planes and then concatenating them peaked above five
+    rng = np.random.default_rng(27)
+    images = [Image(rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)) for _ in range(500)]
+    plane_bytes = 500 * 32 * 32 * 8
+    tracemalloc.start()
+    try:
+        cxcy_sample(images, n_pixels=1000, seed=0, tag="A")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * plane_bytes
 
 
 # --- density ssim table ---

@@ -4,6 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from staininv.numerics import (
     ACTIVATIONS,
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPSILON,
     LEAKY_SLOPE,
     Conv2dLayer,
@@ -400,6 +402,47 @@ def test_adam_non_finite_error_names_parameter_shape_and_step():
     bad[1, 2] = np.inf
     with pytest.raises(ValueError, match=r"parameter 1, shape \(2, 3\), step 2"):
         adam_step(state, params, [np.ones(3), bad], 1)
+
+
+def test_adam_failed_step_changes_no_state():
+    # parameter 0's gradient is fine, parameter 1's is not: nothing may move
+    params = [np.arange(3.0), np.ones((2, 3))]
+    state = adam_init(params, learning_rate=0.1)
+    adam_step(state, params, [np.ones(3), np.full((2, 3), 0.5)], 1)
+    snapshot = [a.copy() for a in params + state.first_moment + state.second_moment]
+    bad = np.ones((2, 3))
+    bad[0, 1] = np.nan
+    for grads in ([np.ones(3), bad], [np.ones(3), np.ones(4)]):
+        with pytest.raises(ValueError):
+            adam_step(state, params, grads, 2)
+        assert state.step_count == 1
+        for before, after in zip(snapshot, params + state.first_moment + state.second_moment):
+            assert np.array_equal(before, after)
+
+
+def test_adam_step_matches_the_update_expression_bit_for_bit():
+    rng = np.random.default_rng(3)
+    params = [rng.normal(size=(7, 5)), rng.normal(size=5), rng.normal(size=(2, 2))]
+    expected = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    state = adam_init(params, learning_rate=0.003)
+    for t in range(1, 6):
+        # float32 gradients, as the mixed-precision trainers pass them, and float64 ones
+        dtype = np.float32 if t % 2 else np.float64
+        grads = [rng.normal(scale=10.0 ** -t, size=p.shape).astype(dtype) for p in params]
+        adam_step(state, params, grads, 1)
+        bc1, bc2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+        for p, g, mi, vi in zip(expected, grads, m, v):
+            g = np.asarray(g, dtype=np.float64)
+            mi *= ADAM_BETA1
+            mi += (1.0 - ADAM_BETA1) * g
+            vi *= ADAM_BETA2
+            vi += (1.0 - ADAM_BETA2) * (g * g)
+            p -= 0.003 * (mi / bc1) / (np.sqrt(vi / bc2) + ADAM_EPSILON)
+    for actual, reference in zip(params + state.first_moment + state.second_moment,
+                                 expected + m + v):
+        assert actual.tobytes() == reference.tobytes()
 
 
 def test_adam_non_finite_error_names_the_epoch():

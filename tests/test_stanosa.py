@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,43 @@ def test_train_on_bytes_equals_train_on_their_float64_cast(tmp_path, monkeypatch
         save_stanosa(model, path)
         runs.append((path.read_bytes(), json.dumps(log)))
     assert runs[0] == runs[1]
+
+
+def _traced_peak(fn):
+    """Peak bytes allocated while ``fn()`` runs; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _tall_bytes():
+    """A uint8 patch matrix of more than three GCN/whitening blocks, and its float64 size."""
+    rows = 3 * dataset._ROW_BLOCK + 5
+    data = np.random.default_rng(31).integers(0, 256, size=(rows, 192), dtype=np.uint8)
+    return data, rows * 192 * 8
+
+
+def test_preprocess_holds_one_full_size_float64_matrix():
+    # the GCN output is whitened in place: one float64 matrix plus block-sized
+    # temporaries, where a second full-size matrix would make it 2.5
+    data, float64_bytes = _tall_bytes()
+    zca = zca_fit(gcn(data[:2000]))
+    before = data.copy()
+    assert _traced_peak(lambda: stanosa_preprocess(data, zca)) < 2.0 * float64_bytes
+    assert np.array_equal(data, before)
+
+
+def test_train_holds_one_full_size_float64_matrix_at_a_time():
+    # the ZCA fit centres its GCN sample in place, and that sample is gone before
+    # the whole matrix is preprocessed
+    data, float64_bytes = _tall_bytes()
+    assert data.shape[0] < stanosa.ZCA_SAMPLE  # the sample is every row
+    config = StanosaTrainConfig(epochs=0, seed=2)
+    peak = _traced_peak(lambda: train_stanosa(stanosa_init(seed=1), data, config))
+    assert peak < 2.2 * float64_bytes
 
 
 def test_feature_extractor_shapes():
