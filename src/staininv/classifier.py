@@ -7,7 +7,6 @@ resulting feature grid is classified by two same-padded 3x3 convolutions
 pooling down to one logit per class.
 """
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -15,8 +14,8 @@ import numpy as np
 
 from . import persist
 from .dataset import (
-    Image, extract_patches, listed_names, listed_value, load_listed_image, paint_blobs,
-    save_image,
+    Image, extract_patches, listed_value, load_listed_images, paint_blobs, read_listing,
+    save_image, split_order,
 )
 from .numerics import (
     conv2d_backward,
@@ -132,22 +131,13 @@ def generate_labeled_set(n_per_class, size=32, seed=0):
 
 def split_labeled(dataset, seed=0):
     """Deterministic 75/5/20 train/validation/test split."""
-    n = len(dataset)
-    order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(n * 0.75))
-    n_val = int(round(n * 0.05))
-    slices = (
-        order[:n_train],
-        order[n_train : n_train + n_val],
-        order[n_train + n_val :],
-    )
     return tuple(
         LabeledImageSet(
             images=[dataset.images[i] for i in idx],
             labels=dataset.labels[idx],
             class_names=list(dataset.class_names),
         )
-        for idx in slices
+        for idx in split_order(len(dataset), [0.75, 0.05], seed)
     )
 
 
@@ -158,9 +148,8 @@ def save_labeled_set(dataset, directory):
         name = f"image_{i:05d}.ppm"
         save_image(image, os.path.join(directory, name))
         items.append({"path": name, "label": int(label)})
-    with open(os.path.join(directory, "labels.json"), "w") as fh:
-        json.dump({"classes": list(dataset.class_names), "items": items}, fh, indent=2)
-        fh.write("\n")
+    persist.write_json(os.path.join(directory, "labels.json"),
+                       {"classes": list(dataset.class_names), "items": items})
 
 
 def load_labeled_set(directory):
@@ -169,29 +158,15 @@ def load_labeled_set(directory):
     A UsageError names the file when ``labels.json`` is missing or malformed
     (it needs ``classes``, a non-empty list of distinct names, and a non-empty
     ``items`` list, each with a ``path`` and a ``label`` in the class set), or
-    an image it lists fails ``load_listed_image`` or differs in size from the
-    first.
+    an image it lists fails ``load_listed_images``.
     """
-    listing = os.path.join(directory, "labels.json")
-    doc = persist.read_json_object(listing, "dataset listing")
-    classes = listed_names(doc, "classes", listing)
-    items = listed_value(doc, "items", list, listing)
-    if not items:
-        raise persist.UsageError(f"malformed dataset listing {listing}: 'items' is empty")
-    images, labels = [], []
+    listing, _, classes, items = read_listing(directory, "labels.json", "classes", "items")
+    paths, labels = [], []
     for i, item in enumerate(items):
-        name = listed_value(item, "path", str, listing, f"item {i}")
+        paths.append(os.path.join(directory, listed_value(item, "path", str, listing,
+                                                          f"item {i}")))
         labels.append(listed_value(item, "label", int, listing, f"item {i}"))
-        path = os.path.join(directory, name)
-        image = load_listed_image(path)
-        if not images:
-            first_path, first = path, image
-        elif image.pixels.shape != first.pixels.shape:
-            raise persist.UsageError(
-                f"malformed dataset listing {listing}: {path} is {image.width}x{image.height} "
-                f"but {first_path} is {first.width}x{first.height}"
-            )
-        images.append(image)
+    images = load_listed_images(paths, listing)
     try:
         return LabeledImageSet(images=images, labels=labels, class_names=list(classes))
     except (ValueError, OverflowError) as exc:  # a label outside the classes or int64

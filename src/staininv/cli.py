@@ -181,7 +181,7 @@ def cmd_train_mcae(args, s, out_dir, seed):
         raise UsageError(f"dataset {args.dataset} has the one domain {ds.domain_ids}: "
                          "the MCAE needs at least two")
     train, _ = _train_split(ds, seed)
-    cells = sum(_grid_cells(t[ds.domain_ids[0]], s["stride"]) for t in train.triplets)
+    cells = len(train) * _grid_cells(ds.triplets[0][ds.domain_ids[0]], s["stride"])
     if cells < s["k"]:
         raise UsageError(
             f"mcae.k (--k) must be at most {cells}, the number of sub-patches in the train "
@@ -433,7 +433,11 @@ def main(argv=None):
         config = load_config(args.config) if args.config else {}
         settings = resolve(args.command, args, config)
         spec = COMMANDS[args.command]
-        os.makedirs(args.out_dir, exist_ok=True)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"--out-dir {args.out_dir} cannot be made a directory: "
+                             f"{exc.strerror}") from None
         outputs = spec.run(args, settings.get(spec.block, {}), args.out_dir, settings["seed"])
     except Exception as exc:  # noqa: BLE001 - report and signal failure
         print(_error_record(exc), file=sys.stderr)

@@ -285,9 +285,8 @@ class TripletDataset:
         for i, triplet in enumerate(self.triplets):
             if set(triplet) != set(self.domain_ids):
                 raise ValueError(f"triplet {i} does not cover domains {self.domain_ids}")
-            shapes = {triplet[d].pixels.shape for d in self.domain_ids}
-            if len(shapes) != 1:
-                raise ValueError(f"triplet {i} images differ in size")
+        if len({image.pixels.shape for t in self.triplets for image in t.values()}) > 1:
+            raise ValueError("the images differ in size: a dataset holds one image size")
 
     def __len__(self):
         return len(self.triplets)
@@ -323,23 +322,26 @@ def synth_triplets(base_images, perturbations, seed):
     return TripletDataset(domain_ids=domain_ids, triplets=triplets, manifest=manifest)
 
 
+def split_order(n, fractions, seed):
+    """One seeded permutation of ``range(n)`` cut into consecutive parts: part i holds
+    ``round(n * fractions[i])`` indices, and a last part the rest."""
+    order = np.random.default_rng(seed).permutation(n)
+    return np.split(order, np.cumsum([int(round(n * f)) for f in fractions]))
+
+
 def split(dataset, seed):
     """Deterministic disjoint/exhaustive train-test split of triplets, ``TRAIN_FRACTION``
     of them in the train part."""
     if len(dataset) == 0:
         raise ValueError("cannot split an empty dataset")
-    order = np.random.default_rng(seed).permutation(len(dataset))
-    n_train = int(round(len(dataset) * TRAIN_FRACTION))
-    parts = []
-    for idx in (order[:n_train], order[n_train:]):
-        parts.append(
-            TripletDataset(
-                domain_ids=list(dataset.domain_ids),
-                triplets=[dataset.triplets[i] for i in idx],
-                manifest=dict(dataset.manifest),
-            )
+    return tuple(
+        TripletDataset(
+            domain_ids=list(dataset.domain_ids),
+            triplets=[dataset.triplets[i] for i in idx],
+            manifest=dict(dataset.manifest),
         )
-    return parts[0], parts[1]
+        for idx in split_order(len(dataset), [TRAIN_FRACTION], seed)
+    )
 
 
 def save_dataset(dataset, directory):
@@ -368,14 +370,20 @@ def listed_value(record, key, kind, path, where="the root"):
     return checked(value, kind, f"malformed dataset listing {path}: {key!r} of {where}")
 
 
-def listed_names(record, key, path):
-    """``record[key]`` of a parsed listing, checked to be a non-empty list of distinct
-    strings; a UsageError names the listing file and the key."""
-    names = listed_value(record, key, list, path)
+def read_listing(directory, name, names_key, entries_key):
+    """An image set's listing file ``name`` in ``directory`` as (its path, the parsed object,
+    its names, its entries).  A UsageError names the file and the key unless ``names_key``
+    is a non-empty list of distinct strings and ``entries_key`` a non-empty list."""
+    path = os.path.join(directory, name)
+    doc = read_json_object(path, "dataset listing")
+    names = listed_value(doc, names_key, list, path)
     if not names or not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
-        raise UsageError(f"malformed dataset listing {path}: {key!r} of the root must be a "
-                         f"non-empty list of distinct strings, got {names!r}")
-    return names
+        raise UsageError(f"malformed dataset listing {path}: {names_key!r} of the root must "
+                         f"be a non-empty list of distinct strings, got {names!r}")
+    entries = listed_value(doc, entries_key, list, path)
+    if not entries:
+        raise UsageError(f"malformed dataset listing {path}: {entries_key!r} is empty")
+    return path, doc, names, entries
 
 
 def load_listed_image(path):
@@ -394,39 +402,46 @@ def load_listed_image(path):
     return image
 
 
+def load_listed_images(paths, listing):
+    """The images at ``paths``, an iterable, each through ``load_listed_image``.  An image set
+    holds one size: a UsageError names the listing and both files when an image's size
+    differs from the first's."""
+    images = []
+    for path in paths:
+        image = load_listed_image(path)
+        if not images:
+            first_path = path
+        elif image.pixels.shape != images[0].pixels.shape:
+            first = images[0]
+            raise UsageError(
+                f"malformed dataset listing {listing}: {path} is {image.width}x{image.height} "
+                f"but {first_path} is {first.width}x{first.height}: the images must have one size"
+            )
+        images.append(image)
+    return images
+
+
 def load_dataset(directory):
     """Read a dataset written by ``save_dataset``.
 
     Raises a UsageError, naming the file, when the manifest is missing or
     malformed (it needs ``domains``, a non-empty list of distinct names, and a
     non-empty ``triplets`` list whose ``paths`` name one image per domain), or
-    an image it lists fails ``load_listed_image`` or differs in size from the
-    rest of its triplet.
+    an image it lists fails ``load_listed_images``.
     """
-    listing = os.path.join(directory, "manifest.json")
-    manifest = read_json_object(listing, "dataset listing")
-    domains = listed_names(manifest, "domains", listing)
-    listed = listed_value(manifest, "triplets", list, listing)
-    if not listed:
-        raise UsageError(f"malformed dataset listing {listing}: 'triplets' is empty")
-    triplets = []
-    for i, entry in enumerate(listed):
-        paths = listed_value(entry, "paths", dict, listing, f"triplet {i}")
-        triplet = {}
-        first_path = None
-        for domain in domains:
-            name = listed_value(paths, domain, str, listing, f"triplet {i} paths")
-            path = os.path.join(directory, name)
-            image = load_listed_image(path)
-            if first_path is None:
-                first_path, first = path, image
-            elif image.pixels.shape != first.pixels.shape:
-                raise UsageError(
-                    f"{path} is {image.width}x{image.height} but {first_path} in "
-                    f"triplet {i} is {first.width}x{first.height}"
-                )
-            triplet[domain] = image
-        triplets.append(triplet)
+    listing, manifest, domains, listed = read_listing(directory, "manifest.json", "domains",
+                                                      "triplets")
+
+    def paths():  # one image per triplet and domain, in that order, checked as it is read
+        for i, entry in enumerate(listed):
+            files = listed_value(entry, "paths", dict, listing, f"triplet {i}")
+            for d in domains:
+                name = listed_value(files, d, str, listing, f"triplet {i} paths")
+                yield os.path.join(directory, name)
+
+    images = load_listed_images(paths(), listing)
+    n = len(domains)
+    triplets = [dict(zip(domains, images[i : i + n])) for i in range(0, len(images), n)]
     return TripletDataset(domain_ids=list(domains), triplets=triplets, manifest=manifest)
 
 

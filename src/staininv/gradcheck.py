@@ -7,9 +7,10 @@ relative error over all checked parameters (1e-6 absolute floor).
 
 import numpy as np
 
-from . import classifier, cyclegan, mcae
+from . import classifier, cyclegan, mcae, stanosa
 from .numerics import (
     ACTIVATIONS,
+    autoencoder_init,
     conv2d_backward,
     conv2d_forward,
     conv2d_init,
@@ -92,6 +93,19 @@ def check_mcae_combined(seed):
     return worst
 
 
+def check_stanosa_reconstruction(seed):
+    rng = np.random.default_rng(seed)
+    encoder, decoder = autoencoder_init(rng, 6, 5, 3)
+    layers = encoder + decoder
+    rows = rng.normal(size=(4, 6))
+
+    def loss():
+        return stanosa.reconstruction_loss_and_grads(layers, rows)[0]
+
+    _, grads = stanosa.reconstruction_loss_and_grads(layers, rows)
+    return _check_params(loss, list(zip(mlp_params(layers), grads)))
+
+
 def check_cyclegan_generators(seed):
     rng = np.random.default_rng(seed)
     dim = 6
@@ -113,6 +127,20 @@ def check_cyclegan_generators(seed):
     _, f_grads, g_grads = cyclegan._generator_pass(f, g, d_a, d_b, a, b)
     pairs = list(zip(mlp_params(f) + mlp_params(g), f_grads + g_grads))
     return _check_params(loss, pairs)
+
+
+def check_cyclegan_discriminator(seed):
+    rng = np.random.default_rng(seed)
+    dim = 6
+    disc = cyclegan.discriminator_init(dim, rng, hidden=4)
+    real = rng.uniform(0.1, 0.9, (3, dim))
+    fake = rng.uniform(0.1, 0.9, (3, dim))
+
+    def loss():  # the pass ascends its value, so its gradients descend the negation
+        return -cyclegan._discriminator_pass(disc, real, fake)[0]
+
+    _, grads = cyclegan._discriminator_pass(disc, real, fake)
+    return _check_params(loss, list(zip(mlp_params(disc), grads)))
 
 
 def check_classifier_head(seed):
@@ -141,6 +169,8 @@ def run_grad_checks(seed=0):
     for activation in ("linear", "leaky_relu", "tanh"):
         results.append((f"conv2d/{activation}", check_conv2d(activation, seed)))
     results.append(("mcae/combined_loss", check_mcae_combined(seed)))
+    results.append(("stanosa/reconstruction", check_stanosa_reconstruction(seed)))
     results.append(("cyclegan/generator_objective", check_cyclegan_generators(seed)))
+    results.append(("cyclegan/discriminator_objective", check_cyclegan_discriminator(seed)))
     results.append(("classifier/head", check_classifier_head(seed)))
     return results

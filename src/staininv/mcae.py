@@ -288,7 +288,8 @@ def _patch_store(dataset, domain_ids, patch_size, stride):
 
     The store keeps the bytes: a batch is scaled to [-1, 1] when it is drawn,
     which gives the same values as scaling the whole store up front at an
-    eighth of its float64 memory.  Every image must give the same patch grid.
+    eighth of its float64 memory.  A ``TripletDataset`` holds one image size,
+    so every image gives the same patch grid.
     """
     store = None
     for d, domain in enumerate(domain_ids):
@@ -296,13 +297,6 @@ def _patch_store(dataset, domain_ids, patch_size, stride):
             patches = extract_patches(triplet[domain], patch_size, stride)
             if store is None:
                 store = np.empty((len(domain_ids), len(dataset), *patches.shape), patches.dtype)
-            elif patches.shape != store.shape[2:]:
-                h, w = triplet[domain].pixels.shape[:2]
-                h0, w0 = dataset.triplets[0][domain_ids[0]].pixels.shape[:2]
-                raise persist.UsageError(
-                    f"triplet {t} of the training split has {h}x{w} {domain} images, "
-                    f"triplet 0 has {h0}x{w0}: the MCAE needs one image size"
-                )
             store[d, t] = patches
     return store
 

@@ -178,19 +178,16 @@ def classification_report(true_labels, predicted_labels, class_names):
         or max(y_true.max(), y_pred.max()) >= n_classes
     ):
         raise ValueError("labels outside the class set")
-    precision = np.zeros(n_classes)
-    recall = np.zeros(n_classes)
-    f1 = np.zeros(n_classes)
-    support = np.zeros(n_classes, dtype=np.int64)
-    for c in range(n_classes):
-        tp = int(np.sum((y_pred == c) & (y_true == c)))
-        fp = int(np.sum((y_pred == c) & (y_true != c)))
-        fn = int(np.sum((y_pred != c) & (y_true == c)))
-        support[c] = tp + fn
-        precision[c] = tp / (tp + fp) if tp + fp else 0.0
-        recall[c] = tp / (tp + fn) if tp + fn else 0.0
-        denom = precision[c] + recall[c]
-        f1[c] = 2.0 * precision[c] * recall[c] / denom if denom else 0.0
+    # confusion[t, p]: how many items of true class t were predicted as p
+    cells = (y_true.astype(np.int64) * n_classes + y_pred.astype(np.int64)).reshape(-1)
+    confusion = np.bincount(cells, minlength=n_classes * n_classes).reshape(n_classes, -1)
+    tp = np.diag(confusion)
+    support = confusion.sum(axis=1)  # tp + fn
+    predicted = confusion.sum(axis=0)  # tp + fp
+    precision = np.divide(tp, predicted, out=np.zeros(n_classes), where=predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros(n_classes), where=support > 0)
+    denom = precision + recall
+    f1 = np.divide(2.0 * precision * recall, denom, out=np.zeros(n_classes), where=denom > 0)
     total = int(support.sum())
     weights = support / total if total else np.zeros(n_classes)
     return ClassReport(

@@ -5,8 +5,7 @@ Model files are versioned JSON (``mcae-v1``, ``stanosa-v1``,
 digits, which uniquely identifies every finite double, so save -> load
 reproduces parameters bit-for-bit.  CSV cells use the same 17 digits;
 small result documents (summaries, manifests) are indented JSON with
-sorted keys.  PPM images keep their own reader and writer (``dataset``),
-and ``labels.json`` its own writer (``classifier``).
+sorted keys.  PPM images keep their own reader and writer (``dataset``).
 
 Every check of outside input goes through this module: it raises the one
 error type, UsageError, and reads JSON with the one object reader (config

@@ -67,6 +67,20 @@ class StanosaTrainConfig:
     seed: int = 0
 
 
+def reconstruction_loss_and_grads(layers, rows):
+    """The mean squared error of the auto-encoder's sigmoid output against whitened ``rows``
+    mapped affinely to [0, 1] and clipped, and its gradients in ``mlp_params(layers)``
+    order.  It computes in the dtype of ``layers`` and ``rows``; the loss is summed in
+    float64."""
+    caches = []
+    recon = mlp_forward(layers, rows, caches)
+    diff = recon - np.clip((rows + 1.0) / 2.0, 0.0, 1.0)
+    loss = float(np.mean(diff * diff, dtype=np.float64))
+    grads = zero_grads(mlp_params(layers))
+    mlp_backward(layers, caches, 2.0 * diff / diff.size, grads, input_grad=False)
+    return loss, grads
+
+
 def train_stanosa(model, patches, config):
     """Reconstruction-only training on raw byte-valued patch vectors (M, 192).
 
@@ -91,14 +105,8 @@ def train_stanosa(model, patches, config):
     layers = model.encoder + model.decoder
 
     def step(idx):
-        step_layers = float32_layers(layers)
-        caches = []
-        rows = x[idx].astype(np.float32)
-        recon = mlp_forward(step_layers, rows, caches)
-        diff = recon - np.clip((rows + 1.0) / 2.0, 0.0, 1.0)
-        loss = float(np.mean(diff * diff, dtype=np.float64))
-        grads = zero_grads(mlp_params(step_layers))
-        mlp_backward(step_layers, caches, 2.0 * diff / diff.size, grads, input_grad=False)
+        loss, grads = reconstruction_loss_and_grads(float32_layers(layers),
+                                                    x[idx].astype(np.float32))
         return {"reconstruction": loss}, grads
 
     log = fit(mlp_params(layers), config.lr, x.shape[0], config.batch, config.epochs,
@@ -133,18 +141,20 @@ def load_stanosa(path):
 
 
 def stanosa_from_doc(doc):
-    """Rebuild a model from a parsed stanosa-v1 document, checking its shapes."""
+    """Rebuild a trained model from a parsed stanosa-v1 document, checking its shapes.
+
+    The document must carry the whitening transform, with a finite ``epsilon``:
+    every reader of a model file encodes through it.
+    """
     stacks = persist.autoencoder_stacks(doc["layers"])
     if not stacks:
         raise ValueError("no layers")
     encoder, decoder = stacks[None]
-    model = StanosaModel(zca=None, encoder=encoder, decoder=decoder)
-    zca = doc.get("zca")
-    if zca is not None:
-        n_in = encoder[0].n_in
-        model.zca = ZcaTransform(
-            mean=persist.float_array(zca["mean"], "zca mean", (n_in,)),
-            matrix=persist.float_array(zca["matrix"], "zca matrix", (n_in, n_in)),
-            epsilon=zca["epsilon"],
-        )
-    return model
+    zca = persist.checked(doc["zca"], dict, "zca (the whitening transform of a trained model)")
+    n_in = encoder[0].n_in
+    transform = ZcaTransform(
+        mean=persist.float_array(zca["mean"], "zca mean", (n_in,)),
+        matrix=persist.float_array(zca["matrix"], "zca matrix", (n_in, n_in)),
+        epsilon=persist.checked(zca["epsilon"], float, "zca epsilon"),
+    )
+    return StanosaModel(zca=transform, encoder=encoder, decoder=decoder)

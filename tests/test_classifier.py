@@ -183,6 +183,14 @@ def test_labeled_set_manifest_roundtrip(tmp_path):
     )
 
 
+def test_labels_json_is_a_sorted_key_result_document(tmp_path):
+    save_labeled_set(generate_labeled_set(n_per_class=1, size=8, seed=3), tmp_path)
+    text = (tmp_path / "labels.json").read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert list(doc["items"][0]) == ["label", "path"]
+
+
 def test_labeled_set_validation():
     from staininv.classifier import LabeledImageSet
 

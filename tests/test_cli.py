@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staininv import classifier, dataset, gradcheck, mcae
+from staininv import classifier, dataset, gradcheck, mcae, stanosa
 from staininv.cli import (
     COMMANDS, SETTINGS, UsageError, build_parser, describe, flag, load_config, main, resolve,
 )
@@ -125,9 +125,22 @@ def test_grad_check_writes_report(tmp_path):
         rows = list(csv.DictReader(fh))
     assert all(r["status"] == "pass" for r in rows)
     assert {r["check"] for r in rows} >= {
-        "dense/tanh", "conv2d/linear", "mcae/combined_loss",
-        "cyclegan/generator_objective", "classifier/head",
+        "dense/tanh", "conv2d/linear", "mcae/combined_loss", "stanosa/reconstruction",
+        "cyclegan/generator_objective", "cyclegan/discriminator_objective", "classifier/head",
     }
+
+
+@pytest.mark.parametrize("inside", [False, True])
+def test_out_dir_that_cannot_be_made_is_usage_error(tmp_path, capsys, inside):
+    # a regular file is no directory, and none can be made inside one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if inside else blocker
+    code = main(["synth", "--triplets", "1", "--size", "8", "--out-dir", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "UsageError"
+    assert f"--out-dir {out}" in record["error"]["message"]
 
 
 def test_dataset_without_manifest_is_usage_error(tmp_path):
@@ -265,6 +278,16 @@ def test_head_for_other_feature_dim_is_usage_error(tmp_path, capsys):
     code = main(["eval-clf", "--model", str(model), "--head", str(head), "--per-class", "2",
                  "--out-dir", str(tmp_path / "c")])
     _assert_usage_error_naming(code, capsys, head)
+
+
+@pytest.mark.parametrize("command", ["eval-nfmse", "train-clf"])
+def test_untrained_baseline_file_is_usage_error(tiny_dataset, tmp_path, capsys, command):
+    model = tmp_path / "stanosa.json"
+    stanosa.save_stanosa(stanosa.stanosa_init(seed=0), model)  # no whitening transform
+    inputs = {"eval-nfmse": ["--dataset", str(tiny_dataset)],
+              "train-clf": ["--per-class", "2", "--epochs", "1"]}[command]
+    code = main([command, *inputs, "--model", str(model), "--out-dir", str(tmp_path / "o")])
+    _assert_usage_error_naming(code, capsys, model)
 
 
 def _two_class_set(directory):
@@ -408,19 +431,27 @@ def test_train_mcae_on_one_domain_is_usage_error(tiny_dataset, tmp_path, capsys)
     _assert_usage_error_naming(code, capsys, ds)
 
 
-def test_train_mcae_on_mixed_image_sizes_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("command, extra", [
+    pytest.param("train-mcae", [], id="train-mcae"),
+    pytest.param("train-stanosa", [], id="train-stanosa"),
+    pytest.param("eval-nfmse", ["--model", "never-read.json"], id="eval-nfmse"),
+    pytest.param("eval-hsd", [], id="eval-hsd"),
+])
+def test_dataset_of_mixed_image_sizes_is_usage_error(tmp_path, capsys, command, extra):
+    # rejected at load, whichever split the odd triplet falls in
     ds = tmp_path / "ds"
-    assert main(["synth", "--triplets", "4", "--size", "16", "--out-dir", str(ds)]) == 0
-    manifest = json.loads((ds / "manifest.json").read_text())
-    # the train split holds 3 of the 4 triplets: at least one resized and one not
-    for triplet in manifest["triplets"][1:3]:
-        for name in triplet["paths"].values():
-            dataset.save_image(dataset.Image(np.zeros((24, 24, 3), np.uint8)), ds / name)
-    code = main(["train-mcae", "--dataset", str(ds), "--epochs", "1", "--k", "2",
-                 "--out-dir", str(tmp_path / "o")])
+    assert main(["synth", "--triplets", "3", "--size", "16", "--out-dir", str(ds)]) == 0
+    triplets = json.loads((ds / "manifest.json").read_text())["triplets"]
+    for name in triplets[2]["paths"].values():  # a whole triplet, each domain the same size
+        dataset.save_image(dataset.Image(np.zeros((24, 24, 3), np.uint8)), ds / name)
+    code = main([command, "--dataset", str(ds), *extra, "--out-dir", str(tmp_path / "o")])
     assert code == 2
-    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
-    assert "24x24" in message and "16x16" in message and "triplet" in message
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "UsageError"
+    message = record["error"]["message"]
+    first, odd = ds / triplets[0]["paths"]["A"], ds / triplets[2]["paths"]["A"]
+    assert str(ds / "manifest.json") in message
+    assert f"{odd} is 24x24" in message and f"{first} is 16x16" in message
 
 
 @pytest.mark.parametrize("fault", ["missing", "resized"])
@@ -795,12 +826,14 @@ def test_any_json_config_fails_only_as_usage_error(tmp_path_factory, document, r
 
 
 def test_readme_lists_every_setting():
+    # each row of the README's settings table is exactly its setting's key, flag, accepted
+    # values and default, in the order of cli.SETTINGS
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    rows = {line.split("`")[1]: line for line in readme.splitlines()
-            if line.startswith("| `")}
-    assert set(rows) == set(SETTINGS)
-    for name, setting in SETTINGS.items():
-        row = rows[name]
-        assert describe(name) in row and flag(name) in row, name
-        if isinstance(setting.default, (int, float, str)):
-            assert f"`{json.dumps(setting.default)}`" in row, name
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in readme.splitlines() if line.startswith("| `")]
+    expected = [
+        [f"`{name}`", f"`{flag(name)}`", describe(name),
+         "the first domain" if setting.default is None else f"`{json.dumps(setting.default)}`"]
+        for name, setting in SETTINGS.items()
+    ]
+    assert rows == expected

@@ -21,6 +21,7 @@ from staininv.dataset import (
     save_image,
     scale_to_pm1,
     split,
+    split_order,
     synth_triplets,
     zca_apply,
     zca_fit,
@@ -368,9 +369,21 @@ def test_triplet_dataset_invariants():
             domain_ids=["A", "B"],
             triplets=[{"A": good["A"], "B": _random_image(rng, 8, 8)}],
         )
+    small = {"A": _random_image(rng, 8, 8), "B": _random_image(rng, 8, 8)}
+    with pytest.raises(ValueError, match="one image size"):  # across triplets too
+        TripletDataset(domain_ids=["A", "B"], triplets=[good, small])
 
 
 # --- split ---
+
+
+def test_split_order_cuts_one_permutation():
+    order = np.random.default_rng(3).permutation(21)
+    parts = split_order(21, [0.75, 0.05], 3)
+    assert [len(part) for part in parts] == [16, 1, 4]
+    assert np.array_equal(np.concatenate(parts), order)
+    train, test = split_order(5, [0.8], 3)
+    assert len(train) == 4 and len(test) == 1
 
 
 def test_split_20000_by_08():

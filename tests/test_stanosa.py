@@ -7,6 +7,7 @@ import pytest
 from staininv import dataset, stanosa
 from staininv.dataset import extract_patches, gcn, generate_base_images, zca_apply, zca_fit
 from staininv.mcae import mcae_init
+from staininv.numerics import float32_layers
 from staininv.stanosa import (
     StanosaTrainConfig,
     feature_extractor,
@@ -189,3 +190,34 @@ def test_load_stanosa_rejects_mismatched_zca_naming_file(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(UsageError, match=str(path)):
         load_stanosa(path)
+
+
+@pytest.mark.parametrize("fault", ["untrained", "epsilon-string", "epsilon-nan"])
+def test_load_stanosa_requires_its_whitening_transform_naming_file(tmp_path, fault):
+    from staininv.persist import UsageError
+
+    path = tmp_path / "s.json"
+    if fault == "untrained":
+        save_stanosa(stanosa_init(seed=0), path)  # saved with "zca": null
+    else:
+        data = _patches(8, n_images=4, size=16)
+        model, _ = train_stanosa(stanosa_init(seed=1), data, StanosaTrainConfig(epochs=0))
+        save_stanosa(model, path)
+        doc = json.loads(path.read_text())
+        doc["zca"]["epsilon"] = "small" if fault == "epsilon-string" else float("nan")
+        path.write_text(json.dumps(doc))
+    with pytest.raises(UsageError, match=str(path)):
+        load_stanosa(path)
+
+
+def test_reconstruction_step_computes_in_the_layers_dtype():
+    rng = np.random.default_rng(5)
+    model = stanosa_init(seed=2, input_dim=6, hidden_dim=5, feature_dim=3)
+    rows = rng.normal(size=(4, 6))
+    layers = model.encoder + model.decoder
+    loss, grads = stanosa.reconstruction_loss_and_grads(layers, rows)
+    assert all(g.dtype == np.float64 for g in grads)
+    loss32, grads32 = stanosa.reconstruction_loss_and_grads(
+        float32_layers(layers), rows.astype(np.float32))
+    assert all(g.dtype == np.float32 for g in grads32)
+    assert loss32 == pytest.approx(loss, rel=1e-5)
