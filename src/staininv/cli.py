@@ -155,11 +155,6 @@ def _train_split(ds, root_seed):
     return dataset.split(ds, derive_seed(root_seed, "split"))
 
 
-def _grid_cells(image, stride, size=8):
-    """How many size x size patches ``dataset.extract_patches`` cuts from the image."""
-    return max(0, (image.height - size) // stride + 1) * max(0, (image.width - size) // stride + 1)
-
-
 # --- subcommands: each takes (args, its block's settings, out_dir, seed) ---
 
 
@@ -180,16 +175,19 @@ def cmd_train_mcae(args, s, out_dir, seed):
     if len(ds.domain_ids) < 2:
         raise UsageError(f"dataset {args.dataset} has the one domain {ds.domain_ids}: "
                          "the MCAE needs at least two")
-    train, _ = _train_split(ds, seed)
-    cells = len(train) * _grid_cells(ds.triplets[0][ds.domain_ids[0]], s["stride"])
-    if cells < s["k"]:
+    domains = ds.domain_ids
+    train = _train_split(ds, seed)[0]
+    store = mcae.patch_store(train, domains, s["stride"])
+    del ds, train  # the trainer reads only the patch bytes: let the images go before training
+    _, n_train, per_triplet, _ = store.shape
+    if n_train * per_triplet < s["k"]:
         raise UsageError(
-            f"mcae.k (--k) must be at most {cells}, the number of sub-patches in the train "
-            f"split ({len(train)} triplet(s) at stride {s['stride']}), got {s['k']}"
+            f"mcae.k (--k) must be at most {n_train * per_triplet}, the number of sub-patches "
+            f"in the train split ({n_train} triplet(s) at stride {s['stride']}), got {s['k']}"
         )
     train_config = _trainer_config(mcae.McaeTrainConfig, s, derive_seed(seed, "mcae"))
-    model = mcae.mcae_init(ds.domain_ids, seed=derive_seed(seed, "mcae"))
-    model, log = mcae.train_mcae(model, train, train_config)
+    model = mcae.mcae_init(domains, seed=derive_seed(seed, "mcae"))
+    model, log = mcae.train_mcae(model, store, train_config)
     mcae.save_mcae(model, os.path.join(out_dir, "mcae_model.json"))
     persist.write_csv(os.path.join(out_dir, "mcae_loss.csv"),
                       *_loss_table(log, ["reconstruction", "feature", "cluster", "total"]))
@@ -202,10 +200,11 @@ def cmd_train_stanosa(args, s, out_dir, seed):
     if domain not in ds.domain_ids:
         raise UsageError(f"stanosa.domain (--domain) must be one of the dataset domains "
                          f"{ds.domain_ids}, got {domain!r}")
-    train, _ = _train_split(ds, seed)
+    train = _train_split(ds, seed)[0]
     patches = np.concatenate(
         [dataset.extract_patches(t[domain], 8, s["stride"]) for t in train.triplets]
     )
+    del ds, train  # the trainer reads only the patch bytes: let the images go before training
     train_config = _trainer_config(stanosa.StanosaTrainConfig, s, derive_seed(seed, "stanosa"))
     model = stanosa.stanosa_init(seed=derive_seed(seed, "stanosa"))
     model, log = stanosa.train_stanosa(model, patches, train_config)

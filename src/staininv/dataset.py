@@ -18,7 +18,7 @@ from .persist import UsageError, checked, read_json_object, write_json
 
 GCN_GUARD = 1e-8
 ZCA_EPSILON = 1e-5
-_ROW_BLOCK = 4096  # rows per block of a whole-matrix GCN or whitening pass
+_ROW_BLOCK = 1024  # rows per block of a whole-matrix GCN or whitening pass
 REFERENCE_DOMAIN = "A"  # the unperturbed domain of every synthetic triplet
 TRAIN_FRACTION = 0.8  # share of triplets in the train split
 
@@ -134,25 +134,31 @@ def extract_patches(image, size=8, stride=None):
     h, w = pixels.shape[:2]
     if size > h or size > w:
         raise ValueError(f"patch size {size} exceeds image dims {h}x{w}")
-    windows = np.lib.stride_tricks.sliding_window_view(pixels, (size, size), axis=(0, 1))
-    windows = windows[::stride, ::stride]  # (gh, gw, 3, size, size)
-    gh, gw = windows.shape[:2]
-    return windows.transpose(0, 1, 3, 4, 2).reshape(gh * gw, size * size * 3)
+    gh, gw = (h - size) // stride + 1, (w - size) // stride + 1
+    s0, s1, s2 = pixels.strides
+    windows = np.lib.stride_tricks.as_strided(  # (gh, gw, size, size, 3), a read-only view
+        pixels, (gh, gw, size, size, pixels.shape[2]), (s0 * stride, s1 * stride, s0, s1, s2),
+        writeable=False,
+    )
+    return windows.reshape(gh * gw, size * size * 3)
 
 
 def scale_to_pm1(values):
-    """Map byte values [0, 255] to [-1, 1]."""
-    return np.asarray(values, dtype=np.float64) / 127.5 - 1.0
+    """Map byte values [0, 255] to [-1, 1], as a new float64 array scaled in place."""
+    x = np.array(values, dtype=np.float64)
+    x /= 127.5
+    x -= 1.0
+    return x
 
 
 def _row_blocked(rows_fn, arr, width, out=None):
     """``rows_fn(arr)`` for a matrix, computed in blocks of rows for a tall one.
 
     A matrix of more than ``_ROW_BLOCK`` rows is cut into near-equal blocks,
-    so only the float64 result is full-size.  Equal blocks also keep every
-    block large: on OpenBLAS a block of one or two rows takes another kernel
-    and moves the last bits of its matmul, while blocks of thousands of rows
-    give the whole matrix's bits.
+    so only the result is full-size and every temporary of ``rows_fn`` is
+    block-sized.  Equal blocks also keep every block large: on OpenBLAS a
+    block of one or two rows takes another kernel and moves the last bits of
+    its matmul, while blocks of 512 rows or more give the whole matrix's bits.
 
     The result goes into ``out`` when it is given, and ``out`` is returned.
     ``out`` may be ``arr`` itself: each block is computed whole before it is
@@ -174,10 +180,16 @@ def _row_blocked(rows_fn, arr, width, out=None):
 
 
 def _gcn_rows(arr):
-    arr = np.asarray(arr, dtype=np.float64)
-    mean = arr.mean(axis=-1, keepdims=True)
-    std = arr.std(axis=-1, keepdims=True)
-    return (arr - mean) / (std + GCN_GUARD)
+    """``(x - x.mean(-1)) / (x.std(-1) + GCN_GUARD)`` of ``arr`` as float64, bit for bit,
+    worked out in place on one copy: the steps are ``np.std``'s, in its order."""
+    x = np.array(arr, dtype=np.float64)
+    x -= x.mean(axis=-1, keepdims=True)
+    std = (x * x).sum(axis=-1, keepdims=True)
+    std /= x.shape[-1]
+    np.sqrt(std, out=std)
+    std += GCN_GUARD
+    x /= std
+    return x
 
 
 def gcn(patch):

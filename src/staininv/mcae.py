@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import persist
-from .dataset import extract_patches, scale_to_pm1
+from .dataset import _row_blocked, extract_patches, scale_to_pm1
 from .numerics import (
     FeatureExtractor,
     autoencoder_init,
@@ -283,18 +283,19 @@ class McaeTrainConfig:
     seed: int = 0
 
 
-def _patch_store(dataset, domain_ids, patch_size, stride):
-    """(domains, triplets, J, dims) array of raw sub-patches, uint8 for images.
+def patch_store(dataset, domain_ids, stride):
+    """(domains, triplets, J, 192) uint8 array of the dataset's 8 px sub-patches at ``stride``.
 
-    The store keeps the bytes: a batch is scaled to [-1, 1] when it is drawn,
-    which gives the same values as scaling the whole store up front at an
-    eighth of its float64 memory.  A ``TripletDataset`` holds one image size,
-    so every image gives the same patch grid.
+    ``train_mcae`` trains on this array alone: a batch is scaled to [-1, 1]
+    when it is drawn, which gives the same values as scaling the whole store
+    up front at an eighth of its float64 memory, and the images can be let go
+    once it is built.  A ``TripletDataset`` holds one image size, so every
+    image gives the same patch grid.
     """
     store = None
     for d, domain in enumerate(domain_ids):
         for t, triplet in enumerate(dataset.triplets):
-            patches = extract_patches(triplet[domain], patch_size, stride)
+            patches = extract_patches(triplet[domain], 8, stride)
             if store is None:
                 store = np.empty((len(domain_ids), len(dataset), *patches.shape), patches.dtype)
             store[d, t] = patches
@@ -305,29 +306,30 @@ def _refit_kmeans(model, anchor_patches, config, epoch):
     flat = anchor_patches.reshape(-1, anchor_patches.shape[-1])
     rng = np.random.default_rng(derive_seed(config.seed, f"kmeans-sample-{epoch}"))
     n = min(config.kmeans_sample, flat.shape[0])
-    sample = scale_to_pm1(flat[rng.choice(flat.shape[0], size=n, replace=False)])
+    rows = flat[rng.choice(flat.shape[0], size=n, replace=False)]
+    # scaled a block at a time into float32: no float64 copy of the whole sample
+    sample = _row_blocked(scale_to_pm1, rows, rows.shape[1], out=np.empty(rows.shape, np.float32))
     encoder = float32_layers(model.encoders[model.domain_ids[0]])
-    features = mlp_forward(encoder, sample.astype(np.float32))
+    features = mlp_forward(encoder, sample)
     model.kmeans = kmeans_fit(
         features, config.k, seed=derive_seed(config.seed, f"kmeans-{epoch}")
     )
 
 
-def train_mcae(model, train, config):
-    """Joint training loop; returns the model and a per-epoch loss log."""
-    if len(train) == 0:
+def train_mcae(model, store, config):
+    """Joint training loop on a ``patch_store`` array ordered like ``model.domain_ids``;
+    returns the model and a per-epoch loss log."""
+    n_dom, n_trip, n_sub, n_in = store.shape
+    if n_trip == 0:
         raise ValueError("empty training dataset")
-    patch_size = int(round((model.input_dim / 3) ** 0.5))
-    data = _patch_store(train, model.domain_ids, patch_size, config.stride)
-    n_dom, n_trip, n_sub, n_in = data.shape
 
     def step(idx):
-        batch = scale_to_pm1(data[:, idx]).astype(np.float32)
+        batch = scale_to_pm1(store[:, idx]).astype(np.float32)
         batch = batch.reshape(n_dom, len(idx) * n_sub, n_in)
         _, breakdown, grads = combined_loss_and_grads(_float32_copy(model), batch)
         return breakdown, grads
 
-    refit = functools.partial(_refit_kmeans, model, data[0], config)
+    refit = functools.partial(_refit_kmeans, model, store[0], config)
     refit(0)  # before the first step
     log = fit(mcae_params(model), config.lr, n_trip, config.batch, config.epochs, config.seed,
               "shuffle", step, end_epoch=refit)

@@ -125,14 +125,16 @@ def feature_extractor(model):
 
 
 def save_stanosa(model, path):
+    """Write a trained model.  A model without its whitening transform is refused with a
+    ValueError and nothing is written: ``load_stanosa`` could not read the file back."""
+    if model.zca is None:
+        raise ValueError("ZCA transform not fitted: only a trained baseline can be saved")
+    zca = {
+        "mean": model.zca.mean.tolist(),
+        "matrix": model.zca.matrix.tolist(),
+        "epsilon": model.zca.epsilon,
+    }
     layers = persist.autoencoder_records(model.encoder, model.decoder)
-    zca = None
-    if model.zca is not None:
-        zca = {
-            "mean": model.zca.mean.tolist(),
-            "matrix": model.zca.matrix.tolist(),
-            "epsilon": model.zca.epsilon,
-        }
     persist.dump_json({"format": "stanosa-v1", "layers": layers, "zca": zca}, path)
 
 

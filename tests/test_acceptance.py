@@ -59,7 +59,7 @@ def run_desk(seed):
     model = mcae.mcae_init(ds.domain_ids, seed=seed)
     model, mcae_log = mcae.train_mcae(
         model,
-        train,
+        mcae.patch_store(train, ds.domain_ids, 8),
         mcae.McaeTrainConfig(epochs=50, lr=0.001, batch=32, stride=8, k=10, seed=seed),
     )
     timings["mcae"] = time.perf_counter() - t1

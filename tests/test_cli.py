@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staininv import classifier, dataset, gradcheck, mcae, stanosa
+from staininv import classifier, dataset, gradcheck, mcae, persist, stanosa
 from staininv.cli import (
     COMMANDS, SETTINGS, UsageError, build_parser, describe, flag, load_config, main, resolve,
 )
@@ -283,7 +284,9 @@ def test_head_for_other_feature_dim_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["eval-nfmse", "train-clf"])
 def test_untrained_baseline_file_is_usage_error(tiny_dataset, tmp_path, capsys, command):
     model = tmp_path / "stanosa.json"
-    stanosa.save_stanosa(stanosa.stanosa_init(seed=0), model)  # no whitening transform
+    untrained = stanosa.stanosa_init(seed=0)  # written by hand: save_stanosa refuses it
+    model.write_text(json.dumps({"format": "stanosa-v1", "zca": None, "layers":
+                                 persist.autoencoder_records(untrained.encoder, untrained.decoder)}))
     inputs = {"eval-nfmse": ["--dataset", str(tiny_dataset)],
               "train-clf": ["--per-class", "2", "--epochs", "1"]}[command]
     code = main([command, *inputs, "--model", str(model), "--out-dir", str(tmp_path / "o")])
@@ -418,6 +421,34 @@ def test_train_mcae_fewer_sub_patches_than_k_is_usage_error(tmp_path, capsys):
     # with k at the count the same data trains
     assert main(["train-mcae", "--dataset", str(ds), "--epochs", "1", "--k", "1",
                  "--kmeans-sample", "1", "--out-dir", str(out)]) == 0
+
+
+@pytest.mark.parametrize("module, trainer, command", [
+    pytest.param(mcae, "train_mcae", "train-mcae", id="train-mcae"),
+    pytest.param(stanosa, "train_stanosa", "train-stanosa", id="train-stanosa"),
+])
+def test_trainers_start_after_the_loaded_images_are_let_go(tiny_dataset, tmp_path, monkeypatch,
+                                                           module, trainer, command):
+    # the trainers read only the patch bytes, so no image (nor its pixels) of the
+    # loaded set, train or test split, may be alive while they run
+    refs, alive_at_start = [], []
+    load, train = dataset.load_dataset, getattr(module, trainer)
+
+    def load_and_watch(directory):
+        ds = load(directory)
+        for image in (image for t in ds.triplets for image in t.values()):
+            refs.extend([weakref.ref(image), weakref.ref(image.pixels)])
+        return ds
+
+    def train_and_count(*args):
+        alive_at_start.append(sum(ref() is not None for ref in refs))
+        return train(*args)
+
+    monkeypatch.setattr(dataset, "load_dataset", load_and_watch)
+    monkeypatch.setattr(module, trainer, train_and_count)
+    assert main([command, "--dataset", str(tiny_dataset), "--epochs", "1",
+                 "--out-dir", str(tmp_path / "o")]) == 0
+    assert len(refs) == 2 * 6 * 3 and alive_at_start == [0]
 
 
 def test_train_mcae_on_one_domain_is_usage_error(tiny_dataset, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +186,28 @@ def test_property_patch_count_formula(h, w, size, stride):
     assert got == gh * gw == _brute_force_patch_count(h, w, size, stride)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 19),
+    st.integers(1, 19),
+    st.integers(1, 9),
+    st.integers(1, 6),
+    st.sampled_from([np.uint8, np.float64]),
+    st.booleans(),
+)
+def test_property_patches_equal_the_sliding_window_expression(h, w, size, stride, dtype, view):
+    if size > min(h, w):
+        return
+    pixels = np.random.default_rng(h * 100 + w).integers(0, 256, (h, w + 3, 3)).astype(dtype)
+    pixels = pixels[:, 1 : w + 1] if view else pixels[:, :w].copy()  # strided input too
+    windows = np.lib.stride_tricks.sliding_window_view(pixels, (size, size), axis=(0, 1))
+    windows = windows[::stride, ::stride]
+    expected = windows.transpose(0, 1, 3, 4, 2).reshape(-1, size * size * 3)
+    got = extract_patches(pixels, size, stride)
+    assert got.dtype == pixels.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_extract_patches_keeps_the_image_dtype():
     img = _random_image(np.random.default_rng(22), 32, 24)
     patches = extract_patches(img, 8, 4)
@@ -205,18 +229,37 @@ def test_scale_and_gcn_of_bytes_equal_their_float64_cast_bitwise():
         assert out.tobytes() == fn(cast).tobytes()
 
 
-@pytest.mark.parametrize("rows", [dataset._ROW_BLOCK + 1, 3 * dataset._ROW_BLOCK - 5])
+# two blocks of the smallest size the blocking cuts, then 5 and 12 blocks
+TALL_ROWS = [dataset._ROW_BLOCK + 1, 4097, 12283]
+
+
+@pytest.mark.parametrize("rows", TALL_ROWS)
 def test_row_blocked_gcn_and_whitening_equal_one_pass_bitwise(rows):
     # a tall matrix is processed in blocks; the bits must be the one-pass bits
     raw = np.random.default_rng(24).integers(0, 256, size=(rows, 48), dtype=np.uint8)
-    one_pass = dataset._gcn_rows(raw)
+    raw[7] = 200  # a constant row takes the guard
+    x = raw.astype(np.float64)
+    one_pass = (x - x.mean(axis=-1, keepdims=True)) / (x.std(axis=-1, keepdims=True) + GCN_GUARD)
     white = gcn(raw)
     assert white.tobytes() == one_pass.tobytes()
     t = zca_fit(white[:2000])
     assert zca_apply(t, white).tobytes() == ((white - t.mean) @ t.matrix.T).tobytes()
 
 
-@pytest.mark.parametrize("rows", [50, dataset._ROW_BLOCK + 1, 3 * dataset._ROW_BLOCK - 5])
+def test_gcn_of_a_tall_matrix_holds_block_sized_temporaries():
+    # every float64 temporary is one block of rows, worked on in place; the
+    # full-size result is the only large allocation
+    raw = np.random.default_rng(27).integers(0, 256, size=(16384, 48), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        out = gcn(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.nbytes
+
+
+@pytest.mark.parametrize("rows", [50, *TALL_ROWS])
 def test_whitening_in_place_equals_out_of_place_bitwise(rows):
     # one block, and more than one: each block is computed whole before it is stored
     normalised = gcn(np.random.default_rng(25).integers(0, 256, size=(rows, 48), dtype=np.uint8))
@@ -241,6 +284,9 @@ def test_scale_to_pm1_endpoints():
     assert scale_to_pm1(0) == -1.0
     assert scale_to_pm1(255) == 1.0
     assert scale_to_pm1(127) == pytest.approx(-0.00392156862745097, rel=1e-12)
+    x = np.array([0.0, 127.5, 255.0])
+    assert scale_to_pm1(x).tolist() == [-1.0, 0.0, 1.0]
+    assert x.tolist() == [0.0, 127.5, 255.0]  # a float64 input is copied, not scaled in place
 
 
 def test_gcn_constant_patch_is_zero():

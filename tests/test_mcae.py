@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from staininv.dataset import (
-    Image, StainPerturbation, TripletDataset, generate_base_images, synth_triplets,
+    Image, StainPerturbation, TripletDataset, extract_patches, generate_base_images,
+    synth_triplets,
 )
 from staininv.mcae import (
     KMeansState,
@@ -21,11 +22,14 @@ from staininv.mcae import (
     load_mcae,
     mcae_init,
     mcae_params,
+    patch_store,
     reconstruction_loss,
     save_mcae,
     train_mcae,
 )
-from staininv.mcae import _float32_copy, _pairwise_sq_dists, _update_centroids
+from staininv.mcae import (
+    _float32_copy, _pairwise_sq_dists, _refit_kmeans, _update_centroids,
+)
 from staininv.numerics import finite_diff_grad, max_relative_error, mlp_forward
 
 
@@ -339,7 +343,8 @@ def test_train_epoch_zero_fits_kmeans_without_stepping():
     ds = _tiny_dataset(20)
     model = mcae_init(ds.domain_ids, seed=4)
     before = [p.copy() for p in mcae_params(model)]
-    model, log = train_mcae(model, ds, McaeTrainConfig(epochs=0, stride=8, k=3, seed=0))
+    model, log = train_mcae(model, patch_store(ds, ds.domain_ids, 8),
+                            McaeTrainConfig(epochs=0, stride=8, k=3, seed=0))
     assert model.kmeans is not None and log == []
     assert all(np.array_equal(a, b) for a, b in zip(before, mcae_params(model)))
 
@@ -347,7 +352,8 @@ def test_train_epoch_zero_fits_kmeans_without_stepping():
 def test_train_keeps_float64_master_parameters():
     ds = _tiny_dataset(24)
     model = mcae_init(ds.domain_ids, seed=4)
-    model, _ = train_mcae(model, ds, McaeTrainConfig(epochs=1, batch=4, stride=8, k=3, seed=0))
+    model, _ = train_mcae(model, patch_store(ds, ds.domain_ids, 8),
+                          McaeTrainConfig(epochs=1, batch=4, stride=8, k=3, seed=0))
     assert all(p.dtype == np.float64 for p in mcae_params(model))
     assert model.kmeans.centroids.dtype == np.float64
 
@@ -355,7 +361,8 @@ def test_train_keeps_float64_master_parameters():
 def test_train_loss_decreases_and_log_length():
     ds = _tiny_dataset(21)
     config = McaeTrainConfig(epochs=8, lr=0.002, batch=4, stride=8, k=3, seed=1)
-    model, log = train_mcae(mcae_init(ds.domain_ids, seed=5), ds, config)
+    model, log = train_mcae(mcae_init(ds.domain_ids, seed=5), patch_store(ds, ds.domain_ids, 8),
+                            config)
     assert len(log) == config.epochs
     assert log[-1]["total"] < log[0]["total"]
     assert set(log[0]["losses"]) == {"reconstruction", "feature", "cluster"}
@@ -364,8 +371,9 @@ def test_train_loss_decreases_and_log_length():
 def test_train_deterministic_and_persistence_roundtrip(tmp_path):
     ds = _tiny_dataset(22)
     config = McaeTrainConfig(epochs=2, batch=4, stride=8, k=3, seed=2)
-    model1, _ = train_mcae(mcae_init(ds.domain_ids, seed=6), ds, config)
-    model2, _ = train_mcae(mcae_init(ds.domain_ids, seed=6), ds, config)
+    store = patch_store(ds, ds.domain_ids, 8)
+    model1, _ = train_mcae(mcae_init(ds.domain_ids, seed=6), store, config)
+    model2, _ = train_mcae(mcae_init(ds.domain_ids, seed=6), store, config)
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
     save_mcae(model1, p1)
     save_mcae(model2, p2)
@@ -395,7 +403,7 @@ def test_train_keeps_the_patch_store_in_bytes():
     config = McaeTrainConfig(epochs=0, batch=batch, stride=4, k=3, kmeans_sample=60, seed=3)
     tracemalloc.start()
     try:
-        train_mcae(model, ds, config)
+        train_mcae(model, patch_store(ds, ds.domain_ids, config.stride), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -404,19 +412,44 @@ def test_train_keeps_the_patch_store_in_bytes():
 
 
 def test_train_empty_dataset():
-    ds = _tiny_dataset(23)
-    empty = type(ds)(domain_ids=ds.domain_ids, triplets=[])
-    with pytest.raises(ValueError):
-        train_mcae(mcae_init(ds.domain_ids, seed=0), empty, McaeTrainConfig(epochs=1))
+    no_triplets = np.empty((3, 0, 4, 192), np.uint8)
+    with pytest.raises(ValueError, match="empty"):
+        train_mcae(mcae_init(["A", "B", "C"], seed=0), no_triplets, McaeTrainConfig(epochs=1))
+
+
+def test_patch_store_holds_each_images_8px_patches_in_domain_order():
+    ds = _tiny_dataset(27, n=3)
+    store = patch_store(ds, ["C", "A"], 4)
+    assert store.dtype == np.uint8 and store.shape == (2, 3, 9, 192)  # 16 px at stride 4
+    for d, domain in enumerate(["C", "A"]):
+        for t, triplet in enumerate(ds.triplets):
+            assert np.array_equal(store[d, t], extract_patches(triplet[domain], 8, 4))
+
+
+def test_refit_peaks_below_the_float64_size_of_its_sample():
+    # the sample is scaled to float32 a block at a time; a float64 copy of the
+    # whole sample (let alone two) would break the bound.  A narrow encoder keeps
+    # the forward pass's own activations (float32, hidden-width rows) well inside it.
+    rng = np.random.default_rng(29)
+    anchor = rng.integers(0, 256, (400, 49, 192), dtype=np.uint8)
+    model = mcae_init(["A", "B"], seed=1, hidden_dim=32)
+    config = McaeTrainConfig(k=10, kmeans_sample=10000, seed=4)
+    tracemalloc.start()
+    try:
+        _refit_kmeans(model, anchor, config, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.kmeans.k == 10
+    assert peak < 8 * config.kmeans_sample * 192
 
 
 def test_trained_model_beats_untrained_on_feature_loss():
     ds = _tiny_dataset(24, n=16)
     config = McaeTrainConfig(epochs=15, lr=0.003, batch=4, stride=8, k=3, seed=3)
-    trained, _ = train_mcae(mcae_init(ds.domain_ids, seed=7), ds, config)
+    trained, _ = train_mcae(mcae_init(ds.domain_ids, seed=7), patch_store(ds, ds.domain_ids, 8),
+                            config)
     untrained = mcae_init(ds.domain_ids, seed=7)
-
-    from staininv.dataset import extract_patches
 
     holdout = _tiny_dataset(25, n=6)
 
@@ -448,7 +481,7 @@ def test_train_rejects_zero_batch():
     ds = _tiny_dataset(25, n=4)
     config = McaeTrainConfig(epochs=1, batch=0, stride=8, k=3, kmeans_sample=50)
     with pytest.raises(ValueError, match="batch"):
-        train_mcae(mcae_init(ds.domain_ids, seed=0), ds, config)
+        train_mcae(mcae_init(ds.domain_ids, seed=0), patch_store(ds, ds.domain_ids, 8), config)
 
 
 def _shrink_rows(record, n_out):

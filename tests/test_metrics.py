@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from staininv.dataset import Image, StainPerturbation, generate_base_images, synth_triplets
 from staininv.mcae import feature_extractor, mcae_init
 from staininv.metrics import (
+    NORMALIZE_EPSILON,
     classification_report,
     cxcy_sample,
     density_ssim_table,
@@ -44,6 +45,24 @@ def test_normalize_output_statistics():
     stds = out.std(axis=(0, 1))
     assert np.abs(means).max() < 1e-9
     assert np.abs(stds - 1.0).max() < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(1, 12),
+    st.integers(0, 2**31 - 1),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.booleans(),
+)
+def test_property_normalize_equals_the_mean_std_expression_bitwise(h, w, n, seed, scale, flat):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(h, w, n)) * scale
+    if flat:
+        z[..., 0] = scale  # a constant channel
+    expected = (z - z.mean(axis=(0, 1))) / (z.std(axis=(0, 1)) + NORMALIZE_EPSILON)
+    assert normalize_feature_map(z).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

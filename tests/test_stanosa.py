@@ -197,17 +197,24 @@ def test_load_stanosa_requires_its_whitening_transform_naming_file(tmp_path, fau
     from staininv.persist import UsageError
 
     path = tmp_path / "s.json"
+    data = _patches(8, n_images=4, size=16)
+    model, _ = train_stanosa(stanosa_init(seed=1), data, StanosaTrainConfig(epochs=0))
+    save_stanosa(model, path)
+    doc = json.loads(path.read_text())
     if fault == "untrained":
-        save_stanosa(stanosa_init(seed=0), path)  # saved with "zca": null
+        doc["zca"] = None  # the file of a model without its transform, which no save writes
     else:
-        data = _patches(8, n_images=4, size=16)
-        model, _ = train_stanosa(stanosa_init(seed=1), data, StanosaTrainConfig(epochs=0))
-        save_stanosa(model, path)
-        doc = json.loads(path.read_text())
         doc["zca"]["epsilon"] = "small" if fault == "epsilon-string" else float("nan")
-        path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc))
     with pytest.raises(UsageError, match=str(path)):
         load_stanosa(path)
+
+
+def test_save_refuses_a_model_without_its_whitening_transform(tmp_path):
+    path = tmp_path / "s.json"
+    with pytest.raises(ValueError, match="ZCA transform not fitted"):
+        save_stanosa(stanosa_init(seed=0), path)
+    assert not path.exists()
 
 
 def test_reconstruction_step_computes_in_the_layers_dtype():
