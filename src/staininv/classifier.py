@@ -2,9 +2,11 @@
 
 An image is cut into non-overlapping 8x8 patches, each patch is encoded by
 a frozen feature extractor (with its model-specific preprocessing), and the
-resulting feature grid is classified by two same-padded 3x3 convolutions
-(leaky-relu after each, including the last) followed by global average
-pooling down to one logit per class.
+resulting (h, w, features) grid is classified by two same-padded 3x3
+convolutions (leaky-relu after each, including the last) followed by global
+average pooling down to one logit per class.  Each convolution is a
+``DenseLayer`` applied to every grid cell's 3x3 neighbourhood
+(``numerics.conv2d_forward``).
 """
 
 import os
@@ -18,11 +20,13 @@ from .dataset import (
     save_image, split_order,
 )
 from .numerics import (
+    DenseLayer,
     conv2d_backward,
     conv2d_forward,
-    conv2d_init,
     derive_seed,
     fit,
+    glorot_uniform,
+    mlp_params,
     param_checksum,
 )
 
@@ -40,39 +44,42 @@ def featurize(extractor, image):
 
 @dataclass
 class ClassifierHead:
-    conv1: object  # Conv2dLayer feature_dim -> hidden, 3x3, same padding
-    conv2: object  # Conv2dLayer hidden -> n_classes
+    conv1: DenseLayer  # 9 * feature_dim -> hidden, a 3x3 convolution
+    conv2: DenseLayer  # 9 * hidden -> n_classes
 
     @property
     def n_classes(self):
-        return self.conv2.kernels.shape[0]
+        return self.conv2.n_out
 
 
 def head_init(n_classes, seed, in_channels=10, hidden=32):
+    """Glorot-uniform 3x3 convolutions (fan over the 9 taps), zero bias, leaky-relu."""
     rng = np.random.default_rng(derive_seed(seed, "head-init"))
-    return ClassifierHead(
-        conv1=conv2d_init(in_channels, hidden, 3, rng, activation="leaky_relu"),
-        conv2=conv2d_init(hidden, n_classes, 3, rng, activation="leaky_relu"),
-    )
+
+    def conv(n_in, n_out):
+        weights = glorot_uniform(n_out, n_in, rng, receptive=9)
+        return DenseLayer(weights, np.zeros(n_out), "leaky_relu")
+
+    return ClassifierHead(conv1=conv(in_channels, hidden), conv2=conv(hidden, n_classes))
 
 
 def head_params(head):
-    return [head.conv1.kernels, head.conv1.bias, head.conv2.kernels, head.conv2.bias]
+    return mlp_params([head.conv1, head.conv2])
 
 
 def _head_forward(head, x):
-    """x: (batch, channels, h, w) -> logits (batch, n_classes), with caches."""
-    a1, cols1 = conv2d_forward(head.conv1, x)
-    a2, cols2 = conv2d_forward(head.conv2, a1)
-    return a2.mean(axis=(2, 3)), (x, cols1, a1, cols2, a2)
+    """x: (batch, h, w, channels) -> logits (batch, n_classes), with caches."""
+    a1, rows1 = conv2d_forward(head.conv1, x)
+    a2, rows2 = conv2d_forward(head.conv2, a1)
+    return a2.mean(axis=(1, 2)), (rows1, a1, rows2, a2)
 
 
 def _head_backward(head, caches, dlogits):
-    x, cols1, a1, cols2, a2 = caches
-    h, w = a2.shape[2:]
-    da2 = np.broadcast_to(dlogits[:, :, None, None] / (h * w), a2.shape)
-    g2, da1 = conv2d_backward(head.conv2, a1, da2, a2, cols2)
-    g1, _ = conv2d_backward(head.conv1, x, da1, a1, cols1)
+    rows1, a1, rows2, a2 = caches
+    h, w = a2.shape[1:3]
+    da2 = np.broadcast_to(dlogits[:, None, None, :] / (h * w), a2.shape)
+    g2, da1 = conv2d_backward(head.conv2, rows2, da2, a2)
+    g1, _ = conv2d_backward(head.conv1, rows1, da1, a1, inputs=False)
     return g1 + g2
 
 
@@ -186,10 +193,7 @@ def extractor_checksum(extractor):
 
 
 def _feature_batch(extractor, dataset):
-    maps = [
-        featurize(extractor, image).transpose(2, 0, 1) for image in dataset.images
-    ]
-    return np.stack(maps)
+    return np.stack([featurize(extractor, image) for image in dataset.images])
 
 
 def _accuracy(head, features, labels):
@@ -238,8 +242,7 @@ def evaluate_classifier(extractor, head, test_set):
 def save_head(head, path):
     persist.dump_json(
         {
-            "format": "clf-head-v1",
-            "pooling": "avg",
+            "format": "clf-head-v2",
             "conv1": persist.layer_record(head.conv1),
             "conv2": persist.layer_record(head.conv2),
         },
@@ -248,17 +251,14 @@ def save_head(head, path):
 
 
 def load_head(path):
-    return persist.read_model(path, {"clf-head-v1": head_from_doc})
+    return persist.read_model(path, {"clf-head-v2": head_from_doc})
 
 
 def head_from_doc(doc):
-    """Rebuild a head from a parsed clf-head-v1 document, checking its shapes.
-
-    The document's ``pooling`` must be ``"avg"``, the one pooling the head has.
-    """
-    if doc["pooling"] != "avg":
-        raise ValueError(f"pooling must be 'avg', got {doc['pooling']!r}")
-    conv1, conv2 = persist.layer_chain(
-        [doc["conv1"], doc["conv2"]], "conv2d", "classifier head"
-    )
+    """Rebuild a head from a parsed clf-head-v2 document, checking its shapes: conv2
+    reads the 3x3 neighbourhoods of conv1's outputs."""
+    conv1, conv2 = (persist.layer_from_record(doc[key]) for key in ("conv1", "conv2"))
+    if conv2.n_in != 9 * conv1.n_out:
+        raise ValueError(f"classifier head: conv2 takes {conv2.n_in} inputs, not the "
+                         f"9 x {conv1.n_out} of conv1's 3x3 neighbourhoods")
     return ClassifierHead(conv1=conv1, conv2=conv2)

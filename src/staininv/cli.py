@@ -139,16 +139,23 @@ def _extractors(path, domains, what):
 
     A None domain is an MCAE's first.  The baseline's one encoder serves every
     domain; an MCAE that lacks one of ``domains`` is a UsageError naming
-    ``what``, the file and both domain lists.
+    ``what``, the file and both domain lists.  An encoder that does not take
+    one 8x8 RGB patch (192 inputs) is a UsageError naming the file.
     """
     kind, model = persist.read_model(path, _MODEL_BUILDERS)
     if kind == "stanosa":
-        return kind, dict.fromkeys(domains, stanosa.feature_extractor(model))
-    domains = [model.domain_ids[0] if d is None else d for d in domains]
-    if not set(domains) <= set(model.domain_ids):
-        raise UsageError(f"{what} must be among the domains {model.domain_ids} of the model "
-                         f"{path}, got {domains}")
-    return kind, {d: mcae.feature_extractor(model, d) for d in domains}
+        extractors = dict.fromkeys(domains, stanosa.feature_extractor(model))
+    else:
+        domains = [model.domain_ids[0] if d is None else d for d in domains]
+        if not set(domains) <= set(model.domain_ids):
+            raise UsageError(f"{what} must be among the domains {model.domain_ids} of the "
+                             f"model {path}, got {domains}")
+        extractors = {d: mcae.feature_extractor(model, d) for d in domains}
+    n_in = next(iter(extractors.values())).layers[0].n_in
+    if n_in != 192:
+        raise UsageError(f"the encoder of the model {path} takes {n_in} inputs, not the 192 "
+                         "of an 8x8 RGB patch")
+    return kind, extractors
 
 
 def _train_split(ds, root_seed):
@@ -177,7 +184,7 @@ def cmd_train_mcae(args, s, out_dir, seed):
                          "the MCAE needs at least two")
     domains = ds.domain_ids
     train = _train_split(ds, seed)[0]
-    store = mcae.patch_store(train, domains, s["stride"])
+    store = dataset.patch_store(train, domains, s["stride"])
     del ds, train  # the trainer reads only the patch bytes: let the images go before training
     _, n_train, per_triplet, _ = store.shape
     if n_train * per_triplet < s["k"]:
@@ -201,9 +208,7 @@ def cmd_train_stanosa(args, s, out_dir, seed):
         raise UsageError(f"stanosa.domain (--domain) must be one of the dataset domains "
                          f"{ds.domain_ids}, got {domain!r}")
     train = _train_split(ds, seed)[0]
-    patches = np.concatenate(
-        [dataset.extract_patches(t[domain], 8, s["stride"]) for t in train.triplets]
-    )
+    patches = dataset.patch_store(train, [domain], s["stride"]).reshape(-1, 192)
     del ds, train  # the trainer reads only the patch bytes: let the images go before training
     train_config = _trainer_config(stanosa.StanosaTrainConfig, s, derive_seed(seed, "stanosa"))
     model = stanosa.stanosa_init(seed=derive_seed(seed, "stanosa"))
@@ -297,7 +302,7 @@ def cmd_train_clf(args, s, out_dir, seed):
 def cmd_eval_clf(args, s, out_dir, seed):
     extractor = _classifier_extractor(args, s)
     head = classifier.load_head(args.head)
-    if head.conv1.kernels.shape[1] != extractor.feature_dim:
+    if head.conv1.n_in != 9 * extractor.feature_dim:
         raise UsageError(f"head {args.head} does not take {extractor.feature_dim} features")
     data = _labeled_data(args, s, seed)
     if head.n_classes != len(data.class_names):

@@ -7,6 +7,8 @@ in HSD space so that aligned domains share their density plane by
 construction, which gives the evaluation suite an exact oracle.
 """
 
+import math
+import mmap
 import os
 from dataclasses import asdict, dataclass, field, replace
 
@@ -141,6 +143,33 @@ def extract_patches(image, size=8, stride=None):
         writeable=False,
     )
     return windows.reshape(gh * gw, size * size * 3)
+
+
+def patch_store(dataset, domain_ids, stride):
+    """(domains, triplets, J, 192) uint8 array of the dataset's 8 px sub-patches at ``stride``.
+
+    ``mcae.train_mcae`` trains on this array alone: a batch is scaled to [-1, 1]
+    when it is drawn, which gives the same values as scaling the whole store
+    up front at an eighth of its float64 memory, and the images can be let go
+    once it is built.  A ``TripletDataset`` holds one image size, so every
+    image gives the same patch grid.  The baseline trains on one domain's
+    store, reshaped to its (triplets * J, 192) rows.
+
+    The store lives in an anonymous memory mapping of its own, not in one
+    from malloc: glibc raises its mmap threshold to the size of a freed
+    mmapped block, so after one store is freed every later block below that
+    size would come from the heap, whose freed top stays resident.
+    """
+    store = None
+    for d, domain in enumerate(domain_ids):
+        for t, triplet in enumerate(dataset.triplets):
+            patches = extract_patches(triplet[domain], 8, stride)
+            if store is None:
+                shape = (len(domain_ids), len(dataset), *patches.shape)
+                mapping = mmap.mmap(-1, math.prod(shape) * patches.itemsize)
+                store = np.frombuffer(mapping, patches.dtype).reshape(shape)
+            store[d, t] = patches
+    return store
 
 
 def scale_to_pm1(values):

@@ -13,7 +13,6 @@ from .numerics import (
     autoencoder_init,
     conv2d_backward,
     conv2d_forward,
-    conv2d_init,
     dense_backward,
     dense_forward,
     dense_init,
@@ -49,15 +48,16 @@ def check_dense(activation, seed):
 
 def check_conv2d(activation, seed):
     rng = np.random.default_rng(seed)
-    layer = conv2d_init(2, 3, 3, rng, padding=1, activation=activation)
-    x = rng.normal(size=(2, 2, 4, 4))
-    weight = rng.normal(size=(2, 3, 4, 4))
+    layer = dense_init(2 * 9, 3, activation, rng)  # a 3x3 convolution of 2 channels
+    x = rng.normal(size=(2, 4, 4, 2))
+    weight = rng.normal(size=(2, 4, 4, 3))
 
     def loss():
         return float((conv2d_forward(layer, x)[0] * weight).sum())
 
-    grads, dx = conv2d_backward(layer, x, weight, *conv2d_forward(layer, x))
-    worst = _check_params(loss, zip((layer.kernels, layer.bias), grads))
+    out, rows = conv2d_forward(layer, x)
+    grads, dx = conv2d_backward(layer, rows, weight, out)
+    worst = _check_params(loss, zip((layer.weights, layer.bias), grads))
     numeric = finite_diff_grad(lambda _v: loss(), x)
     return max(worst, max_relative_error(dx, numeric))
 
@@ -146,7 +146,7 @@ def check_cyclegan_discriminator(seed):
 def check_classifier_head(seed):
     rng = np.random.default_rng(seed)
     head = classifier.head_init(3, seed=seed, in_channels=4, hidden=5)
-    x = rng.normal(size=(2, 4, 3, 3))
+    x = rng.normal(size=(2, 3, 3, 4))
     labels = np.array([0, 2])
 
     def loss():

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import persist
-from .dataset import _row_blocked, extract_patches, scale_to_pm1
+from .dataset import _row_blocked, scale_to_pm1
 from .numerics import (
     FeatureExtractor,
     autoencoder_init,
@@ -283,25 +283,6 @@ class McaeTrainConfig:
     seed: int = 0
 
 
-def patch_store(dataset, domain_ids, stride):
-    """(domains, triplets, J, 192) uint8 array of the dataset's 8 px sub-patches at ``stride``.
-
-    ``train_mcae`` trains on this array alone: a batch is scaled to [-1, 1]
-    when it is drawn, which gives the same values as scaling the whole store
-    up front at an eighth of its float64 memory, and the images can be let go
-    once it is built.  A ``TripletDataset`` holds one image size, so every
-    image gives the same patch grid.
-    """
-    store = None
-    for d, domain in enumerate(domain_ids):
-        for t, triplet in enumerate(dataset.triplets):
-            patches = extract_patches(triplet[domain], 8, stride)
-            if store is None:
-                store = np.empty((len(domain_ids), len(dataset), *patches.shape), patches.dtype)
-            store[d, t] = patches
-    return store
-
-
 def _refit_kmeans(model, anchor_patches, config, epoch):
     flat = anchor_patches.reshape(-1, anchor_patches.shape[-1])
     rng = np.random.default_rng(derive_seed(config.seed, f"kmeans-sample-{epoch}"))
@@ -317,8 +298,8 @@ def _refit_kmeans(model, anchor_patches, config, epoch):
 
 
 def train_mcae(model, store, config):
-    """Joint training loop on a ``patch_store`` array ordered like ``model.domain_ids``;
-    returns the model and a per-epoch loss log."""
+    """Joint training loop on a ``dataset.patch_store`` array ordered like
+    ``model.domain_ids``; returns the model and a per-epoch loss log."""
     n_dom, n_trip, n_sub, n_in = store.shape
     if n_trip == 0:
         raise ValueError("empty training dataset")

@@ -1,6 +1,8 @@
 """Dense-tensor math with hand-written backward passes and the Adam optimizer.
 
-Layers carry their parameters as plain numpy arrays, and a dense layer
+There is one layer type, ``DenseLayer``, which carries its parameters as
+plain numpy arrays; a same-padded 3x3 convolution is a dense layer applied
+to each grid cell's 3x3 neighbourhood (``conv2d_forward``).  A dense layer
 computes in the dtype of its weights: ``dense_forward`` and
 ``dense_backward`` cast their input and upstream gradient to it.  Models,
 their files, Adam and every evaluation path are 64-bit.  The MCAE and
@@ -147,104 +149,52 @@ def dense_backward(layer, x, upstream, out, params=True, inputs=True):
     return grads, dpre @ layer.weights if inputs else None
 
 
-@dataclass
-class Conv2dLayer:
-    """2-d cross-correlation layer over (batch, channels, H, W) maps."""
+def _neighbourhoods(grids):
+    """(batch, h, w, C) grids -> (batch*h*w, C*9) rows: each cell's 3x3 neighbourhood.
 
-    kernels: np.ndarray  # (out_ch, in_ch, k, k)
-    bias: np.ndarray  # (out_ch,)
-    padding: int = 0
-    activation: str = "linear"
-
-    def __post_init__(self):
-        _check_activation(self.activation)
-        if self.kernels.ndim != 4 or self.kernels.shape[2] != self.kernels.shape[3]:
-            raise ValueError("kernels must have shape (out_ch, in_ch, k, k)")
-        if self.kernels.shape[2] % 2 != 1:
-            raise ValueError("kernel size must be odd")
-        if self.bias.shape != (self.kernels.shape[0],):
-            raise ValueError("bias length must equal out_ch")
-        if self.padding < 0:
-            raise ValueError("padding must be non-negative")
-
-    @property
-    def k(self):
-        return self.kernels.shape[2]
-
-
-def conv2d_init(in_ch, out_ch, k, rng, padding=None, activation="linear"):
-    """Glorot-initialised convolution; padding defaults to 'same' ((k-1)/2)."""
-    if padding is None:
-        padding = (k - 1) // 2
-    kernels = glorot_uniform(out_ch, in_ch, rng, receptive=k * k).reshape(
-        out_ch, in_ch, k, k
-    )
-    return Conv2dLayer(kernels, np.zeros(out_ch), padding, activation)
-
-
-def _im2col(x, k, padding):
-    # x: (B, C, H, W) -> columns (B, H'*W', C*k*k) with H' = H+2p-k+1
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    b, c, out_h, out_w = windows.shape[:4]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, out_h * out_w, c * k * k)
-    return np.ascontiguousarray(cols), out_h, out_w
-
-
-def _col2im(dcols, x_shape, k, padding):
-    b, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    out_h, out_w = hp - k + 1, wp - k + 1
-    dx = np.zeros((b, c, hp, wp))
-    d6 = dcols.reshape(b, out_h, out_w, c, k, k)
-    for i in range(k):
-        for j in range(k):
-            dx[:, :, i : i + out_h, j : j + out_w] += d6[:, :, :, :, i, j].transpose(
-                0, 3, 1, 2
-            )
-    return dx[:, :, padding : padding + h, padding : padding + w]
-
-
-def conv2d_forward(layer, x):
-    """Cross-correlation with the layer's padding, then activation.
-
-    Returns the output and the im2col matrix that ``conv2d_backward`` reuses.
+    The grids are zero-padded by one cell, so every cell has nine neighbours.
+    Columns are channel-major, column ``9*c + 3*i + j`` holding channel c at
+    offset (i - 1, j - 1): the order in which a (C, 3, 3) kernel flattens.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ValueError("expected input of shape (batch, channels, H, W)")
-    out_ch, in_ch, k, _ = layer.kernels.shape
-    if x.shape[1] != in_ch:
-        raise ValueError(f"input has {x.shape[1]} channels, layer expects {in_ch}")
-    if x.shape[2] + 2 * layer.padding < k or x.shape[3] + 2 * layer.padding < k:
-        raise ValueError("spatial dims (after padding) smaller than the kernel")
-    cols, out_h, out_w = _im2col(x, k, layer.padding)
-    pre = cols @ layer.kernels.reshape(out_ch, -1).T + layer.bias
-    pre = pre.transpose(0, 2, 1).reshape(x.shape[0], out_ch, out_h, out_w)
-    return apply_activation(layer.activation, pre), cols
+    b, h, w, c = grids.shape
+    padded = np.pad(grids, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+    return windows.reshape(b * h * w, c * 9)  # (b, h, w, c, 3, 3), copied in row order
 
 
-def conv2d_backward(layer, x, upstream, out, cols):
-    """Analytic gradients of ``conv2d_forward`` from its cached output and cols.
+def conv2d_forward(layer, grids):
+    """Same-padded 3x3 convolution of (batch, h, w, C) grids by a DenseLayer of C*9 inputs.
 
-    Returns ``([dkernels, dbias], input gradient)``.
+    Returns the (batch, h, w, out) output and the neighbourhood rows that
+    ``conv2d_backward`` reuses.
     """
-    x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != out.shape:
-        raise ValueError(
-            f"upstream gradient shape {upstream.shape} does not match output {out.shape}"
-        )
-    out_ch, in_ch, k, _ = layer.kernels.shape
-    dpre = upstream * activation_derivative(layer.activation, out)
-    b = x.shape[0]
-    dpre_cols = dpre.reshape(b, out_ch, -1).transpose(0, 2, 1)  # (B, H'W', out_ch)
-    dkern = np.einsum("bpo,bpc->oc", dpre_cols, cols).reshape(layer.kernels.shape)
-    dbias = dpre_cols.sum(axis=(0, 1))
-    dcols = dpre_cols @ layer.kernels.reshape(out_ch, -1)
-    dx = _col2im(dcols, x.shape, k, layer.padding)
-    return [dkern, dbias], dx
+    grids = np.asarray(grids)
+    if grids.ndim != 4:
+        raise ValueError("expected grids of shape (batch, h, w, channels)")
+    if 9 * grids.shape[3] != layer.n_in:
+        raise ValueError(f"input has {grids.shape[3]} channels, layer takes {layer.n_in} "
+                         "inputs, not 9 per channel")
+    rows = _neighbourhoods(grids)
+    return dense_forward(layer, rows).reshape(*grids.shape[:3], layer.n_out), rows
+
+
+def conv2d_backward(layer, rows, upstream, out, inputs=True):
+    """Analytic gradients of ``conv2d_forward`` from its rows and cached output.
+
+    Returns ``([dW, db], grid gradient)``; ``inputs=False`` skips the grid
+    gradient and returns None in its place.
+    """
+    b, h, w, n_out = out.shape
+    grads, drows = dense_backward(layer, rows, np.reshape(upstream, (-1, n_out)),
+                                  out.reshape(-1, n_out), inputs=inputs)
+    if drows is None:
+        return grads, None
+    drows = drows.reshape(b, h, w, -1, 3, 3)
+    dpadded = np.zeros((b, h + 2, w + 2, drows.shape[3]), drows.dtype)
+    for i in range(3):
+        for j in range(3):
+            dpadded[:, i : i + h, j : j + w] += drows[..., i, j]
+    return grads, dpadded[:, 1:-1, 1:-1]
 
 
 @dataclass

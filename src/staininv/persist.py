@@ -1,9 +1,10 @@
 """Artifact formats: model files, CSV tables and JSON result documents.
 
 Model files are versioned JSON (``mcae-v1``, ``stanosa-v1``,
-``clf-head-v1``).  Their floats are written as decimals with 17 significant
-digits, which uniquely identifies every finite double, so save -> load
-reproduces parameters bit-for-bit.  CSV cells use the same 17 digits;
+``clf-head-v2``) of dense layer records, the one record format.  Their
+floats are written as decimals with 17 significant digits, which uniquely
+identifies every finite double, so save -> load reproduces parameters
+bit-for-bit.  CSV cells use the same 17 digits;
 small result documents (summaries, manifests) are indented JSON with
 sorted keys.  PPM images keep their own reader and writer (``dataset``).
 
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .numerics import LEAKY_SLOPE, Conv2dLayer, DenseLayer
+from .numerics import LEAKY_SLOPE, DenseLayer
 
 
 class UsageError(ValueError):
@@ -169,49 +170,43 @@ def float_array(values, what, shape):
     return arr
 
 
-# --- layer records: one record format for dense and conv layers ---
+# --- layer records: the one record format, of a DenseLayer ---
 
 
 def layer_record(layer):
-    """Record of a DenseLayer (kind "dense") or Conv2dLayer (kind "conv2d")."""
-    conv = isinstance(layer, Conv2dLayer)
-    weights = layer.kernels if conv else layer.weights
+    """Record (kind "dense") of a DenseLayer."""
     record = {
-        "kind": "conv2d" if conv else "dense",
-        "shape": list(weights.shape),
-        "weights": weights.reshape(-1).tolist(),
+        "kind": "dense",
+        "shape": list(layer.weights.shape),
+        "weights": layer.weights.reshape(-1).tolist(),
         "bias": layer.bias.tolist(),
+        "activation": layer.activation,
     }
-    if conv:
-        record["padding"] = layer.padding
-    record["activation"] = layer.activation
     if layer.activation == "leaky_relu":
         record["leaky_slope"] = LEAKY_SLOPE
     return record
 
 
 def layer_from_record(record):
-    """Rebuild the layer of a record, checking sizes, finite values and the leaky slope."""
+    """Rebuild the DenseLayer of a record, checking its kind, sizes, finite values and
+    the leaky slope."""
+    if record["kind"] != "dense":
+        raise ValueError(f"layer kind must be 'dense', got {record['kind']!r}")
     weights = float_array(record["weights"], "layer weights", (None,))
     weights = weights.reshape(record["shape"])
     bias = float_array(record["bias"], "layer bias", weights.shape[:1])
     slope = record.get("leaky_slope", LEAKY_SLOPE)
     if slope != LEAKY_SLOPE:
         raise ValueError(f"leaky_slope must be {LEAKY_SLOPE}, got {slope!r}")
-    if record["kind"] == "dense":
-        return DenseLayer(weights, bias, record["activation"])
-    return Conv2dLayer(weights, bias, record["padding"], record["activation"])
+    return DenseLayer(weights, bias, record["activation"])
 
 
-def layer_chain(records, kind, what):
-    """Layers of one kind from consecutive records, each fed by the one before."""
-    if any(record["kind"] != kind for record in records):
-        raise ValueError(f"{what}: every layer must be of kind {kind!r}")
+def layer_chain(records, what):
+    """Layers from consecutive records, each fed by the one before."""
     layers = [layer_from_record(record) for record in records]
-    for prev, record in zip(records, records[1:]):
-        if record["shape"][1] != prev["shape"][0]:
-            n_out, n_in = prev["shape"][0], record["shape"][1]
-            raise ValueError(f"{what}: {n_out} outputs feed a layer of {n_in} inputs")
+    for prev, layer in zip(layers, layers[1:]):
+        if layer.n_in != prev.n_out:
+            raise ValueError(f"{what}: {prev.n_out} outputs feed a layer of {layer.n_in} inputs")
     return layers
 
 
@@ -244,7 +239,7 @@ def autoencoder_stacks(records, group=None):
             stack.sort(key=lambda record: record["index"])
             if not stack or [r["index"] for r in stack] != list(range(len(stack))):
                 raise ValueError(f"{what}: {stage} layer indices must run 0..n-1")
-        layers = layer_chain(stages["encoder"] + stages["decoder"], "dense", what)
+        layers = layer_chain(stages["encoder"] + stages["decoder"], what)
         split = len(stages["encoder"])
         result[name] = (layers[:split], layers[split:])
     return result

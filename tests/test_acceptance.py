@@ -59,15 +59,13 @@ def run_desk(seed):
     model = mcae.mcae_init(ds.domain_ids, seed=seed)
     model, mcae_log = mcae.train_mcae(
         model,
-        mcae.patch_store(train, ds.domain_ids, 8),
+        dataset.patch_store(train, ds.domain_ids, 8),
         mcae.McaeTrainConfig(epochs=50, lr=0.001, batch=32, stride=8, k=10, seed=seed),
     )
     timings["mcae"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    patches = np.concatenate(
-        [dataset.extract_patches(t["A"], 8, 8) for t in train.triplets]
-    )
+    patches = dataset.patch_store(train, ["A"], 8).reshape(-1, 192)
     baseline = stanosa.stanosa_init(seed=seed)
     baseline, stanosa_log = stanosa.train_stanosa(
         baseline,

@@ -23,7 +23,7 @@ from staininv.classifier import (
 )
 from staininv.dataset import Image
 from staininv.mcae import feature_extractor, mcae_init
-from staininv.numerics import finite_diff_grad, max_relative_error
+from staininv.numerics import DenseLayer, finite_diff_grad, max_relative_error
 
 
 def _extractor(seed=0):
@@ -61,12 +61,17 @@ def test_featurize_range_and_determinism():
 # --- head forward ---
 
 
+def _kernels(layer):
+    """A head layer's weights as (out, in, 3, 3) kernels: its inputs are channel-major."""
+    return layer.weights.reshape(layer.n_out, -1, 3, 3)
+
+
 def test_zero_head_gives_zero_logits():
     head = head_init(3, seed=0)
-    head.conv1.kernels[:] = 0.0
-    head.conv2.kernels[:] = 0.0
+    head.conv1.weights[:] = 0.0
+    head.conv2.weights[:] = 0.0
     features = np.random.default_rng(3).normal(size=(4, 4, 10))
-    logits = _head_forward(head, features.transpose(2, 0, 1)[None])[0][0]
+    logits = _head_forward(head, features[None])[0][0]
     assert np.array_equal(logits, np.zeros(3))
 
 
@@ -79,9 +84,9 @@ def test_classify_single_location_closed_form():
     def leaky(v):
         return np.where(v >= 0, v, 0.01 * v)
 
-    hidden = leaky(head.conv1.kernels[:, :, 1, 1] @ x + head.conv1.bias)
-    expected = leaky(head.conv2.kernels[:, :, 1, 1] @ hidden + head.conv2.bias)
-    logits = _head_forward(head, x[None, :, None, None])[0][0]
+    hidden = leaky(_kernels(head.conv1)[:, :, 1, 1] @ x + head.conv1.bias)
+    expected = leaky(_kernels(head.conv2)[:, :, 1, 1] @ hidden + head.conv2.bias)
+    logits = _head_forward(head, x[None, None, None, :])[0][0]
     assert np.allclose(logits, expected, atol=1e-12)
 
 
@@ -93,33 +98,30 @@ def test_classify_constant_field_pooling_matches_brute_force():
     size = 5
     field = np.tile(c, (size, size, 1))
 
-    def conv_at(kernels, bias, grid, i, j):
-        k = kernels.shape[2]
-        acc = bias.copy()
-        for di in range(k):
-            for dj in range(k):
+    def conv_at(layer, grid, i, j):
+        kernels = _kernels(layer)
+        acc = layer.bias.copy()
+        for di in range(3):
+            for dj in range(3):
                 ii, jj = i + di - 1, j + dj - 1
-                if 0 <= ii < grid.shape[1] and 0 <= jj < grid.shape[2]:
-                    acc += kernels[:, :, di, dj] @ grid[:, ii, jj]
+                if 0 <= ii < grid.shape[0] and 0 <= jj < grid.shape[1]:
+                    acc += kernels[:, :, di, dj] @ grid[ii, jj]
         return np.where(acc >= 0, acc, 0.01 * acc)
 
-    grid1 = field.transpose(2, 0, 1)
     hidden = np.stack(
-        [[conv_at(head.conv1.kernels, head.conv1.bias, grid1, i, j)
-          for j in range(size)] for i in range(size)]
-    ).transpose(2, 0, 1)
+        [[conv_at(head.conv1, field, i, j) for j in range(size)] for i in range(size)]
+    )
     out = np.stack(
-        [[conv_at(head.conv2.kernels, head.conv2.bias, hidden, i, j)
-          for j in range(size)] for i in range(size)]
+        [[conv_at(head.conv2, hidden, i, j) for j in range(size)] for i in range(size)]
     )
     expected = out.mean(axis=(0, 1))
-    logits = _head_forward(head, field.transpose(2, 0, 1)[None])[0][0]
+    logits = _head_forward(head, field[None])[0][0]
     assert np.allclose(logits, expected, atol=1e-12)
 
 
 def test_classify_channel_mismatch():
     with pytest.raises(ValueError):
-        _head_forward(head_init(3, seed=0), np.zeros((1, 7, 4, 4)))
+        _head_forward(head_init(3, seed=0), np.zeros((1, 4, 4, 7)))
 
 
 def test_cross_entropy_values():
@@ -137,7 +139,7 @@ def test_cross_entropy_values():
 def test_head_gradient_matches_finite_differences():
     head = head_init(3, seed=2, in_channels=4, hidden=5)
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(2, 4, 3, 3))
+    x = rng.normal(size=(2, 3, 3, 4))
     labels = np.array([0, 2])
 
     def loss(_v):
@@ -233,9 +235,10 @@ def test_head_persistence_roundtrip(tmp_path):
     head = head_init(4, seed=6)
     save_head(head, tmp_path / "head.json")
     back = load_head(tmp_path / "head.json")
-    assert np.array_equal(back.conv1.kernels, head.conv1.kernels)
-    assert np.array_equal(back.conv2.kernels, head.conv2.kernels)
-    assert json.loads((tmp_path / "head.json").read_text())["pooling"] == "avg"
+    assert np.array_equal(back.conv1.weights, head.conv1.weights)
+    assert np.array_equal(back.conv2.weights, head.conv2.weights)
+    doc = json.loads((tmp_path / "head.json").read_text())
+    assert doc["format"] == "clf-head-v2" and set(doc) == {"format", "conv1", "conv2"}
     assert back.conv2.activation == "leaky_relu"
 
 
@@ -246,15 +249,15 @@ def test_train_classifier_rejects_zero_batch():
                          ClassifierTrainConfig(epochs=1, batch=0))
 
 
-def test_load_head_rejects_dense_layer_naming_file(tmp_path):
-    import json
+def test_load_head_rejects_wrong_conv2_width_naming_file(tmp_path):
+    from staininv.persist import UsageError, layer_record
 
-    from staininv.persist import UsageError
-
+    # conv2 reads 9 taps of each of conv1's 32 outputs; one of 32 inputs is a dense
+    # layer on the grid cell alone, no 3x3 convolution
     path = tmp_path / "head.json"
     save_head(head_init(3, seed=1), path)
     doc = json.loads(path.read_text())
-    doc["conv1"]["kind"] = "dense"
+    doc["conv2"] = layer_record(DenseLayer(np.zeros((3, 32)), np.zeros(3), "leaky_relu"))
     path.write_text(json.dumps(doc))
-    with pytest.raises(UsageError, match=str(path)):
+    with pytest.raises(UsageError, match=f"{path}.*conv2 takes 32 inputs, not the 9 x 32"):
         load_head(path)

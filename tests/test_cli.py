@@ -203,7 +203,7 @@ def _drop_first_output(doc):
 #: fault name -> edit of a saved model or head document
 MODEL_FAULTS = {
     "wrong-format": lambda doc: doc.update(
-        format="clf-head-v1" if "layers" in doc else "mcae-v1"),
+        format="clf-head-v2" if "layers" in doc else "mcae-v1"),
     "no-layers": lambda doc: doc.pop("layers" if "layers" in doc else "conv2"),
     "short-weights": lambda doc: _first_layer(doc)["weights"].pop(),
     "long-bias": lambda doc: _first_layer(doc)["bias"].append(0.0),
@@ -259,17 +259,23 @@ def test_unreadable_model_is_usage_error(tiny_dataset, tmp_path, capsys, content
     _assert_usage_error_naming(code, capsys, head)
 
 
-def test_head_with_max_pooling_is_usage_error(tmp_path, capsys):
-    # the head has one pooling, the average; a file that says otherwise is not a head file
+def test_head_v1_file_is_usage_error(tmp_path, capsys):
+    # clf-head-v1 held (out, in, 3, 3) conv2d records and a pooling key; v2 holds dense ones
     model, head = tmp_path / "model.json", tmp_path / "head.json"
     _save_model(model)
     _save_head(head)
     doc = json.loads(head.read_text())
-    doc["pooling"] = "max"
+    doc.update(format="clf-head-v1", pooling="avg")
+    for key in ("conv1", "conv2"):
+        n_out, n_in = doc[key]["shape"]
+        doc[key].update(kind="conv2d", shape=[n_out, n_in // 9, 3, 3], padding=1)
     head.write_text(json.dumps(doc))
     code = main(["eval-clf", "--model", str(model), "--head", str(head), "--per-class", "2",
                  "--out-dir", str(tmp_path / "c")])
-    _assert_usage_error_naming(code, capsys, head)
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert message == (f"unrecognised model format 'clf-head-v1' in {head}; "
+                       "expected clf-head-v2")
 
 
 def test_head_for_other_feature_dim_is_usage_error(tmp_path, capsys):
@@ -279,6 +285,28 @@ def test_head_for_other_feature_dim_is_usage_error(tmp_path, capsys):
     code = main(["eval-clf", "--model", str(model), "--head", str(head), "--per-class", "2",
                  "--out-dir", str(tmp_path / "c")])
     _assert_usage_error_naming(code, capsys, head)
+
+
+def _save_48_input_model(kind, path):
+    """A model file whose encoder takes 48 inputs: a 4x4 RGB patch, not an 8x8 one."""
+    if kind == "mcae":
+        mcae.save_mcae(mcae.mcae_init(["A", "B", "C"], 0, input_dim=48), path)
+    else:
+        model = stanosa.stanosa_init(seed=0, input_dim=48)
+        model.zca = dataset.ZcaTransform(np.zeros(48), np.eye(48), 1e-5)
+        stanosa.save_stanosa(model, path)
+
+
+@pytest.mark.parametrize("kind", ["mcae", "stanosa"])
+@pytest.mark.parametrize("command", ["eval-nfmse", "train-clf"])
+def test_model_not_taking_8px_patches_is_usage_error(tiny_dataset, tmp_path, capsys, command,
+                                                     kind):
+    model = tmp_path / "model.json"
+    _save_48_input_model(kind, model)
+    inputs = {"eval-nfmse": ["--dataset", str(tiny_dataset)],
+              "train-clf": ["--per-class", "2", "--epochs", "1"]}[command]
+    code = main([command, *inputs, "--model", str(model), "--out-dir", str(tmp_path / "o")])
+    _assert_usage_error_naming(code, capsys, model)
 
 
 @pytest.mark.parametrize("command", ["eval-nfmse", "train-clf"])

@@ -1,5 +1,7 @@
 import json
+import mmap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from staininv.dataset import (
     Image, StainPerturbation, TripletDataset, extract_patches, generate_base_images,
-    synth_triplets,
+    patch_store, synth_triplets,
 )
 from staininv.mcae import (
     KMeansState,
@@ -22,7 +24,6 @@ from staininv.mcae import (
     load_mcae,
     mcae_init,
     mcae_params,
-    patch_store,
     reconstruction_loss,
     save_mcae,
     train_mcae,
@@ -424,6 +425,16 @@ def test_patch_store_holds_each_images_8px_patches_in_domain_order():
     for d, domain in enumerate(["C", "A"]):
         for t, triplet in enumerate(ds.triplets):
             assert np.array_equal(store[d, t], extract_patches(triplet[domain], 8, 4))
+
+
+def test_patch_store_lives_in_its_own_mapping_released_with_it():
+    # not in malloc's heap, whose mmap threshold a freed store would raise
+    store = patch_store(_tiny_dataset(27, n=3), ["C", "A"], 4)
+    mapping = store.base.base.obj  # reshaped array -> np.frombuffer array -> memoryview
+    assert isinstance(mapping, mmap.mmap) and len(mapping) == store.nbytes
+    released = weakref.ref(mapping)
+    del mapping, store
+    assert released() is None
 
 
 def test_refit_peaks_below_the_float64_size_of_its_sample():

@@ -8,7 +8,6 @@ from staininv.numerics import (
     ADAM_BETA2,
     ADAM_EPSILON,
     LEAKY_SLOPE,
-    Conv2dLayer,
     DenseLayer,
     adam_init,
     activation_derivative,
@@ -16,7 +15,6 @@ from staininv.numerics import (
     apply_activation,
     conv2d_backward,
     conv2d_forward,
-    conv2d_init,
     dense_backward,
     dense_forward,
     dense_init,
@@ -154,56 +152,83 @@ def test_leaky_slope_validation():
         layer_from_record({**record, "leaky_slope": 1.5})
 
 
-# --- conv2d ---
+# --- conv2d: a dense layer over each grid cell's 3x3 neighbourhood ---
+
+
+def _conv(kernels, bias, activation="linear"):
+    """The DenseLayer of (out, C, 3, 3) kernels, flattened channel-major."""
+    return DenseLayer(kernels.reshape(kernels.shape[0], -1), bias, activation)
 
 
 def test_conv2d_identity_kernel():
     kernel = np.zeros((1, 1, 3, 3))
     kernel[0, 0, 1, 1] = 1.0
-    layer = Conv2dLayer(kernel, np.zeros(1), padding=1, activation="linear")
-    x = np.random.default_rng(5).normal(size=(2, 1, 6, 7))
+    layer = _conv(kernel, np.zeros(1))
+    x = np.random.default_rng(5).normal(size=(2, 6, 7, 1))
     assert np.allclose(conv2d_forward(layer, x)[0], x, atol=1e-12)
 
 
-def test_conv2d_ones_kernel_valid():
-    layer = Conv2dLayer(np.ones((1, 1, 3, 3)), np.zeros(1), padding=0, activation="linear")
-    out = conv2d_forward(layer, np.ones((1, 1, 5, 5)))[0]
-    assert out.shape == (1, 1, 3, 3)
-    assert np.all(out == 9.0)
+def test_conv2d_ones_kernel_counts_in_grid_taps():
+    # zero padding: a corner cell sees 4 taps inside the grid, an edge cell 6, the rest 9
+    out = conv2d_forward(_conv(np.ones((1, 1, 3, 3)), np.zeros(1)), np.ones((1, 5, 5, 1)))[0]
+    expected = np.full((5, 5), 9.0)
+    expected[[0, -1], :] = 6.0
+    expected[:, [0, -1]] = 6.0
+    expected[[0, 0, -1, -1], [0, -1, 0, -1]] = 4.0
+    assert out.shape == (1, 5, 5, 1)
+    assert np.array_equal(out[0, :, :, 0], expected)
+
+
+def test_conv2d_matches_brute_force_loop_over_offsets():
+    # each of the 9 offsets of the zero-padded grid meets its (C, 3, 3) kernel tap,
+    # which pins the channel-major column order of the neighbourhood rows
+    rng = np.random.default_rng(11)
+    kernels, bias = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+    x = rng.normal(size=(2, 5, 6, 3))
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    expected = np.broadcast_to(bias, (2, 5, 6, 4)).copy()
+    for i in range(3):
+        for j in range(3):
+            expected += padded[:, i : i + 5, j : j + 6] @ kernels[:, :, i, j].T
+    out, rows = conv2d_forward(_conv(kernels, bias), x)
+    assert np.max(np.abs(out - expected)) < 1e-12
+    assert rows.shape == (2 * 5 * 6, 3 * 9)
 
 
 def test_conv2d_channel_mismatch():
-    rng = np.random.default_rng(6)
-    layer = conv2d_init(2, 3, 3, rng)
-    with pytest.raises(ValueError):
-        conv2d_forward(layer, np.ones((1, 4, 5, 5)))
+    layer = dense_init(2 * 9, 3, "linear", np.random.default_rng(6))
+    with pytest.raises(ValueError, match="channels"):
+        conv2d_forward(layer, np.ones((1, 5, 5, 4)))
 
 
 @pytest.mark.parametrize("activation", ["linear", "leaky_relu", "tanh"])
 def test_conv2d_backward_matches_finite_differences(activation):
     rng = np.random.default_rng(7)
-    layer = conv2d_init(2, 3, 3, rng, padding=1, activation=activation)
-    x = rng.normal(size=(2, 2, 4, 5))
-    weight = rng.normal(size=(2, 3, 4, 5))
+    layer = dense_init(2 * 9, 3, activation, rng)
+    x = rng.normal(size=(2, 4, 5, 2))
+    weight = rng.normal(size=(2, 4, 5, 3))
 
     def loss():
         return float((conv2d_forward(layer, x)[0] * weight).sum())
 
-    out, cols = conv2d_forward(layer, x)
-    grads, dx = conv2d_backward(layer, x, weight, out=out, cols=cols)
-    numeric = finite_diff_grad(lambda _v: loss(), layer.kernels)
+    out, rows = conv2d_forward(layer, x)
+    grads, dx = conv2d_backward(layer, rows, weight, out)
+    numeric = finite_diff_grad(lambda _v: loss(), layer.weights)
     assert max_relative_error(grads[0], numeric, GRAD_ATOL) < GRAD_RTOL
     numeric = finite_diff_grad(lambda _v: loss(), layer.bias)
     assert max_relative_error(grads[1], numeric, GRAD_ATOL) < GRAD_RTOL
     numeric = finite_diff_grad(lambda _v: loss(), x)
     assert max_relative_error(dx, numeric, GRAD_ATOL) < GRAD_RTOL
+    assert conv2d_backward(layer, rows, weight, out, inputs=False)[1] is None
 
 
 def test_conv2d_validation():
     with pytest.raises(ValueError):
-        Conv2dLayer(np.ones((1, 1, 2, 2)), np.zeros(1))  # even kernel
-    with pytest.raises(ValueError):
-        Conv2dLayer(np.ones((1, 1, 3, 3)), np.zeros(2))  # bias length
+        _conv(np.ones((1, 1, 3, 3)), np.zeros(2))  # bias length
+    with pytest.raises(ValueError, match="9 per channel"):
+        conv2d_forward(DenseLayer(np.ones((1, 10)), np.zeros(1)), np.ones((1, 4, 4, 1)))
+    with pytest.raises(ValueError, match="batch, h, w"):
+        conv2d_forward(_conv(np.ones((1, 1, 3, 3)), np.zeros(1)), np.ones((4, 4, 1)))
 
 
 # --- adam ---

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staininv.numerics import LEAKY_SLOPE, Conv2dLayer, DenseLayer
+from staininv.numerics import LEAKY_SLOPE, DenseLayer
 from staininv.persist import (
     UsageError,
     autoencoder_stacks,
@@ -79,15 +79,18 @@ def test_dense_record_roundtrip_bitwise():
 
 
 def test_conv_record_roundtrip_bitwise():
+    # a 3x3 convolution of 2 channels is a dense layer of 18 inputs, and has its record
     rng = np.random.default_rng(2)
-    layer = Conv2dLayer(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), 1, "tanh")
+    layer = DenseLayer(rng.normal(size=(3, 2 * 9)), rng.normal(size=3), "tanh")
     record = layer_record(layer)
-    assert record["kind"] == "conv2d" and "leaky_slope" not in record
+    assert record["kind"] == "dense" and "leaky_slope" not in record
+    assert record["shape"] == [3, 18]
     back = layer_from_record(json.loads(json.dumps(record)))
-    assert isinstance(back, Conv2dLayer)
-    assert np.array_equal(back.kernels, layer.kernels)
+    assert np.array_equal(back.weights, layer.weights)
     assert np.array_equal(back.bias, layer.bias)
-    assert back.padding == 1 and back.activation == "tanh"
+    assert back.activation == "tanh"
+    with pytest.raises(ValueError, match="kind must be 'dense'"):
+        layer_from_record({**record, "kind": "conv2d", "shape": [3, 2, 3, 3], "padding": 1})
 
 
 def test_write_csv_formats_only_float_cells(tmp_path):
