@@ -16,8 +16,8 @@ import numpy as np
 
 from . import persist
 from .dataset import (
-    Image, extract_patches, listed_value, load_listed_images, paint_blobs, read_listing,
-    save_image, split_order,
+    Image, extract_patches, listed_value, load_listed_images, mapped_array, paint_blobs,
+    read_listing, save_image, split_order,
 )
 from .numerics import (
     DenseLayer,
@@ -114,7 +114,8 @@ class LabeledImageSet:
 
 
 def generate_labeled_set(n_per_class, size=32, seed=0):
-    """Three synthetic texture classes with distinct colour statistics."""
+    """Three synthetic texture classes with distinct colour statistics, as the rows of one
+    ``dataset.mapped_array``."""
     palettes = [
         # (background ranges, blob ranges) per class: reddish / purple / green-tan
         (((205, 240), (140, 175), (140, 175)), ((150, 200), (50, 100), (60, 110))),
@@ -122,7 +123,7 @@ def generate_labeled_set(n_per_class, size=32, seed=0):
         (((190, 225), (195, 235), (140, 175)), ((90, 140), (130, 180), (60, 110))),
     ]
     class_names = ["eosin_rich", "haematoxylin_rich", "counterstain"]
-    images, labels = [], []
+    block = mapped_array((len(palettes) * n_per_class, size, size, 3), np.uint8)
     for label, (bg, blob) in enumerate(palettes):
         for i in range(n_per_class):
             rng = np.random.default_rng(derive_seed(seed, f"labeled-{label}-{i}"))
@@ -131,9 +132,10 @@ def generate_labeled_set(n_per_class, size=32, seed=0):
                 base[..., ch] = rng.uniform(*bg[ch])
             base = paint_blobs(base, rng, (3, 9), (0.08, 0.22), blob, 0.8)
             base += rng.normal(0.0, 3.0, size=base.shape)
-            images.append(Image(np.clip(np.rint(base), 2, 253).astype(np.uint8)))
-            labels.append(label)
-    return LabeledImageSet(images=images, labels=np.array(labels), class_names=class_names)
+            block[label * n_per_class + i] = np.clip(np.rint(base), 2, 253)
+    return LabeledImageSet(images=[Image(pixels) for pixels in block],
+                           labels=np.repeat(np.arange(len(palettes)), n_per_class),
+                           class_names=class_names)
 
 
 def split_labeled(dataset, seed=0):
@@ -173,7 +175,7 @@ def load_labeled_set(directory):
         paths.append(os.path.join(directory, listed_value(item, "path", str, listing,
                                                           f"item {i}")))
         labels.append(listed_value(item, "label", int, listing, f"item {i}"))
-    images = load_listed_images(paths, listing)
+    images = load_listed_images(paths, listing, len(items))
     try:
         return LabeledImageSet(images=images, labels=labels, class_names=list(classes))
     except (ValueError, OverflowError) as exc:  # a label outside the classes or int64

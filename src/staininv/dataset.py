@@ -145,6 +145,23 @@ def extract_patches(image, size=8, stride=None):
     return windows.reshape(gh * gw, size * size * 3)
 
 
+def mapped_array(shape, dtype):
+    """A zeroed array of ``shape`` and ``dtype`` in an anonymous memory mapping of its own.
+
+    The mapping is unmapped, and its pages go back to the system, when the
+    last array or view on it is dropped.  A block from malloc would not do
+    that: glibc raises its mmap threshold to the size of a freed mmapped
+    block, so after one large block is freed every later block below that
+    size comes from the heap, whose freed memory stays resident.  Many small
+    blocks are no better: glibc keeps freed heap chunks for reuse, and gives
+    back only a freed top.
+    """
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if size == 0:  # an empty file cannot be mapped
+        return np.zeros(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+
+
 def patch_store(dataset, domain_ids, stride):
     """(domains, triplets, J, 192) uint8 array of the dataset's 8 px sub-patches at ``stride``.
 
@@ -153,21 +170,16 @@ def patch_store(dataset, domain_ids, stride):
     up front at an eighth of its float64 memory, and the images can be let go
     once it is built.  A ``TripletDataset`` holds one image size, so every
     image gives the same patch grid.  The baseline trains on one domain's
-    store, reshaped to its (triplets * J, 192) rows.
-
-    The store lives in an anonymous memory mapping of its own, not in one
-    from malloc: glibc raises its mmap threshold to the size of a freed
-    mmapped block, so after one store is freed every later block below that
-    size would come from the heap, whose freed top stays resident.
+    store, reshaped to its (triplets * J, 192) rows.  The store is a
+    ``mapped_array``, so dropping it gives its pages back.
     """
     store = None
     for d, domain in enumerate(domain_ids):
         for t, triplet in enumerate(dataset.triplets):
             patches = extract_patches(triplet[domain], 8, stride)
             if store is None:
-                shape = (len(domain_ids), len(dataset), *patches.shape)
-                mapping = mmap.mmap(-1, math.prod(shape) * patches.itemsize)
-                store = np.frombuffer(mapping, patches.dtype).reshape(shape)
+                store = mapped_array((len(domain_ids), len(dataset), *patches.shape),
+                                     patches.dtype)
             store[d, t] = patches
     return store
 
@@ -338,19 +350,25 @@ def synth_triplets(base_images, perturbations, seed):
 
     ``perturbations`` maps each non-reference domain id to its
     StainPerturbation.  Out-of-gamut pixels are clamped at zero OD and
-    counted in the manifest.
+    counted in the manifest.  The base images must have one size: the twins
+    are rows of one ``mapped_array``.
     """
     if REFERENCE_DOMAIN in perturbations:
         raise ValueError("reference domain must not carry a perturbation")
     domain_ids = [REFERENCE_DOMAIN, *perturbations]
+    shape = base_images[0].pixels.shape if base_images else (0, 0, 3)
+    twins = mapped_array((len(perturbations), len(base_images), *shape), np.uint8)
     triplets = []
     clamp_count = 0
-    for base in base_images:
+    for i, base in enumerate(base_images):
+        if base.pixels.shape != shape:
+            raise ValueError("the images differ in size: a dataset holds one image size")
         group = {REFERENCE_DOMAIN: base}
-        for domain, pert in perturbations.items():
+        for p, (domain, pert) in enumerate(perturbations.items()):
             mapped, clamped = perturb_image(base, pert)
             clamp_count += clamped
-            group[domain] = mapped
+            twins[p, i] = mapped.pixels
+            group[domain] = Image(twins[p, i])
         triplets.append(group)
     manifest = {
         "domains": domain_ids,
@@ -443,22 +461,29 @@ def load_listed_image(path):
     return image
 
 
-def load_listed_images(paths, listing):
-    """The images at ``paths``, an iterable, each through ``load_listed_image``.  An image set
-    holds one size: a UsageError names the listing and both files when an image's size
-    differs from the first's."""
+def load_listed_images(paths, listing, count):
+    """The ``count`` images at ``paths``, an iterable, each through ``load_listed_image``.
+
+    An image set holds one size: a UsageError names the listing and both files
+    when an image's size differs from the first's.  The images are the rows of
+    one (count, height, width, 3) ``mapped_array``, made once the first image
+    fixes the size, so the set's pixels go back to the system when the set is
+    dropped.
+    """
     images = []
-    for path in paths:
+    for i, path in enumerate(paths):
         image = load_listed_image(path)
         if not images:
             first_path = path
+            block = mapped_array((count, *image.pixels.shape), np.uint8)
         elif image.pixels.shape != images[0].pixels.shape:
             first = images[0]
             raise UsageError(
                 f"malformed dataset listing {listing}: {path} is {image.width}x{image.height} "
                 f"but {first_path} is {first.width}x{first.height}: the images must have one size"
             )
-        images.append(image)
+        block[i] = image.pixels
+        images.append(Image(block[i]))
     return images
 
 
@@ -480,15 +505,16 @@ def load_dataset(directory):
                 name = listed_value(files, d, str, listing, f"triplet {i} paths")
                 yield os.path.join(directory, name)
 
-    images = load_listed_images(paths(), listing)
     n = len(domains)
+    images = load_listed_images(paths(), listing, len(listed) * n)
     triplets = [dict(zip(domains, images[i : i + n])) for i in range(0, len(images), n)]
     return TripletDataset(domain_ids=list(domains), triplets=triplets, manifest=manifest)
 
 
 def generate_base_images(count, size, seed):
-    """Seeded nuclei-like blob textures on a pale eosin-toned background."""
-    images = []
+    """Seeded nuclei-like blob textures on a pale eosin-toned background, as the rows of
+    one ``mapped_array``."""
+    block = mapped_array((count, size, size, 3), np.uint8)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     for i in range(count):
         rng = np.random.default_rng(derive_seed(seed, f"base-{i}"))
@@ -503,8 +529,8 @@ def generate_base_images(count, size, seed):
             base, rng, (5, 12), (0.06, 0.2), ((70, 140), (40, 90), (110, 180)), 0.85
         )
         base += rng.normal(0.0, 2.5, size=base.shape)
-        images.append(Image(np.clip(np.rint(base), 3, 252).astype(np.uint8)))
-    return images
+        block[i] = np.clip(np.rint(base), 3, 252)
+    return [Image(pixels) for pixels in block]
 
 
 def paint_blobs(base, rng, count, radius, colours, opacity):

@@ -105,35 +105,39 @@ def nfmse_per_triplet(extractors_by_domain, test):
 
 
 def cxcy_sample(images, n_pixels, seed, tag):
-    """Uniformly sample chroma coordinates from an image pool.
+    """Uniformly sample chroma coordinates from the pixels of ``images``.
 
     Background-flagged pixels are excluded; returns (rows, n_excluded) with
-    rows of (c_x, c_y, tag).  Each image's planes are copied into the pool
-    as soon as they are computed, so only the pool is full-size.
+    rows of (c_x, c_y, tag).  The sample is drawn first, as pixel numbers in
+    the images' order (the draw depends only on the pixel count), and each
+    image's drawn pixels are gathered as soon as its planes are computed, so
+    no plane of every pixel is held.  Every image goes through
+    ``hsd_forward``, drawn from or not, so every image is checked.
     """
     if n_pixels < 1:
         raise ValueError("n_pixels must be at least 1")
     if not images:
         raise ValueError("no images to sample")
     sizes = [img.height * img.width for img in images]
-    c_x = np.empty(sum(sizes))
-    c_y = np.empty(c_x.size)
-    background = np.empty(c_x.size, dtype=bool)
-    lo = 0
-    for img, size in zip(images, sizes):
+    total = sum(sizes)
+    n = min(n_pixels, total)
+    chosen = np.random.default_rng(seed).choice(total, size=n, replace=False)
+    order = np.argsort(chosen)  # the draws by pixel number: each image's are one run
+    starts = np.cumsum([0, *sizes])
+    edges = np.searchsorted(chosen[order], starts)
+    c_x, c_y, background = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    for i, img in enumerate(images):
         hsd = hsd_forward(rgb_to_od(img.pixels))
-        c_x[lo:lo + size] = hsd.c_x.reshape(-1)
-        c_y[lo:lo + size] = hsd.c_y.reshape(-1)
-        background[lo:lo + size] = hsd.background.reshape(-1)
-        lo += size
-    rng = np.random.default_rng(seed)
-    n = min(n_pixels, c_x.size)
-    chosen = rng.choice(c_x.size, size=n, replace=False)
-    keep = chosen[~background[chosen]]
-    n_excluded = n - keep.size
-    if keep.size == 0:
+        slots = order[edges[i]:edges[i + 1]]
+        pixels = chosen[slots] - starts[i]
+        c_x[slots] = hsd.c_x.reshape(-1)[pixels]
+        c_y[slots] = hsd.c_y.reshape(-1)[pixels]
+        background[slots] = hsd.background.reshape(-1)[pixels]
+    keep = ~background
+    n_excluded = n - int(keep.sum())
+    if n_excluded == n:
         warnings.warn(f"all {n} sampled pixels were background", stacklevel=2)
-    rows = [(float(c_x[i]), float(c_y[i]), tag) for i in keep]
+    rows = [(float(x), float(y), tag) for x, y in zip(c_x[keep], c_y[keep])]
     return rows, n_excluded
 
 

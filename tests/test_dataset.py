@@ -1,10 +1,13 @@
+import hashlib
+import mmap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staininv import dataset
+from staininv import classifier, dataset
 from staininv.colour import hsd_forward, rgb_to_od
 from staininv.dataset import (
     GCN_GUARD,
@@ -17,6 +20,7 @@ from staininv.dataset import (
     generate_base_images,
     load_dataset,
     load_image,
+    mapped_array,
     parse_ppm,
     perturb_image,
     save_dataset,
@@ -482,3 +486,88 @@ def test_generate_base_images_deterministic():
     a = generate_base_images(2, 16, seed=21)
     b = generate_base_images(2, 16, seed=21)
     assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
+
+
+# --- image sets: the rows of one mapped block ---
+
+
+def _mapping(pixels):
+    """The mmap under an array: the end of its chain of bases, a memoryview of it."""
+    base = pixels
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj
+
+
+def _assert_one_mapped_block(images):
+    """Each image's pixels are a C-contiguous row of one block that fills its own mapping."""
+    mapping = _mapping(images[0].pixels)
+    assert isinstance(mapping, mmap.mmap)
+    assert len(mapping) == len(images) * images[0].pixels.nbytes
+    start = images[0].pixels.__array_interface__["data"][0]
+    for i, image in enumerate(images):
+        assert image.pixels.flags.c_contiguous
+        assert _mapping(image.pixels) is mapping
+        assert image.pixels.__array_interface__["data"][0] == start + i * image.pixels.nbytes
+
+
+def _pixel_digest(images):
+    return hashlib.sha256(b"".join(image.pixels.tobytes() for image in images)).hexdigest()
+
+
+def test_mapped_array_is_zeroed_and_released_with_its_last_view():
+    block = mapped_array((3, 4, 2), np.float32)
+    assert block.shape == (3, 4, 2) and block.dtype == np.float32 and not block.any()
+    row = block[1]
+    released = weakref.ref(_mapping(row))
+    del block
+    assert released() is not None  # a row keeps the whole block
+    del row
+    assert released() is None
+    assert mapped_array((0, 8, 8, 3), np.uint8).shape == (0, 8, 8, 3)  # nothing to map
+
+
+def test_generated_images_are_rows_of_one_block_with_unchanged_pixels():
+    base = generate_base_images(3, 16, seed=5)
+    _assert_one_mapped_block(base)
+    # the bytes the generator made as one array per image
+    assert _pixel_digest(base) == "38343bba43f787ee7c5e4ee79a32874be955c0ac2b064893975063c59e0860f5"
+    ds = synth_triplets(base, dataset.PERTURBATIONS, seed=5)
+    assert [t["A"] for t in ds.triplets] == base
+    _assert_one_mapped_block([t[d] for d in dataset.PERTURBATIONS for t in ds.triplets])
+    for image, triplet in zip(base, ds.triplets):
+        for domain, perturbation in dataset.PERTURBATIONS.items():
+            assert np.array_equal(triplet[domain].pixels,
+                                  perturb_image(image, perturbation)[0].pixels)
+    labeled = classifier.generate_labeled_set(2, size=16, seed=3)
+    _assert_one_mapped_block(labeled.images)
+    assert labeled.labels.tolist() == [0, 0, 1, 1, 2, 2]
+    assert _pixel_digest(labeled.images) == (
+        "3d773a21becebe1a17c0e9dec0de59cc6d8280b80058aa85d8d26a18509b63a4")
+
+
+def test_synth_rejects_base_images_of_two_sizes():
+    base = [*generate_base_images(1, 16, seed=5), *generate_base_images(1, 8, seed=5)]
+    with pytest.raises(ValueError, match="one image size"):
+        synth_triplets(base, dataset.PERTURBATIONS, seed=5)
+
+
+def test_loaded_images_are_rows_of_one_block_given_back_with_the_set(tmp_path):
+    base = generate_base_images(3, 16, seed=20)
+    names = save_dataset(synth_triplets(base, dataset.PERTURBATIONS, seed=20), tmp_path / "ds")
+    ds = load_dataset(tmp_path / "ds")
+    images = [t[d] for t in ds.triplets for d in ds.domain_ids]  # in the listing's order
+    _assert_one_mapped_block(images)
+    for image, name in zip(images, names):
+        assert np.array_equal(image.pixels, parse_ppm((tmp_path / "ds" / name).read_bytes()).pixels)
+    released = weakref.ref(_mapping(images[0].pixels))
+    del ds, images, image
+    assert released() is None
+
+    labeled = classifier.generate_labeled_set(2, size=16, seed=3)
+    classifier.save_labeled_set(labeled, tmp_path / "labeled")
+    back = classifier.load_labeled_set(tmp_path / "labeled")
+    _assert_one_mapped_block(back.images)
+    for i, image in enumerate(back.images):
+        data = (tmp_path / "labeled" / f"image_{i:05d}.ppm").read_bytes()
+        assert np.array_equal(image.pixels, parse_ppm(data).pixels)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from staininv.colour import hsd_forward, rgb_to_od
 from staininv.dataset import Image, StainPerturbation, generate_base_images, synth_triplets
 from staininv.mcae import feature_extractor, mcae_init
 from staininv.metrics import (
@@ -200,9 +201,40 @@ def test_cxcy_rejects_zero_request():
         cxcy_sample([], n_pixels=1, seed=0, tag="x")
 
 
-def test_cxcy_holds_the_pool_planes_not_every_image_plane():
-    # the pool's c_x and c_y are two float64 planes of every pixel; keeping each
-    # image's four HSD planes and then concatenating them peaked above five
+def _pooled_cxcy_sample(images, n_pixels, seed, tag):
+    """cxcy_sample from one pool of every pixel's planes, and the pool indices it drew."""
+    hsd = [hsd_forward(rgb_to_od(image.pixels)) for image in images]
+    c_x, c_y, background = (np.concatenate([getattr(h, name).reshape(-1) for h in hsd])
+                            for name in ("c_x", "c_y", "background"))
+    chosen = np.random.default_rng(seed).choice(c_x.size, size=min(n_pixels, c_x.size),
+                                                replace=False)
+    keep = chosen[~background[chosen]]
+    rows = [(float(c_x[i]), float(c_y[i]), tag) for i in keep]
+    return rows, chosen.size - keep.size, chosen, background
+
+
+def test_cxcy_sample_equals_a_draw_from_the_pool_of_every_pixel():
+    rng = np.random.default_rng(5)
+    images = []
+    for h, w in [(8, 8), (16, 8), (8, 8), (8, 16), (8, 8), (8, 8)]:
+        pixels = rng.integers(0, 200, size=(h, w, 3), dtype=np.uint8)
+        pixels[: h // 2] = 255  # a white, background half
+        images.append(Image(pixels))
+    rows, excluded = cxcy_sample(images, n_pixels=12, seed=3, tag="A")
+    want_rows, want_excluded, chosen, background = _pooled_cxcy_sample(images, 12, 3, "A")
+    assert rows == want_rows and excluded == want_excluded
+    # the case covers an image with no drawn pixel and drawn background pixels
+    starts = np.cumsum([0] + [image.height * image.width for image in images])
+    assert len(set(np.searchsorted(starts, chosen, side="right"))) < len(images)
+    assert 0 < background[chosen].sum() < chosen.size
+    # a request above the pixel count draws every pixel, in a seeded order
+    everything = _pooled_cxcy_sample(images, 10_000, 4, "B")[:2]
+    assert cxcy_sample(images, n_pixels=10_000, seed=4, tag="B") == everything
+
+
+def test_cxcy_holds_no_plane_of_every_pixel():
+    # the sample is drawn first and gathered image by image: a pool of every
+    # pixel's c_x alone would be one full plane
     rng = np.random.default_rng(27)
     images = [Image(rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)) for _ in range(500)]
     plane_bytes = 500 * 32 * 32 * 8
@@ -212,7 +244,7 @@ def test_cxcy_holds_the_pool_planes_not_every_image_plane():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * plane_bytes
+    assert peak < plane_bytes / 8
 
 
 # --- density ssim table ---
