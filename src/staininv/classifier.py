@@ -28,6 +28,8 @@ from .numerics import (
     glorot_uniform,
     mlp_params,
     param_checksum,
+    param_vector,
+    param_views,
 )
 
 
@@ -209,7 +211,8 @@ def train_classifier(extractor, head, train_set, val_set, config):
     Features are computed once up front (the extractor is frozen), and the
     extractor parameter checksum is verified unchanged after training.
     Returns the head and a ``numerics.fit`` log: per epoch the mean ``loss``
-    and, with a validation split, ``val_accuracy``.
+    and, with a validation split, ``val_accuracy``.  The head's parameters
+    become views of one vector, which Adam updates.
     """
     if len(train_set) == 0:
         raise ValueError("empty training set")
@@ -218,16 +221,23 @@ def train_classifier(extractor, head, train_set, val_set, config):
     y_train = train_set.labels
     x_val = _feature_batch(extractor, val_set) if len(val_set) else None
 
+    # the head's parameters as one vector for Adam, each step's gradients in one beside it
+    vector = param_vector([head.conv1, head.conv2])
+    grad = np.empty_like(vector)
+    grads = param_views([head.conv1, head.conv2], grad)
+
     def step(idx):
         logits, caches = _head_forward(head, x_train[idx])
         loss, dlogits = _cross_entropy_batch(logits, y_train[idx])
-        return {"loss": loss}, _head_backward(head, caches, dlogits)
+        for view, value in zip(grads, _head_backward(head, caches, dlogits)):
+            np.copyto(view, value)
+        return {"loss": loss}, [grad]
 
     def end_epoch(epoch):
         if x_val is not None:
             return {"val_accuracy": _accuracy(head, x_val, val_set.labels)}
 
-    log = fit(head_params(head), config.lr, x_train.shape[0], config.batch, config.epochs,
+    log = fit([vector], config.lr, x_train.shape[0], config.batch, config.epochs,
               config.seed, "clf-shuffle", step, end_epoch)
     if extractor_checksum(extractor) != checksum_before:
         raise RuntimeError("frozen extractor parameters changed during training")

@@ -29,8 +29,8 @@ from .numerics import (
     minibatches,
     mlp_backward,
     mlp_forward,
-    mlp_params,
-    zero_grads,
+    param_vector,
+    param_views,
 )
 
 PROB_CLAMP = 1e-9  # keeps the log terms bounded
@@ -56,7 +56,12 @@ def discriminate(layers, batch):
 
 
 def _clamp(scores):
-    return np.clip(scores, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return np.minimum(np.maximum(scores, PROB_CLAMP), 1.0 - PROB_CLAMP)
+
+
+def _mean(values):
+    # np.mean of a 1-d array, bit for bit, without its per-call overhead
+    return np.add.reduce(values) / values.shape[0]
 
 
 def gan_loss(d_real_scores, d_fake_scores):
@@ -66,14 +71,22 @@ def gan_loss(d_real_scores, d_fake_scores):
     for scores in (real, fake):
         if scores.size == 0:
             raise ValueError("empty score batch")
-        if scores.min() < 0.0 or scores.max() > 1.0:
+        if np.minimum.reduce(scores) < 0.0 or np.maximum.reduce(scores) > 1.0:
             raise ValueError("scores must lie in [0, 1]")
-    return float(np.mean(np.log(_clamp(real))) + np.mean(np.log(1.0 - _clamp(fake))))
+    return float(_mean(np.log(_clamp(real))) + _mean(np.log(1.0 - _clamp(fake))))
 
 
 def _l1(diff):
     # per-sample sum over elements, then mean over the batch
-    return float(np.abs(diff).sum(axis=1).mean())
+    return float(_mean(np.add.reduce(np.abs(diff), axis=1)))
+
+
+def _l1_upstream(diff, weight, n):
+    """weight * sign(diff) / n, the weighted l1's gradient, bit for bit, written over ``diff``."""
+    np.sign(diff, out=diff)
+    diff *= weight
+    diff /= n
+    return diff
 
 
 def identity_loss(f, g, batch_a, batch_b):
@@ -118,25 +131,29 @@ class CycleGanConfig:
 
 def _dlog_scores(scores, n):
     """d/ds of -mean(log s); zero where the clamp binds."""
+    # where the clamp does not bind, the clamped score is the score itself
     inside = (scores > PROB_CLAMP) & (scores < 1.0 - PROB_CLAMP)
-    return np.where(inside, -1.0 / (n * _clamp(scores)), 0.0)
+    return np.divide(-1.0, n * scores, out=np.zeros_like(scores), where=inside)
 
 
 def _dlog_one_minus(scores, n):
     """d/ds of mean(log(1 - s)); zero where the clamp binds."""
     inside = (scores > PROB_CLAMP) & (scores < 1.0 - PROB_CLAMP)
-    return np.where(inside, -1.0 / (n * (1.0 - _clamp(scores))), 0.0)
+    return np.divide(-1.0, n * (1.0 - scores), out=np.zeros_like(scores), where=inside)
 
 
-def _generator_pass(f, g, d_a, d_b, a, b):
+def _generator_pass(f, g, d_a, d_b, a, b, grads=None):
     """Steps 1-4 for one minibatch: losses, and gradients for F and G.
 
     Steps 1-3 run once per direction: F maps a towards B, scored by D_B and
     cycled back through G; then G maps b towards A, scored by D_A and cycled
-    back through F.  Step 4 then runs for F, then for G.
+    back through F.  Step 4 then runs for F, then for G.  The gradients are
+    added into ``grads``, aligned with ``mlp_params(f + g)`` (by default views
+    of a new zeroed vector), and returned with the losses.
     """
-    f_grads = zero_grads(mlp_params(f))
-    g_grads = zero_grads(mlp_params(g))
+    if grads is None:
+        grads = param_views(f + g)
+    f_grads, g_grads = grads[:2 * len(f)], grads[2 * len(f):]
     l_identity = l_cycle = 0.0
     l_gan, folds = [], []
     for gen, back, disc, src, tgt, gen_grads, back_grads in (
@@ -147,9 +164,9 @@ def _generator_pass(f, g, d_a, d_b, a, b):
         # step 1: identity -- the returning generator maps the source onto itself
         caches = []
         same = mlp_forward(back, src, caches)
-        l_identity += _l1(same - src)
-        mlp_backward(back, caches, LAMBDA1 * np.sign(same - src) / n,
-                     back_grads, input_grad=False)
+        diff = same - src
+        l_identity += _l1(diff)
+        mlp_backward(back, caches, _l1_upstream(diff, LAMBDA1, n), back_grads, input_grad=False)
 
         # step 2: cross-domain mapping, scored by the target discriminator
         gen_caches, disc_caches = [], []
@@ -161,23 +178,25 @@ def _generator_pass(f, g, d_a, d_b, a, b):
         # step 3: cycle back to the source domain
         caches = []
         rec = mlp_forward(back, fake, caches)
-        l_cycle += _l1(rec - src)
-        d_cyc = mlp_backward(back, caches, LAMBDA2 * np.sign(rec - src) / n,
-                             back_grads)
+        diff = rec - src
+        l_cycle += _l1(diff)
+        d_cyc = mlp_backward(back, caches, _l1_upstream(diff, LAMBDA2, n), back_grads)
         folds.append((gen, gen_caches, d_fake + d_cyc, gen_grads))
 
     # step 4: weighted sum -- fold the adversarial and cycle paths back
     # through each generator
-    for gen, caches, upstream, grads in folds:
-        mlp_backward(gen, caches, upstream, grads, input_grad=False)
+    for gen, caches, upstream, gen_grads in folds:
+        mlp_backward(gen, caches, upstream, gen_grads, input_grad=False)
 
     losses = {"identity": l_identity, "gan_f": l_gan[0], "gan_g": l_gan[1], "cycle": l_cycle}
-    return losses, f_grads, g_grads
+    return losses, grads
 
 
-def _discriminator_pass(disc, real, fake):
-    """Gradient-ascent gradients on mean log D(real) + mean log(1 - D(fake))."""
-    grads = zero_grads(mlp_params(disc))
+def _discriminator_pass(disc, real, fake, grads=None):
+    """Gradient-ascent gradients on mean log D(real) + mean log(1 - D(fake)), added into
+    ``grads``, aligned with ``mlp_params(disc)`` (by default views of a new zeroed vector)."""
+    if grads is None:
+        grads = param_views(disc)
     caches = []
     real_scores = mlp_forward(disc, real, caches)
     mlp_backward(
@@ -211,10 +230,13 @@ def train_cyclegan(domain_a, domain_b, config):
     d_a = discriminator_init(dim, rng)
     d_b = discriminator_init(dim, rng)
 
-    gen_params = mlp_params(f) + mlp_params(g)
-    disc_params = mlp_params(d_a) + mlp_params(d_b)
-    gen_adam = adam_init(gen_params, LR)
-    disc_adam = adam_init(disc_params, LR)
+    # one parameter vector per optimiser, and one gradient vector beside each
+    gen, disc = param_vector(f + g), param_vector(d_a + d_b)
+    gen_grad, disc_grad = np.zeros_like(gen), np.zeros_like(disc)
+    gen_grads = param_views(f + g, gen_grad)
+    disc_grads = param_views(d_a + d_b, disc_grad)
+    da_grads, db_grads = disc_grads[:2 * len(d_a)], disc_grads[2 * len(d_a):]
+    gen_adam, disc_adam = adam_init([gen], LR), adam_init([disc], LR)
 
     batch = min(config.batch, a_all.shape[0], b_all.shape[0])
     steps = min(a_all.shape[0], b_all.shape[0]) // batch
@@ -227,14 +249,16 @@ def train_cyclegan(domain_a, domain_b, config):
         for step, (idx_a, idx_b) in enumerate(islice(pairs, steps)):
             a, b = a_all[idx_a], b_all[idx_b]
 
-            losses, f_grads, g_grads = _generator_pass(f, g, d_a, d_b, a, b)
-            adam_step(gen_adam, gen_params, f_grads + g_grads, epoch)
+            gen_grad.fill(0.0)
+            losses, _ = _generator_pass(f, g, d_a, d_b, a, b, gen_grads)
+            adam_step(gen_adam, [gen], [gen_grad], epoch)
 
             fake_b = mlp_forward(f, a)
             fake_a = mlp_forward(g, b)
-            l_disc_b, db_grads = _discriminator_pass(d_b, b, fake_b)
-            l_disc_a, da_grads = _discriminator_pass(d_a, a, fake_a)
-            adam_step(disc_adam, disc_params, da_grads + db_grads, epoch)
+            disc_grad.fill(0.0)
+            l_disc_b, _ = _discriminator_pass(d_b, b, fake_b, db_grads)
+            l_disc_a, _ = _discriminator_pass(d_a, a, fake_a, da_grads)
+            adam_step(disc_adam, [disc], [disc_grad], epoch)
 
             history.append(
                 {

@@ -124,8 +124,8 @@ def check_cyclegan_generators(seed):
         adv = float(-np.mean(np.log(sb)) - np.mean(np.log(sa)))
         return cyclegan.LAMBDA1 * l_id + cyclegan.LAMBDA2 * l_cyc + adv
 
-    _, f_grads, g_grads = cyclegan._generator_pass(f, g, d_a, d_b, a, b)
-    pairs = list(zip(mlp_params(f) + mlp_params(g), f_grads + g_grads))
+    _, grads = cyclegan._generator_pass(f, g, d_a, d_b, a, b)
+    pairs = list(zip(mlp_params(f + g), grads))
     return _check_params(loss, pairs)
 
 

@@ -15,31 +15,36 @@ Pseudo-labels come from K-Means fitted on anchor-domain features before the
 first gradient step and refitted at the end of every epoch.
 
 Training computes in float32 on float64 master weights (see ``numerics``):
-every step runs forward and backward on a float32 copy of the model and a
-float32 minibatch, and Adam updates the float64 parameters.  The K-Means
-refits encode in float32 and fit in float64; losses are accumulated and
-logged in float64.  Saved models and the feature extractors are float64, so
-a model encodes exactly like its saved file.
+the masters are one vector, every step runs forward and backward on its
+float32 mirror and a float32 minibatch looked up from the byte patches in
+``PM1_FLOAT32``, and Adam updates the vector.  The K-Means refits encode in
+float32 and fit in float64; losses are accumulated and logged in float64.
+Saved models and the feature extractors are float64, so a model encodes
+exactly like its saved file.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import persist
-from .dataset import _row_blocked, scale_to_pm1
+from .dataset import scale_to_pm1
 from .numerics import (
     FeatureExtractor,
     autoencoder_init,
     derive_seed,
     fit,
-    float32_layers,
+    layers_on,
     mlp_backward,
     mlp_forward,
     mlp_params,
-    zero_grads,
+    param_vector,
+    param_views,
 )
+
+# each byte's value in [-1, 1] as float32, v / 127.5 - 1.0 rounded once: the
+# training minibatches and K-Means samples are looked up here, with no float64 copy
+PM1_FLOAT32 = (np.arange(256) / 127.5 - 1.0).astype(np.float32)
 
 
 @dataclass
@@ -202,50 +207,58 @@ def cluster_loss(z, state, labels):
     return float(np.mean((z - mu[None]) ** 2))
 
 
+def _layers(model):
+    """The model's layers in ``mcae_params`` order: per domain, its encoder then decoder."""
+    return [layer for d in model.domain_ids for layer in model.encoders[d] + model.decoders[d]]
+
+
 def mcae_params(model):
     """Stable flat parameter list across all domains (encoders then decoders)."""
-    params = []
-    for domain in model.domain_ids:
-        params.extend(mlp_params(model.encoders[domain]))
-        params.extend(mlp_params(model.decoders[domain]))
-    return params
+    return mlp_params(_layers(model))
 
 
-def _float32_copy(model):
-    """The model with float32 copies of its layers, sharing the K-Means state."""
-    return McaeModel(
-        model.domain_ids,
-        {d: float32_layers(model.encoders[d]) for d in model.domain_ids},
-        {d: float32_layers(model.decoders[d]) for d in model.domain_ids},
-        model.kmeans,
-    )
+def _model_on(model, vector):
+    """A model shaped like ``model`` whose parameters are views of ``vector``, in
+    ``mcae_params`` order, sharing its K-Means state."""
+    layers = iter(layers_on(_layers(model), vector))
+    encoders, decoders = {}, {}
+    for d in model.domain_ids:
+        encoders[d] = [next(layers) for _ in model.encoders[d]]
+        decoders[d] = [next(layers) for _ in model.decoders[d]]
+    return McaeModel(model.domain_ids, encoders, decoders, model.kmeans)
 
 
-def combined_loss_and_grads(model, patches, labels=None):
+def combined_loss_and_grads(model, patches, labels=None, grads=None):
     """Total loss, per-term breakdown and analytic gradients for every parameter.
 
     ``patches`` has shape (domains, patches, input_dim) with values in
     [-1, 1], ordered like ``model.domain_ids``; they are cast to the dtype of
     the model's weights, in which everything is computed, gradients included.
     The loss values are float64.  Labels default to the current K-Means
-    assignment of the anchor domain's features.
+    assignment of the anchor domain's features.  The gradients are added into
+    ``grads``, a list aligned with ``mcae_params(model)`` (by default views of
+    a new zeroed vector), which is returned.
     """
     dtype = model.encoders[model.domain_ids[0]][0].weights.dtype
     patches = np.asarray(patches, dtype=dtype)
     if model.kmeans is None:
         raise ValueError("K-Means state not fitted")
     n_dom, n_patch, n_in = patches.shape
-    features, recons, caches = [], [], []
+    features, caches = [], []
+    diff = np.empty(patches.shape, dtype)  # reconstruction minus target, per domain
     for i, domain in enumerate(model.domain_ids):
         enc_caches, dec_caches = [], []
         features.append(mlp_forward(model.encoders[domain], patches[i], enc_caches))
-        recons.append(mlp_forward(model.decoders[domain], features[-1], dec_caches))
+        recon = mlp_forward(model.decoders[domain], features[-1], dec_caches)
         caches.append((enc_caches, dec_caches))
+        np.add(patches[i], 1.0, out=diff[i])
+        diff[i] /= 2.0  # the target, in the decoder's (0, 1) range
+        np.subtract(recon, diff[i], out=diff[i])
     z = np.stack(features)
     if labels is None:
         labels = kmeans_assign(model.kmeans, z[0])
-    target = (patches + 1.0) / 2.0  # the decoder's (0, 1) range
-    rec = reconstruction_loss(target, np.stack(recons))
+    # reconstruction_loss(target, recons): the squares of -diff are those of diff
+    rec = float(np.mean(np.square(diff), dtype=np.float64))
     feat = feature_loss(z)
     clu = cluster_loss(z, model.kmeans, labels)
     breakdown = {"reconstruction": rec, "feature": feat, "cluster": clu}
@@ -256,19 +269,22 @@ def combined_loss_and_grads(model, patches, labels=None):
     feat_scale = 2.0 / ((n_dom - 1) * n_patch * n_feat)
     clu_scale = 2.0 / (n_dom * n_patch * n_feat)
 
-    grads = []
+    if grads is None:
+        grads = param_views(_layers(model))
     anchor_pull = (z[0] * (n_dom - 1) - z[1:].sum(axis=0)) * feat_scale
+    start = 0
     for i, domain in enumerate(model.domain_ids):
         encoder, decoder = model.encoders[domain], model.decoders[domain]
         enc_caches, dec_caches = caches[i]
-        d_recon = (recons[i] - target[i]) * rec_scale
-        dec_grads = zero_grads(mlp_params(decoder))
+        middle = start + 2 * len(encoder)  # the domain's encoder, then decoder gradients
+        enc_grads, dec_grads = grads[start:middle], grads[middle:middle + 2 * len(decoder)]
+        start = middle + 2 * len(decoder)
+        d_recon = diff[i]
+        d_recon *= rec_scale
         dz = mlp_backward(decoder, dec_caches, d_recon, dec_grads)
         dz = dz + (anchor_pull if i == 0 else (z[i] - z[0]) * feat_scale)
         dz += (z[i] - mu) * clu_scale
-        enc_grads = zero_grads(mlp_params(encoder))
         mlp_backward(encoder, enc_caches, dz, enc_grads, input_grad=False)
-        grads.extend(enc_grads + dec_grads)
     return rec + feat + clu, breakdown, grads
 
 
@@ -283,15 +299,14 @@ class McaeTrainConfig:
     seed: int = 0
 
 
-def _refit_kmeans(model, anchor_patches, config, epoch):
+def _refit_kmeans(model, encoder, anchor_patches, config, epoch):
+    """Refit ``model.kmeans`` on a sample of the anchor domain's byte patches as
+    ``encoder`` (the anchor encoder's float32 mirror, in training) encodes them."""
     flat = anchor_patches.reshape(-1, anchor_patches.shape[-1])
     rng = np.random.default_rng(derive_seed(config.seed, f"kmeans-sample-{epoch}"))
     n = min(config.kmeans_sample, flat.shape[0])
     rows = flat[rng.choice(flat.shape[0], size=n, replace=False)]
-    # scaled a block at a time into float32: no float64 copy of the whole sample
-    sample = _row_blocked(scale_to_pm1, rows, rows.shape[1], out=np.empty(rows.shape, np.float32))
-    encoder = float32_layers(model.encoders[model.domain_ids[0]])
-    features = mlp_forward(encoder, sample)
+    features = mlp_forward(encoder, PM1_FLOAT32[rows])
     model.kmeans = kmeans_fit(
         features, config.k, seed=derive_seed(config.seed, f"kmeans-{epoch}")
     )
@@ -299,20 +314,36 @@ def _refit_kmeans(model, anchor_patches, config, epoch):
 
 def train_mcae(model, store, config):
     """Joint training loop on a ``dataset.patch_store`` array ordered like
-    ``model.domain_ids``; returns the model and a per-epoch loss log."""
+    ``model.domain_ids``; returns the model and a per-epoch loss log.
+
+    The model's parameters become views of one float64 vector (see
+    ``numerics.param_vector``), which Adam updates; each step computes on its
+    float32 mirror, refreshed by one copy, and adds its gradients into views
+    of one zeroed float32 vector.
+    """
     n_dom, n_trip, n_sub, n_in = store.shape
     if n_trip == 0:
         raise ValueError("empty training dataset")
+    vector = param_vector(_layers(model))
+    mirror = vector.astype(np.float32)
+    fast = _model_on(model, mirror)
+    grad = np.zeros_like(mirror)
+    grads = param_views(_layers(fast), grad)
 
     def step(idx):
-        batch = scale_to_pm1(store[:, idx]).astype(np.float32)
-        batch = batch.reshape(n_dom, len(idx) * n_sub, n_in)
-        _, breakdown, grads = combined_loss_and_grads(_float32_copy(model), batch)
-        return breakdown, grads
+        np.copyto(mirror, vector)
+        grad.fill(0.0)
+        fast.kmeans = model.kmeans
+        batch = PM1_FLOAT32[store[:, idx]].reshape(n_dom, len(idx) * n_sub, n_in)
+        _, breakdown, _ = combined_loss_and_grads(fast, batch, grads=grads)
+        return breakdown, [grad]
 
-    refit = functools.partial(_refit_kmeans, model, store[0], config)
+    def refit(epoch):
+        np.copyto(mirror, vector)
+        _refit_kmeans(model, fast.encoders[model.domain_ids[0]], store[0], config, epoch)
+
     refit(0)  # before the first step
-    log = fit(mcae_params(model), config.lr, n_trip, config.batch, config.epochs, config.seed,
+    log = fit([vector], config.lr, n_trip, config.batch, config.epochs, config.seed,
               "shuffle", step, end_epoch=refit)
     return model, log
 

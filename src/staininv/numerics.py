@@ -8,10 +8,20 @@ computes in the dtype of its weights: ``dense_forward`` and
 their files, Adam and every evaluation path are 64-bit.  The MCAE and
 baseline trainers follow mixed-precision training (Micikevicius et al.,
 "Mixed Precision Training", arXiv 1710.03740): each step runs forward and
-backward on a ``float32_layers`` copy of the float64 master weights, and
+backward on a float32 mirror of the float64 master weights, and
 ``adam_step`` applies the float32 gradients to the masters.  Gradients are
 computed analytically and can be cross-checked against ``finite_diff_grad``
 (the test oracle used throughout the suite), in float64.
+
+Every trainer gives its optimiser one contiguous parameter vector:
+``param_vector`` concatenates a stack's ``mlp_params`` and rebinds each
+layer's ``weights`` and ``bias`` as views of it, and ``param_views`` cuts
+any vector of that length (a gradient, the float32 mirror) into views in
+the same order.  Adam's state is then three vectors and a step count, the
+mirror is refreshed by one ``np.copyto`` a step, and a step's gradients go
+into views of one zeroed vector.  ``dense_forward`` and ``dense_backward``
+work in place on their own buffers; ``apply_activation`` and
+``activation_derivative`` are the reference forms they match bit for bit.
 """
 
 import hashlib
@@ -68,6 +78,41 @@ def activation_derivative(name, out):
     _check_activation(name)
 
 
+def _activate_in_place(name, pre):
+    """``apply_activation(name, pre)``, bit for bit, written over ``pre`` and returned."""
+    if name == "tanh":
+        return np.tanh(pre, out=pre)
+    if name == "sigmoid":
+        np.negative(pre, out=pre)
+        np.exp(pre, out=pre)
+        pre += 1.0
+        return np.divide(1.0, pre, out=pre)
+    if name == "leaky_relu":
+        # max(pre, slope * pre) is pre for pre >= 0 (-0.0 included) and slope * pre below
+        return np.maximum(pre, pre * LEAKY_SLOPE, out=pre)
+    return pre
+
+
+def _times_derivative(name, upstream, out):
+    """``upstream * activation_derivative(name, out)``, bit for bit, in one new buffer
+    (``upstream`` itself for ``linear``)."""
+    if name == "tanh":
+        dpre = np.multiply(out, out)
+        np.subtract(1.0, dpre, out=dpre)
+    elif name == "sigmoid":
+        dpre = np.subtract(1.0, out)
+        dpre *= out
+    elif name == "leaky_relu":
+        # max(1.0 or 0.0, slope) is the derivative, NaN outputs taking the slope as in the
+        # reference, built without the branches of a masked select
+        dpre = (out >= 0.0).astype(out.dtype)
+        np.maximum(dpre, LEAKY_SLOPE, out=dpre)
+    else:
+        return upstream
+    dpre *= upstream
+    return dpre
+
+
 @dataclass
 class DenseLayer:
     """Fully connected layer: activation(x @ W.T + b)."""
@@ -106,15 +151,6 @@ def dense_init(n_in, n_out, activation, rng):
     return DenseLayer(weights, np.zeros(n_out), activation)
 
 
-def float32_layers(layers):
-    """A float32 copy of a DenseLayer stack, for one mixed-precision training step."""
-    return [
-        DenseLayer(layer.weights.astype(np.float32), layer.bias.astype(np.float32),
-                   layer.activation)
-        for layer in layers
-    ]
-
-
 def dense_forward(layer, x):
     """Forward map for a batch (batch, in) -> (batch, out), in the weights' dtype."""
     x = np.asarray(x, dtype=layer.weights.dtype)
@@ -124,8 +160,9 @@ def dense_forward(layer, x):
         raise ValueError(
             f"input dimension {x.shape[1]} does not match layer input {layer.n_in}"
         )
-    pre = x @ layer.weights.T + layer.bias
-    return apply_activation(layer.activation, pre)
+    pre = x @ layer.weights.T
+    pre += layer.bias
+    return _activate_in_place(layer.activation, pre)
 
 
 def dense_backward(layer, x, upstream, out, params=True, inputs=True):
@@ -144,8 +181,8 @@ def dense_backward(layer, x, upstream, out, params=True, inputs=True):
         raise ValueError(
             f"upstream gradient shape {upstream.shape} does not match output {out.shape}"
         )
-    dpre = upstream * activation_derivative(layer.activation, out)
-    grads = [dpre.T @ x, dpre.sum(axis=0)] if params else None
+    dpre = _times_derivative(layer.activation, upstream, out)
+    grads = [dpre.T @ x, np.add.reduce(dpre, axis=0)] if params else None
     return grads, dpre @ layer.weights if inputs else None
 
 
@@ -197,6 +234,9 @@ def conv2d_backward(layer, rows, upstream, out, inputs=True):
     return grads, dpadded[:, 1:-1, 1:-1]
 
 
+ADAM_BLOCK = 1 << 14  # elements per pass of an Adam update: its scratch stays cache-sized
+
+
 @dataclass
 class AdamState:
     """Adam optimizer state for an ordered list of parameter arrays."""
@@ -205,7 +245,7 @@ class AdamState:
     step_count: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
-    scratch: list = field(default_factory=list)  # per parameter, two float64 arrays of its shape
+    scratch: tuple = ()  # two float64 buffers of up to ADAM_BLOCK elements
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -217,10 +257,18 @@ def adam_init(params, learning_rate):
     state = AdamState(learning_rate)
     state.first_moment = [np.zeros_like(p) for p in params]
     state.second_moment = [np.zeros_like(p) for p in params]
-    # the scratch arrays are views of two shared buffers, as large as the largest parameter
-    buffers = [np.empty(max((p.size for p in params), default=0)) for _ in range(2)]
-    state.scratch = [[buf[:p.size].reshape(p.shape) for buf in buffers] for p in params]
+    size = min(ADAM_BLOCK, max((p.size for p in params), default=0))
+    state.scratch = (np.empty(size), np.empty(size))
     return state
+
+
+def _check_finite(grad, i, shape, t, epoch):
+    finite = np.isfinite(grad)
+    if finite.all():
+        return
+    first = int(np.flatnonzero(~finite)[0])
+    raise ValueError(f"non-finite gradient: first at flat index {first} of parameter {i}, "
+                     f"shape {shape}, step {t}, epoch {epoch}")
 
 
 def adam_step(state, params, grads, epoch):
@@ -228,7 +276,10 @@ def adam_step(state, params, grads, epoch):
 
     Every gradient is checked before any state changes, so a step that raises
     leaves the parameters, the moments and the step count as they were.
-    ``epoch`` is the caller's training epoch, named in the non-finite error.
+    ``epoch`` is the caller's training epoch, named in the non-finite error
+    with the flat index of the first non-finite element.  The update walks
+    each parameter in blocks of at most ``ADAM_BLOCK`` elements; it is
+    elementwise, so the blocks do not change its bits.
     """
     if not len(params) == len(grads) == len(state.first_moment):
         raise ValueError("params, grads and the Adam moments must pair up")
@@ -237,31 +288,38 @@ def adam_step(state, params, grads, epoch):
     for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(
-                f"non-finite gradient: parameter {i}, shape {p.shape}, step {t}, epoch {epoch}"
-            )
+        if not p.flags.c_contiguous:  # walked in flat blocks, which must be views
+            raise ValueError(f"parameter {i} is not C-contiguous")
+        _check_finite(g, i, p.shape, t, epoch)
     state.step_count = t
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for p, g, m, v, (term, denom) in zip(params, grads, state.first_moment, state.second_moment,
-                                         state.scratch):
-        # the gradient is read as float64, and the operations keep the order of
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bits are the expression's
-        m *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=term, dtype=np.float64)
-        m += term
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=term, dtype=np.float64)
-        term *= 1.0 - ADAM_BETA2
-        v += term
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPSILON
-        np.divide(m, bc1, out=term)
-        term *= state.learning_rate
-        term /= denom
-        p -= term
+    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for start in range(0, p.size, ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)
+            _adam_block(p[block], g[block], m[block], v[block], bc1, bc2,
+                        state.learning_rate, state.scratch)
+
+
+def _adam_block(p, g, m, v, bc1, bc2, learning_rate, scratch):
+    term, denom = (buf[:p.size] for buf in scratch)
+    # the gradient is read as float64, and the operations keep the order of
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bits are the expression's
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=term, dtype=np.float64)
+    m += term
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=term, dtype=np.float64)
+    term *= 1.0 - ADAM_BETA2
+    v += term
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPSILON
+    np.divide(m, bc1, out=term)
+    term *= learning_rate
+    term /= denom
+    p -= term
 
 
 def finite_diff_grad(f, x, h=1e-5, indices=None):
@@ -337,8 +395,40 @@ def mlp_params(layers):
     return out
 
 
-def zero_grads(params):
-    return [np.zeros_like(p) for p in params]
+def param_views(layers, vector=None):
+    """Views of ``vector`` in ``mlp_params(layers)`` order and shapes: [W0, b0, W1, ...].
+
+    ``vector`` is 1-d with the parameters' total size; by default it is a new
+    zeroed vector of their dtype, into which gradients can be added.
+    """
+    params = mlp_params(layers)
+    sizes = [p.size for p in params]
+    if vector is None:
+        vector = np.zeros(sum(sizes), params[0].dtype)
+    if vector.shape != (sum(sizes),):
+        raise ValueError(f"vector of shape {vector.shape} does not hold {sum(sizes)} parameters")
+    bounds = np.cumsum([0] + sizes)
+    return [vector[a:b].reshape(p.shape) for a, b, p in zip(bounds[:-1], bounds[1:], params)]
+
+
+def layers_on(layers, vector):
+    """DenseLayers shaped like ``layers``, with their activations, whose parameters are
+    views of ``vector`` (in ``mlp_params`` order)."""
+    views = param_views(layers, vector)
+    return [DenseLayer(w, b, layer.activation)
+            for layer, w, b in zip(layers, views[0::2], views[1::2])]
+
+
+def param_vector(layers):
+    """Concatenate ``mlp_params(layers)`` into one vector of their dtype and rebind each
+    layer's ``weights`` and ``bias`` as views of it; returns the vector.
+
+    The values do not change; arrays taken from the layers before are no longer theirs.
+    """
+    vector = np.concatenate([p.reshape(-1) for p in mlp_params(layers)])
+    for layer, bound in zip(layers, layers_on(layers, vector)):
+        layer.weights, layer.bias = bound.weights, bound.bias
+    return vector
 
 
 def autoencoder_init(rng, input_dim, hidden_dim, feature_dim):
@@ -410,7 +500,6 @@ def fit(params, learning_rate, n, batch, epochs, seed, tag, step, end_epoch=None
         for idx in minibatches(n, batch, seed, f"{tag}-{epoch}"):
             losses, grads = step(idx)
             adam_step(adam, params, grads, epoch)
-            del grads  # free this step's gradients before the next step makes its own
             for key, value in losses.items():
                 sums[key] = sums.get(key, 0.0) + value * len(idx)
         losses = {key: value / n for key, value in sums.items()}

@@ -7,9 +7,9 @@ preprocessing (global contrast normalisation followed by a whitening
 transform fitted on the training domain).
 
 Training computes in float32 on float64 master weights, as the MCAE does
-(see ``numerics``): preprocessing is float64, each minibatch of whitened
-rows is cast to float32 when it is drawn, and the logged loss is summed in
-float64.
+(see ``numerics``): the masters are one vector with a float32 mirror,
+preprocessing is float64, each minibatch of whitened rows is cast to
+float32 when it is drawn, and the logged loss is summed in float64.
 """
 
 from dataclasses import dataclass
@@ -23,11 +23,11 @@ from .numerics import (
     autoencoder_init,
     derive_seed,
     fit,
-    float32_layers,
+    layers_on,
     mlp_backward,
     mlp_forward,
-    mlp_params,
-    zero_grads,
+    param_vector,
+    param_views,
 )
 
 
@@ -67,16 +67,17 @@ class StanosaTrainConfig:
     seed: int = 0
 
 
-def reconstruction_loss_and_grads(layers, rows):
+def reconstruction_loss_and_grads(layers, rows, grads=None):
     """The mean squared error of the auto-encoder's sigmoid output against whitened ``rows``
     mapped affinely to [0, 1] and clipped, and its gradients in ``mlp_params(layers)``
-    order.  It computes in the dtype of ``layers`` and ``rows``; the loss is summed in
-    float64."""
+    order, added into ``grads`` (by default views of a new zeroed vector).  It computes in
+    the dtype of ``layers`` and ``rows``; the loss is summed in float64."""
     caches = []
     recon = mlp_forward(layers, rows, caches)
     diff = recon - np.clip((rows + 1.0) / 2.0, 0.0, 1.0)
     loss = float(np.mean(diff * diff, dtype=np.float64))
-    grads = zero_grads(mlp_params(layers))
+    if grads is None:
+        grads = param_views(layers)
     mlp_backward(layers, caches, 2.0 * diff / diff.size, grads, input_grad=False)
     return loss, grads
 
@@ -89,8 +90,9 @@ def train_stanosa(model, patches, config):
     whitening transform on up to ``ZCA_SAMPLE`` randomly chosen training
     patches if the model does not carry one yet.  The decoder's sigmoid
     output is matched against the whitened input mapped affinely to [0, 1]
-    and clipped, one minibatch at a time.  Each step computes in float32 on a
-    copy of the float64 parameters, which Adam updates.
+    and clipped, one minibatch at a time.  The model's parameters become views
+    of one float64 vector, which Adam updates; each step computes on its
+    float32 mirror, refreshed by one copy, into views of one zeroed gradient.
     """
     patches = np.asarray(patches)
     if patches.ndim != 2 or patches.shape[0] == 0:
@@ -103,13 +105,19 @@ def train_stanosa(model, patches, config):
 
     x = stanosa_preprocess(patches, model.zca)
     layers = model.encoder + model.decoder
+    vector = param_vector(layers)
+    mirror = vector.astype(np.float32)
+    fast = layers_on(layers, mirror)
+    grad = np.zeros_like(mirror)
+    grads = param_views(fast, grad)
 
     def step(idx):
-        loss, grads = reconstruction_loss_and_grads(float32_layers(layers),
-                                                    x[idx].astype(np.float32))
-        return {"reconstruction": loss}, grads
+        np.copyto(mirror, vector)
+        grad.fill(0.0)
+        loss, _ = reconstruction_loss_and_grads(fast, x[idx].astype(np.float32), grads)
+        return {"reconstruction": loss}, [grad]
 
-    log = fit(mlp_params(layers), config.lr, x.shape[0], config.batch, config.epochs,
+    log = fit([vector], config.lr, x.shape[0], config.batch, config.epochs,
               config.seed, "shuffle", step)
     return model, log
 

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from staininv.dataset import (
     Image, StainPerturbation, TripletDataset, extract_patches, generate_base_images,
-    patch_store, synth_triplets,
+    patch_store, scale_to_pm1, synth_triplets,
 )
 from staininv.mcae import (
+    PM1_FLOAT32,
     KMeansState,
     McaeTrainConfig,
     cluster_loss,
@@ -29,9 +30,11 @@ from staininv.mcae import (
     train_mcae,
 )
 from staininv.mcae import (
-    _float32_copy, _pairwise_sq_dists, _refit_kmeans, _update_centroids,
+    _layers, _model_on, _pairwise_sq_dists, _refit_kmeans, _update_centroids,
 )
-from staininv.numerics import finite_diff_grad, max_relative_error, mlp_forward
+from staininv.numerics import (
+    finite_diff_grad, layers_on, max_relative_error, mlp_forward, param_vector,
+)
 
 
 # --- kmeans ---
@@ -308,6 +311,27 @@ def test_combined_loss_gradient_matches_finite_differences():
             assert max_relative_error(analytic, numeric) < 1e-4
 
 
+def test_pm1_table_is_the_float32_scaling_of_every_byte():
+    expected = scale_to_pm1(np.arange(256, dtype=np.uint8)).astype(np.float32)
+    assert PM1_FLOAT32.dtype == np.float32 and PM1_FLOAT32.tobytes() == expected.tobytes()
+    store = np.random.default_rng(13).integers(0, 256, (3, 5, 4, 192), dtype=np.uint8)
+    assert PM1_FLOAT32[store].tobytes() == scale_to_pm1(store).astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_combined_reconstruction_term_is_the_reference_loss_bit_for_bit(dtype):
+    model = mcae_init(["A", "B", "C"], seed=4, input_dim=192, hidden_dim=8, feature_dim=4)
+    if dtype == np.float32:
+        model = _model_on(model, param_vector(_layers(model)).astype(np.float32))
+    patches = np.random.default_rng(14).uniform(-1.0, 1.0, size=(3, 9, 192)).astype(dtype)
+    model.kmeans = kmeans_fit(mlp_forward(model.encoders["A"], patches[0]), k=2, seed=0)
+    _, breakdown, _ = combined_loss_and_grads(model, patches)
+    recons = [mlp_forward(model.decoders[d], mlp_forward(model.encoders[d], patches[i]))
+              for i, d in enumerate(model.domain_ids)]
+    assert breakdown["reconstruction"] == reconstruction_loss((patches + 1.0) / 2.0,
+                                                              np.stack(recons))
+
+
 def test_float32_gradients_agree_with_float64():
     model = mcae_init(["A", "B", "C"], seed=3, input_dim=192, hidden_dim=8, feature_dim=4)
     rng = np.random.default_rng(12)
@@ -317,8 +341,9 @@ def test_float32_gradients_agree_with_float64():
     )
     labels = kmeans_assign(model.kmeans, mlp_forward(model.encoders["A"], patches[0]))
     total64, _, grads64 = combined_loss_and_grads(model, patches, labels=labels)
+    mirror = param_vector(_layers(model)).astype(np.float32)
     total32, breakdown, grads32 = combined_loss_and_grads(
-        _float32_copy(model), patches.astype(np.float32), labels=labels
+        _model_on(model, mirror), patches.astype(np.float32), labels=labels
     )
     assert all(type(v) is float for v in [total32, *breakdown.values()])
     assert total32 == pytest.approx(total64, rel=1e-6)
@@ -445,9 +470,11 @@ def test_refit_peaks_below_the_float64_size_of_its_sample():
     anchor = rng.integers(0, 256, (400, 49, 192), dtype=np.uint8)
     model = mcae_init(["A", "B"], seed=1, hidden_dim=32)
     config = McaeTrainConfig(k=10, kmeans_sample=10000, seed=4)
+    encoder = model.encoders["A"]
+    encoder = layers_on(encoder, param_vector(encoder).astype(np.float32))
     tracemalloc.start()
     try:
-        _refit_kmeans(model, anchor, config, 0)
+        _refit_kmeans(model, encoder, anchor, config, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

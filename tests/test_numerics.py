@@ -6,9 +6,12 @@ from staininv.numerics import (
     ACTIVATIONS,
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPSILON,
     LEAKY_SLOPE,
     DenseLayer,
+    _activate_in_place,
+    _times_derivative,
     adam_init,
     activation_derivative,
     adam_step,
@@ -21,13 +24,14 @@ from staininv.numerics import (
     derive_seed,
     finite_diff_grad,
     fit,
-    float32_layers,
+    layers_on,
     max_relative_error,
     minibatches,
     mlp_backward,
     mlp_forward,
     mlp_params,
-    zero_grads,
+    param_vector,
+    param_views,
 )
 from staininv.persist import layer_from_record, layer_record
 
@@ -305,7 +309,7 @@ def test_mlp_backward_accumulates_finite_difference_gradients(activation):
         return sum(float((mlp_forward(layers, x) * w).sum()) for x, w in batches)
 
     params = mlp_params(layers)
-    grads = zero_grads(params)
+    grads = param_views(layers)
     for x, w in batches:
         caches = []
         mlp_forward(layers, x, caches)
@@ -331,9 +335,9 @@ def test_mlp_backward_skips_only_discarded_work(activation):
     x, w = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
     caches = []
     mlp_forward(layers, x, caches)
-    full = zero_grads(mlp_params(layers))
+    full = param_views(layers)
     dx = mlp_backward(layers, caches, w, full)
-    params_only = zero_grads(mlp_params(layers))
+    params_only = param_views(layers)
     assert mlp_backward(layers, caches, w, params_only, input_grad=False) is None
     assert all(np.array_equal(a, b) for a, b in zip(full, params_only))
     assert np.array_equal(mlp_backward(layers, caches, w), dx)
@@ -347,17 +351,20 @@ def test_dense_layer_computes_in_its_weights_dtype(activation):
     rng = np.random.default_rng(23)
     master = [dense_init(4, 3, activation, rng), dense_init(3, 2, activation, rng)]
     before = [p.copy() for p in mlp_params(master)]
-    layers = float32_layers(master)
+    vector = param_vector(master)
+    mirror = vector.astype(np.float32)
+    layers = layers_on(master, mirror)
     assert all(p.dtype == np.float32 for p in mlp_params(layers))
     assert all(np.array_equal(p, q.astype(np.float32)) for p, q in zip(mlp_params(layers), before))
     layers[0].weights += 1.0  # a copy: the float64 masters do not move
     assert all(np.array_equal(p, q) for p, q in zip(mlp_params(master), before))
-    layers = float32_layers(master)
+    np.copyto(mirror, vector)  # one copy refreshes every layer of the mirror
+    assert all(np.array_equal(p, q.astype(np.float32)) for p, q in zip(mlp_params(layers), before))
 
     x, w = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))  # float64 in, float32 out
     caches = []
     out = mlp_forward(layers, x, caches)
-    grads = zero_grads(mlp_params(layers))
+    grads = param_views(layers)
     dx = mlp_backward(layers, caches, w, grads)
     assert out.dtype == dx.dtype == np.float32
     assert all(g.dtype == np.float32 for g in grads)
@@ -476,3 +483,119 @@ def test_adam_non_finite_error_names_the_epoch():
     adam_step(state, [param], [np.ones(2)], 6)
     with pytest.raises(ValueError, match=r"step 2, epoch 7$"):
         adam_step(state, [param], [np.array([1.0, np.nan])], 7)
+
+
+# --- the in-place dense core against the reference forms ---
+
+
+def _edge_inputs(dtype):
+    """Signed zeros, saturating and tiny magnitudes, and ordinary values, in ``dtype``."""
+    big = 0.5 * np.finfo(dtype).max
+    tiny = np.finfo(dtype).tiny
+    values = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 20.0, -20.0, 100.0, -100.0, 1e4, -1e4,
+              big, -big, tiny, -tiny, tiny / 4, -tiny / 4, np.inf, -np.inf]
+    rng = np.random.default_rng(31)
+    return np.concatenate([np.array(values), rng.normal(scale=3.0, size=44)]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_in_place_activation_forms_match_the_reference_bit_for_bit(activation, dtype):
+    pre = _edge_inputs(dtype).reshape(8, 8)
+    with np.errstate(over="ignore"):  # exp(-pre) overflows at the saturating inputs
+        reference = apply_activation(activation, pre)
+        out = _activate_in_place(activation, pre.copy())
+    assert out.dtype == reference.dtype == dtype
+    assert out.tobytes() == reference.tobytes()
+
+    upstream = np.roll(_edge_inputs(dtype), 3)[:64].reshape(8, 8)
+    upstream = np.where(np.isfinite(upstream), upstream, 2.0).astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = upstream * activation_derivative(activation, reference)
+        dpre = _times_derivative(activation, upstream, reference)
+    assert dpre.dtype == expected.dtype == dtype
+    assert dpre.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_dense_forward_and_backward_match_the_reference_expressions(activation, dtype):
+    rng = np.random.default_rng(32)
+    layer = dense_init(6, 5, activation, rng)
+    layer = DenseLayer(layer.weights.astype(dtype), rng.normal(size=5).astype(dtype), activation)
+    x = rng.normal(scale=4.0, size=(7, 6)).astype(dtype)
+    upstream = rng.normal(size=(7, 5)).astype(dtype)
+    out = dense_forward(layer, x)
+    assert out.tobytes() == apply_activation(activation, x @ layer.weights.T + layer.bias).tobytes()
+    (dw, db), dx = dense_backward(layer, x, upstream, out)
+    dpre = upstream * activation_derivative(activation, out)
+    for actual, expected in ((dw, dpre.T @ x), (db, dpre.sum(axis=0)), (dx, dpre @ layer.weights)):
+        assert actual.dtype == dtype
+        assert actual.tobytes() == expected.tobytes()
+
+
+# --- one parameter vector per optimiser ---
+
+
+def test_param_vector_rebinds_each_layer_as_views_of_one_vector():
+    rng = np.random.default_rng(33)
+    layers = [dense_init(4, 3, "tanh", rng), dense_init(3, 2, "sigmoid", rng)]
+    before = [p.copy() for p in mlp_params(layers)]
+    vector = param_vector(layers)
+    assert vector.shape == (sum(p.size for p in before),) and vector.dtype == np.float64
+    assert np.array_equal(vector, np.concatenate([p.reshape(-1) for p in before]))
+    for param, old in zip(mlp_params(layers), before):
+        assert np.shares_memory(param, vector) and np.array_equal(param, old)
+    vector -= 1.0  # an update of the vector is an update of the layers
+    assert np.array_equal(layers[1].bias, before[3] - 1.0)
+
+    grad = np.arange(vector.size, dtype=np.float32)
+    views = param_views(layers, grad)
+    assert [v.shape for v in views] == [p.shape for p in before]
+    assert all(v.dtype == np.float32 and np.shares_memory(v, grad) for v in views)
+    assert np.array_equal(np.concatenate([v.reshape(-1) for v in views]), grad)
+    fresh = param_views(layers)
+    assert all(v.dtype == np.float64 and not v.any() for v in fresh)
+    with pytest.raises(ValueError, match="does not hold"):
+        param_views(layers, grad[1:])
+
+
+def test_adam_walks_a_vector_longer_than_its_block_bit_for_bit():
+    # blocks of ADAM_BLOCK elements and a short last one give the whole-array expression's bits
+    rng = np.random.default_rng(34)
+    size = 2 * ADAM_BLOCK + 7
+    param = rng.normal(size=size)
+    expected, m, v = param.copy(), np.zeros(size), np.zeros(size)
+    state = adam_init([param], learning_rate=0.002)
+    assert all(buf.size == ADAM_BLOCK for buf in state.scratch)
+    for t in range(1, 4):
+        grad = rng.normal(scale=10.0 ** -t, size=size).astype(np.float32)
+        adam_step(state, [param], [grad], 1)
+        g = grad.astype(np.float64)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        bc1, bc2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+        expected -= 0.002 * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+    assert param.tobytes() == expected.tobytes()
+    assert state.first_moment[0].tobytes() == m.tobytes()
+    assert state.second_moment[0].tobytes() == v.tobytes()
+
+
+def test_adam_non_finite_error_names_the_flat_index_of_the_first_fault():
+    # a whole model is one vector: the index says where in it the fault is
+    param = np.zeros(3 * ADAM_BLOCK)
+    state = adam_init([param], learning_rate=0.1)
+    grad = np.ones(param.size, np.float32)
+    grad[ADAM_BLOCK + 5] = np.nan
+    grad[2 * ADAM_BLOCK] = np.inf
+    with pytest.raises(ValueError, match=rf"first at flat index {ADAM_BLOCK + 5} of parameter 0, "
+                       rf"shape \({param.size},\), step 1, epoch 4$"):
+        adam_step(state, [param], [grad], 4)
+    assert state.step_count == 0 and not param.any()
+
+
+def test_adam_refuses_a_parameter_it_cannot_walk_in_place():
+    param = np.zeros((4, 3))[:, ::2]
+    state = adam_init([param], learning_rate=0.1)
+    with pytest.raises(ValueError, match="parameter 0 is not C-contiguous"):
+        adam_step(state, [param], [np.ones((4, 2))], 1)

@@ -7,7 +7,7 @@ import pytest
 from staininv import dataset, stanosa
 from staininv.dataset import extract_patches, gcn, generate_base_images, zca_apply, zca_fit
 from staininv.mcae import mcae_init
-from staininv.numerics import float32_layers
+from staininv.numerics import layers_on, param_vector
 from staininv.stanosa import (
     StanosaTrainConfig,
     feature_extractor,
@@ -225,6 +225,6 @@ def test_reconstruction_step_computes_in_the_layers_dtype():
     loss, grads = stanosa.reconstruction_loss_and_grads(layers, rows)
     assert all(g.dtype == np.float64 for g in grads)
     loss32, grads32 = stanosa.reconstruction_loss_and_grads(
-        float32_layers(layers), rows.astype(np.float32))
+        layers_on(layers, param_vector(layers).astype(np.float32)), rows.astype(np.float32))
     assert all(g.dtype == np.float32 for g in grads32)
     assert loss32 == pytest.approx(loss, rel=1e-5)
