@@ -39,7 +39,7 @@ def featurize(extractor, image):
     h, w = pixels.shape[:2]
     if h % 8 or w % 8:
         raise ValueError(f"image dims {h}x{w} must be divisible by 8")
-    patches = extract_patches(pixels, size=8, stride=8)
+    patches = extract_patches(pixels, stride=8)
     features = extractor.encode_patches(patches)
     return features.reshape(h // 8, w // 8, features.shape[1])
 
@@ -231,13 +231,13 @@ def train_classifier(extractor, head, train_set, val_set, config):
         loss, dlogits = _cross_entropy_batch(logits, y_train[idx])
         for view, value in zip(grads, _head_backward(head, caches, dlogits)):
             np.copyto(view, value)
-        return {"loss": loss}, [grad]
+        return {"loss": loss}, grad
 
     def end_epoch(epoch):
         if x_val is not None:
             return {"val_accuracy": _accuracy(head, x_val, val_set.labels)}
 
-    log = fit([vector], config.lr, x_train.shape[0], config.batch, config.epochs,
+    log = fit(vector, config.lr, x_train.shape[0], config.batch, config.epochs,
               config.seed, "clf-shuffle", step, end_epoch)
     if extractor_checksum(extractor) != checksum_before:
         raise RuntimeError("frozen extractor parameters changed during training")

@@ -236,7 +236,7 @@ def train_cyclegan(domain_a, domain_b, config):
     gen_grads = param_views(f + g, gen_grad)
     disc_grads = param_views(d_a + d_b, disc_grad)
     da_grads, db_grads = disc_grads[:2 * len(d_a)], disc_grads[2 * len(d_a):]
-    gen_adam, disc_adam = adam_init([gen], LR), adam_init([disc], LR)
+    gen_adam, disc_adam = adam_init(gen, LR), adam_init(disc, LR)
 
     batch = min(config.batch, a_all.shape[0], b_all.shape[0])
     steps = min(a_all.shape[0], b_all.shape[0]) // batch
@@ -251,14 +251,14 @@ def train_cyclegan(domain_a, domain_b, config):
 
             gen_grad.fill(0.0)
             losses, _ = _generator_pass(f, g, d_a, d_b, a, b, gen_grads)
-            adam_step(gen_adam, [gen], [gen_grad], epoch)
+            adam_step(gen_adam, gen, gen_grad, epoch)
 
             fake_b = mlp_forward(f, a)
             fake_a = mlp_forward(g, b)
             disc_grad.fill(0.0)
             l_disc_b, _ = _discriminator_pass(d_b, b, fake_b, db_grads)
             l_disc_a, _ = _discriminator_pass(d_a, a, fake_a, da_grads)
-            adam_step(disc_adam, [disc], [disc_grad], epoch)
+            adam_step(disc_adam, disc, disc_grad, epoch)
 
             history.append(
                 {

@@ -23,6 +23,7 @@ ZCA_EPSILON = 1e-5
 _ROW_BLOCK = 1024  # rows per block of a whole-matrix GCN or whitening pass
 REFERENCE_DOMAIN = "A"  # the unperturbed domain of every synthetic triplet
 TRAIN_FRACTION = 0.8  # share of triplets in the train split
+PATCH = 8  # side of every square patch: an 8 x 8 RGB patch is 192 values
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -119,30 +120,28 @@ def save_image(image, path):
         fh.write(image.pixels.tobytes())
 
 
-def extract_patches(image, size=8, stride=None):
-    """Flattened square patches in row-major scan order.
+def extract_patches(image, stride):
+    """Flattened ``PATCH`` px square patches at ``stride``, in row-major scan order.
 
-    Returns a (J, size*size*3) array of the pixels' own dtype (uint8 for an
+    Returns a (J, 192) array of the pixels' own dtype (uint8 for an
     ``Image``: raw byte values, an eighth of their float64 size) with
-    J = (floor((H-size)/stride)+1) * (floor((W-size)/stride)+1).  Every
+    J = (floor((H-8)/stride)+1) * (floor((W-8)/stride)+1).  Every
     preprocessing step converts to float64 itself, so callers keep the bytes
     until a batch needs them.
     """
     pixels = image.pixels if isinstance(image, Image) else np.asarray(image)
-    if stride is None:
-        stride = size
     if stride < 1:
         raise ValueError("stride must be positive")
     h, w = pixels.shape[:2]
-    if size > h or size > w:
-        raise ValueError(f"patch size {size} exceeds image dims {h}x{w}")
-    gh, gw = (h - size) // stride + 1, (w - size) // stride + 1
+    if PATCH > h or PATCH > w:
+        raise ValueError(f"patch size {PATCH} exceeds image dims {h}x{w}")
+    gh, gw = (h - PATCH) // stride + 1, (w - PATCH) // stride + 1
     s0, s1, s2 = pixels.strides
-    windows = np.lib.stride_tricks.as_strided(  # (gh, gw, size, size, 3), a read-only view
-        pixels, (gh, gw, size, size, pixels.shape[2]), (s0 * stride, s1 * stride, s0, s1, s2),
+    windows = np.lib.stride_tricks.as_strided(  # (gh, gw, 8, 8, 3), a read-only view
+        pixels, (gh, gw, PATCH, PATCH, pixels.shape[2]), (s0 * stride, s1 * stride, s0, s1, s2),
         writeable=False,
     )
-    return windows.reshape(gh * gw, size * size * 3)
+    return windows.reshape(gh * gw, PATCH * PATCH * 3)
 
 
 def mapped_array(shape, dtype):
@@ -176,7 +175,7 @@ def patch_store(dataset, domain_ids, stride):
     store = None
     for d, domain in enumerate(domain_ids):
         for t, triplet in enumerate(dataset.triplets):
-            patches = extract_patches(triplet[domain], 8, stride)
+            patches = extract_patches(triplet[domain], stride)
             if store is None:
                 store = mapped_array((len(domain_ids), len(dataset), *patches.shape),
                                      patches.dtype)
@@ -251,8 +250,8 @@ class ZcaTransform:
     epsilon: float
 
 
-def zca_fit(patches, epsilon=ZCA_EPSILON, overwrite_input=False):
-    """Fit ZCA whitening: U diag(1/sqrt(lambda+eps)) U^T of the covariance.
+def zca_fit(patches, overwrite_input=False):
+    """Fit ZCA whitening: U diag(1/sqrt(lambda + ZCA_EPSILON)) U^T of the covariance.
 
     With ``overwrite_input``, a float64 ``patches`` array is centred in
     place, so the caller hands it over and must not read it again; otherwise
@@ -271,9 +270,9 @@ def zca_fit(patches, epsilon=ZCA_EPSILON, overwrite_input=False):
     cov = centered.T @ centered / x.shape[0]
     lam, u = np.linalg.eigh(cov)
     lam = np.maximum(lam, 0.0)
-    matrix = (u / np.sqrt(lam + epsilon)) @ u.T
+    matrix = (u / np.sqrt(lam + ZCA_EPSILON)) @ u.T
     matrix = (matrix + matrix.T) / 2.0
-    return ZcaTransform(mean=mean, matrix=matrix, epsilon=epsilon)
+    return ZcaTransform(mean=mean, matrix=matrix, epsilon=ZCA_EPSILON)
 
 
 def zca_apply(transform, patch, out=None):

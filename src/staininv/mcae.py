@@ -336,14 +336,14 @@ def train_mcae(model, store, config):
         fast.kmeans = model.kmeans
         batch = PM1_FLOAT32[store[:, idx]].reshape(n_dom, len(idx) * n_sub, n_in)
         _, breakdown, _ = combined_loss_and_grads(fast, batch, grads=grads)
-        return breakdown, [grad]
+        return breakdown, grad
 
     def refit(epoch):
         np.copyto(mirror, vector)
         _refit_kmeans(model, fast.encoders[model.domain_ids[0]], store[0], config, epoch)
 
     refit(0)  # before the first step
-    log = fit([vector], config.lr, n_trip, config.batch, config.epochs, config.seed,
+    log = fit(vector, config.lr, n_trip, config.batch, config.epochs, config.seed,
               "shuffle", step, end_epoch=refit)
     return model, log
 

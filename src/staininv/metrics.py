@@ -33,19 +33,19 @@ REFERENCE_TISSUE_CLASSIFICATION = {
 }
 
 
-def normalize_feature_map(z, epsilon=NORMALIZE_EPSILON):
+def normalize_feature_map(z):
     """Standardise each channel of an (h, w, n) map over its own pixels."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 3:
         raise ValueError("expected a feature map of shape (h, w, channels)")
-    # (z - z.mean(axis=(0, 1))) / (z.std(axis=(0, 1)) + epsilon) bit for bit, in np.std's
-    # steps and order, without the Python layers of np.mean and np.std
+    # (z - z.mean(axis=(0, 1))) / (z.std(axis=(0, 1)) + NORMALIZE_EPSILON) bit for bit, in
+    # np.std's steps and order, without the Python layers of np.mean and np.std
     count = z.shape[0] * z.shape[1]
     centred = z - np.add.reduce(z, axis=(0, 1)) / count
     std = np.add.reduce(centred * centred, axis=(0, 1))
     std /= count
     np.sqrt(std, out=std)
-    std += epsilon
+    std += NORMALIZE_EPSILON
     centred /= std
     return centred
 

@@ -17,9 +17,10 @@ Every trainer gives its optimiser one contiguous parameter vector:
 ``param_vector`` concatenates a stack's ``mlp_params`` and rebinds each
 layer's ``weights`` and ``bias`` as views of it, and ``param_views`` cuts
 any vector of that length (a gradient, the float32 mirror) into views in
-the same order.  Adam's state is then three vectors and a step count, the
-mirror is refreshed by one ``np.copyto`` a step, and a step's gradients go
-into views of one zeroed vector.  ``dense_forward`` and ``dense_backward``
+the same order.  Adam and ``fit`` take that vector and one gradient of
+its shape, Adam's state is two vectors and a step count, the mirror is
+refreshed by one ``np.copyto`` a step, and a step's gradients go into
+views of one zeroed vector.  ``dense_forward`` and ``dense_backward``
 work in place on their own buffers; ``apply_activation`` and
 ``activation_derivative`` are the reference forms they match bit for bit.
 """
@@ -36,6 +37,9 @@ LEAKY_SLOPE = 0.01  # leaky_relu's slope below zero, the same for every layer
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+FD_STEP = 1e-5  # the finite-difference oracle's central-difference step
+FD_ATOL = 1e-6  # max_relative_error's denominator floor, for elements near zero
 
 
 def derive_seed(root_seed, name):
@@ -239,67 +243,62 @@ ADAM_BLOCK = 1 << 14  # elements per pass of an Adam update: its scratch stays c
 
 @dataclass
 class AdamState:
-    """Adam optimizer state for an ordered list of parameter arrays."""
+    """Adam optimizer state for one parameter vector."""
 
     learning_rate: float
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    scratch: np.ndarray  # two float64 rows of up to ADAM_BLOCK elements
     step_count: int = 0
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
-    scratch: tuple = ()  # two float64 buffers of up to ADAM_BLOCK elements
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
 
 
-def adam_init(params, learning_rate):
-    """Adam state with zero moments for each array of the list ``params``."""
-    state = AdamState(learning_rate)
-    state.first_moment = [np.zeros_like(p) for p in params]
-    state.second_moment = [np.zeros_like(p) for p in params]
-    size = min(ADAM_BLOCK, max((p.size for p in params), default=0))
-    state.scratch = (np.empty(size), np.empty(size))
-    return state
+def _check_vector(vector):
+    """Adam walks one 1-d C-contiguous float64 vector in flat blocks, which must be views."""
+    array = isinstance(vector, np.ndarray)
+    if not (array and vector.ndim == 1 and vector.flags.c_contiguous
+            and vector.dtype == np.float64):
+        layout = f", dtype {vector.dtype}, strides {vector.strides}" if array else ""
+        raise ValueError("Adam takes one 1-d C-contiguous float64 vector, not a "
+                         f"{type(vector).__name__} of shape {np.shape(vector)}{layout}")
 
 
-def _check_finite(grad, i, shape, t, epoch):
-    finite = np.isfinite(grad)
-    if finite.all():
-        return
-    first = int(np.flatnonzero(~finite)[0])
-    raise ValueError(f"non-finite gradient: first at flat index {first} of parameter {i}, "
-                     f"shape {shape}, step {t}, epoch {epoch}")
+def adam_init(vector, learning_rate):
+    """Adam state with zero moments for the parameter vector ``vector``."""
+    _check_vector(vector)
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be positive")
+    return AdamState(learning_rate, np.zeros_like(vector), np.zeros_like(vector),
+                     np.empty((2, min(ADAM_BLOCK, vector.size))))
 
 
-def adam_step(state, params, grads, epoch):
-    """One Adam update with bias correction; the listed parameters are updated in place.
+def adam_step(state, vector, grad, epoch):
+    """One Adam update with bias correction of the parameter vector, in place.
 
-    Every gradient is checked before any state changes, so a step that raises
-    leaves the parameters, the moments and the step count as they were.
-    ``epoch`` is the caller's training epoch, named in the non-finite error
-    with the flat index of the first non-finite element.  The update walks
-    each parameter in blocks of at most ``ADAM_BLOCK`` elements; it is
-    elementwise, so the blocks do not change its bits.
+    ``grad``, float64 or float32 in the vector's shape, is checked before any
+    state changes, so a step that raises leaves the vector, the moments and
+    the step count as they were.  ``epoch`` is the caller's training epoch,
+    named in the non-finite error with the flat index of the first non-finite
+    element.  The update walks the vector in blocks of at most ``ADAM_BLOCK``
+    elements; it is elementwise, so the blocks do not change its bits.
     """
-    if not len(params) == len(grads) == len(state.first_moment):
-        raise ValueError("params, grads and the Adam moments must pair up")
+    _check_vector(vector)
+    grad = np.asarray(grad)
+    if not grad.shape == vector.shape == state.first_moment.shape:
+        raise ValueError(f"gradient of shape {grad.shape} and vector of shape {vector.shape} "
+                         f"do not match Adam's {state.first_moment.shape}")
     t = state.step_count + 1
-    grads = [np.asarray(g) for g in grads]
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        if not p.flags.c_contiguous:  # walked in flat blocks, which must be views
-            raise ValueError(f"parameter {i} is not C-contiguous")
-        _check_finite(g, i, p.shape, t, epoch)
+    finite = np.isfinite(grad)
+    if not finite.all():
+        first = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"non-finite gradient: first at flat index {first}, step {t}, "
+                         f"epoch {epoch}")
     state.step_count = t
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-        for start in range(0, p.size, ADAM_BLOCK):
-            block = slice(start, start + ADAM_BLOCK)
-            _adam_block(p[block], g[block], m[block], v[block], bc1, bc2,
-                        state.learning_rate, state.scratch)
+    for start in range(0, vector.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        _adam_block(vector[block], grad[block], state.first_moment[block],
+                    state.second_moment[block], bc1, bc2, state.learning_rate, state.scratch)
 
 
 def _adam_block(p, g, m, v, bc1, bc2, learning_rate, scratch):
@@ -322,8 +321,8 @@ def _adam_block(p, g, m, v, bc1, bc2, learning_rate, scratch):
     p -= term
 
 
-def finite_diff_grad(f, x, h=1e-5, indices=None):
-    """Central-difference gradient of a scalar function: the test oracle.
+def finite_diff_grad(f, x, indices=None):
+    """Central-difference gradient of a scalar function, at step ``FD_STEP``: the test oracle.
 
     ``indices`` restricts the differences to those flat positions (default:
     every element); the gradient stays zero elsewhere.
@@ -334,22 +333,22 @@ def finite_diff_grad(f, x, h=1e-5, indices=None):
     gflat = grad.reshape(-1)
     for i in range(flat.size) if indices is None else indices:
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = f(x)
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = f(x)
         flat[i] = orig
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise ValueError("function not finite at perturbed point")
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * FD_STEP)
     return grad
 
 
-def max_relative_error(analytic, numeric, atol=1e-6):
-    """max |a - n| / max(atol, |a|, |n|) over all elements."""
+def max_relative_error(analytic, numeric):
+    """max |a - n| / max(FD_ATOL, |a|, |n|) over all elements."""
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(atol, np.maximum(np.abs(analytic), np.abs(numeric)))
+    denom = np.maximum(FD_ATOL, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
@@ -483,23 +482,23 @@ def minibatches(n, batch, seed, tag):
     return (order[start : start + batch] for start in range(0, n, batch))
 
 
-def fit(params, learning_rate, n, batch, epochs, seed, tag, step, end_epoch=None):
+def fit(vector, learning_rate, n, batch, epochs, seed, tag, step, end_epoch=None):
     """Adam on shuffled minibatches of ``range(n)``; returns the per-epoch log.
 
     Epoch e draws ``minibatches(n, batch, seed, f"{tag}-{e}")``.  For each
     index array ``step(idx)`` returns the minibatch's losses, a dict of
-    floats, and gradients aligned with ``params``, which Adam updates in
-    place.  A log entry holds each loss as its mean over the ``n`` samples
-    (minibatch values weighted by their size), their ``total``, and the
-    entries of the dict ``end_epoch(epoch)`` returns, if it returns one.
+    floats, and the gradient of ``vector`` (see ``param_vector``), which Adam
+    updates in place.  A log entry holds each loss as its mean over the ``n``
+    samples (minibatch values weighted by their size), their ``total``, and
+    the entries of the dict ``end_epoch(epoch)`` returns, if it returns one.
     """
-    adam = adam_init(params, learning_rate)
+    adam = adam_init(vector, learning_rate)
     log = []
     for epoch in range(1, epochs + 1):
         sums = {}
         for idx in minibatches(n, batch, seed, f"{tag}-{epoch}"):
-            losses, grads = step(idx)
-            adam_step(adam, params, grads, epoch)
+            losses, grad = step(idx)
+            adam_step(adam, vector, grad, epoch)
             for key, value in losses.items():
                 sums[key] = sums.get(key, 0.0) + value * len(idx)
         losses = {key: value / n for key, value in sums.items()}

@@ -115,9 +115,9 @@ def train_stanosa(model, patches, config):
         np.copyto(mirror, vector)
         grad.fill(0.0)
         loss, _ = reconstruction_loss_and_grads(fast, x[idx].astype(np.float32), grads)
-        return {"reconstruction": loss}, [grad]
+        return {"reconstruction": loss}, grad
 
-    log = fit([vector], config.lr, x.shape[0], config.batch, config.epochs,
+    log = fit(vector, config.lr, x.shape[0], config.batch, config.epochs,
               config.seed, "shuffle", step)
     return model, log
 

@@ -134,9 +134,9 @@ def test_criterion_02_hsd_roundtrip():
 def test_criterion_03_zca_property():
     started = time.perf_counter()
     images = dataset.generate_base_images(80, 64, seed=11)
-    patches = np.concatenate([dataset.extract_patches(im, 8, 8) for im in images])
+    patches = np.concatenate([dataset.extract_patches(im, 8) for im in images])
     patches = patches[:5000]
-    transform = dataset.zca_fit(patches, epsilon=1e-5)
+    transform = dataset.zca_fit(patches)
     white = dataset.zca_apply(transform, patches)
     cov = white.T @ white / white.shape[0]
     off = cov - np.diag(np.diag(cov))
@@ -287,7 +287,8 @@ def _tree_bytes(root):
             if name == "run_manifest.json":  # carries wall time by design
                 continue
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
     return out
 
 

@@ -27,6 +27,8 @@ from staininv.numerics import (
     max_relative_error,
     mlp_forward,
     mlp_params,
+    param_vector,
+    param_views,
 )
 
 
@@ -185,14 +187,16 @@ def test_discriminator_ascent_non_decreasing_on_fixed_batch():
     disc = discriminator_init(dim, rng)
     real = rng.uniform(0.5, 1.0, (16, dim))
     fake = rng.uniform(0.0, 0.5, (16, dim))
-    params = mlp_params(disc)
-    adam = adam_init(params, learning_rate=0.001)
+    vector = param_vector(disc)
+    adam = adam_init(vector, learning_rate=0.001)
+    grad = np.empty_like(vector)
     previous = -np.inf
     for _ in range(25):
-        value, grads = _discriminator_pass(disc, real, fake)
+        grad.fill(0.0)
+        value, _ = _discriminator_pass(disc, real, fake, param_views(disc, grad))
         assert value >= previous - 1e-9
         previous = value
-        adam_step(adam, params, grads, 1)
+        adam_step(adam, vector, grad, 1)
 
 
 # --- training loop ---

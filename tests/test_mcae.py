@@ -449,7 +449,7 @@ def test_patch_store_holds_each_images_8px_patches_in_domain_order():
     assert store.dtype == np.uint8 and store.shape == (2, 3, 9, 192)  # 16 px at stride 4
     for d, domain in enumerate(["C", "A"]):
         for t, triplet in enumerate(ds.triplets):
-            assert np.array_equal(store[d, t], extract_patches(triplet[domain], 8, 4))
+            assert np.array_equal(store[d, t], extract_patches(triplet[domain], 4))
 
 
 def test_patch_store_lives_in_its_own_mapping_released_with_it():
@@ -496,7 +496,7 @@ def test_trained_model_beats_untrained_on_feature_loss():
         for triplet in holdout.triplets:
             z = np.stack(
                 [
-                    feature_extractor(model, d).encode_patches(extract_patches(triplet[d], 8, 8))
+                    feature_extractor(model, d).encode_patches(extract_patches(triplet[d], 8))
                     for d in holdout.domain_ids
                 ]
             )

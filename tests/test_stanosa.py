@@ -21,7 +21,7 @@ from staininv.stanosa import (
 
 def _patches(seed, n_images=30, size=32):
     imgs = generate_base_images(n_images, size, seed=seed)
-    return np.concatenate([extract_patches(im, 8, 8) for im in imgs])
+    return np.concatenate([extract_patches(im, 8) for im in imgs])
 
 
 def test_architecture_matches_one_mcae_channel():
