@@ -9,8 +9,10 @@ split and all triplets), ``eval-hsd``, and ``train-clf`` then ``eval-clf``
 (5 epochs) on each model, on the MCAE's domain-B encoder, and on a labelled
 set that ``classifier.save_labeled_set`` writes for ``--labeled-dir``; then
 a 40-epoch toy CycleGAN and ``grad-check``.  It prints one ``sha256  path``
-line per artifact, sorted by path, then the artifact count.
-``run_manifest.json`` is left out: it records wall time.
+line per artifact, sorted by path, then the artifact count: 35, of which
+the dataset (one multi-image PPM per domain and ``manifest.json``) and the
+labelled set (``images.ppm`` and ``labels.json``) are 6 and the stages'
+outputs 29.  ``run_manifest.json`` is left out: it records wall time.
 
     PYTHONPATH=src python scripts/digest.py > before.txt
     # ... change the code ...

@@ -2,7 +2,7 @@
 """Desk-scale end-to-end run: synth -> train both models -> evaluate.
 
 Produces, under --out-dir:
-    dataset/            synthetic triplet PPMs + manifest
+    dataset/            one multi-image PPM per domain + manifest
     mcae/               trained multi-channel model + loss log
     stanosa/            trained baseline + loss log
     nfmse/              per-triplet NFMSE tables + summary

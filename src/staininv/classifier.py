@@ -17,7 +17,7 @@ import numpy as np
 from . import persist
 from .dataset import (
     Image, extract_patches, listed_value, load_listed_images, mapped_array, paint_blobs,
-    read_listing, save_image, split_order,
+    read_listing, save_ppm, split_order,
 )
 from .numerics import (
     DenseLayer,
@@ -153,33 +153,35 @@ def split_labeled(dataset, seed=0):
 
 
 def save_labeled_set(dataset, directory):
+    """Write the images to one multi-image PPM file, ``images.ppm``, plus a ``labels.json``
+    naming it and holding one item, the image's label, per image in order."""
     os.makedirs(directory, exist_ok=True)
-    items = []
-    for i, (image, label) in enumerate(zip(dataset.images, dataset.labels)):
-        name = f"image_{i:05d}.ppm"
-        save_image(image, os.path.join(directory, name))
-        items.append({"path": name, "label": int(label)})
-    persist.write_json(os.path.join(directory, "labels.json"),
-                       {"classes": list(dataset.class_names), "items": items})
+    save_ppm(dataset.images, os.path.join(directory, "images.ppm"))
+    persist.write_json(os.path.join(directory, "labels.json"), {
+        "classes": list(dataset.class_names), "path": "images.ppm",
+        "items": [{"label": int(label)} for label in dataset.labels],
+    })
 
 
 def load_labeled_set(directory):
     """Read a set written by ``save_labeled_set``.
 
     A UsageError names the file when ``labels.json`` is missing or malformed
-    (it needs ``classes``, a non-empty list of distinct names, and a non-empty
-    ``items`` list, each with a ``path`` and a ``label`` in the class set), or
-    an image it lists fails ``load_listed_images``.
+    (it needs ``classes``, a non-empty list of distinct names, ``path``, naming
+    the image file, and a non-empty ``items`` list, each with a ``label`` in
+    the class set), or the image file fails ``load_listed_images``.
     """
-    listing, _, classes, items = read_listing(directory, "labels.json", "classes", "items")
-    paths, labels = [], []
-    for i, item in enumerate(items):
-        paths.append(os.path.join(directory, listed_value(item, "path", str, listing,
-                                                          f"item {i}")))
-        labels.append(listed_value(item, "label", int, listing, f"item {i}"))
-    images = load_listed_images(paths, listing, len(items))
+    listing, doc, classes = read_listing(directory, "labels.json", "classes")
+    path = os.path.join(directory, listed_value(doc, "path", str, listing))
+    items = listed_value(doc, "items", list, listing)
+    if not items:
+        raise persist.UsageError(f"malformed dataset listing {listing}: 'items' is empty")
+    labels = [listed_value(item, "label", int, listing, f"item {i}")
+              for i, item in enumerate(items)]
+    [images] = load_listed_images(listing, [path], len(items))
     try:
-        return LabeledImageSet(images=images, labels=labels, class_names=list(classes))
+        return LabeledImageSet(images=[Image(pixels) for pixels in images], labels=labels,
+                               class_names=list(classes))
     except (ValueError, OverflowError) as exc:  # a label outside the classes or int64
         raise persist.UsageError(f"malformed dataset listing {listing}: {exc}") from None
 

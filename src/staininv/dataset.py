@@ -1,10 +1,13 @@
 """Image I/O, patch preprocessing, and the synthetic multi-domain triplet set.
 
 Images travel as binary PPM (P6, maxval 255) so every artifact is bit-exact
-and diffable.  Triplet datasets pair one image per domain for the same
-underlying texture; the synthetic generator perturbs a base image's chroma
-in HSD space so that aligned domains share their density plane by
-construction, which gives the evaluation suite an exact oracle.
+and diffable.  An image set on disk is a JSON listing plus multi-image PPM
+files: each file is its images' P6 streams one after another, with nothing
+between them, so a dataset of any size is one file per domain.  Triplet
+datasets pair one image per domain for the same underlying texture; the
+synthetic generator perturbs a base image's chroma in HSD space so that
+aligned domains share their density plane by construction, which gives the
+evaluation suite an exact oracle.
 """
 
 import math
@@ -21,6 +24,7 @@ from .persist import UsageError, checked, read_json_object, write_json
 GCN_GUARD = 1e-8
 ZCA_EPSILON = 1e-5
 _ROW_BLOCK = 1024  # rows per block of a whole-matrix GCN or whitening pass
+_WINDOW = 1 << 20  # bytes of a mapped image file read before its pages are given back
 REFERENCE_DOMAIN = "A"  # the unperturbed domain of every synthetic triplet
 TRAIN_FRACTION = 0.8  # share of triplets in the train split
 PATCH = 8  # side of every square patch: an 8 x 8 RGB patch is 192 values
@@ -77,11 +81,16 @@ def _next_token(data, pos):
     return data[start:pos], start, pos
 
 
-def parse_ppm(data):
-    """Parse binary P6 bytes into an Image."""
-    if data[:2] != b"P6":
-        raise PpmParseError(f"not a P6 file (magic {data[:2]!r})", 0)
-    pos = 2
+def parse_ppm(data, pos=0):
+    """Parse the binary P6 image at byte offset ``pos`` of ``data``; return it as an Image
+    and the offset just past its pixels, where the next image of a multi-image file starts.
+
+    ``data`` is bytes or a read-only ``mmap``: only the image's own bytes are read, and
+    every error offset counts from the start of ``data``.
+    """
+    if data[pos : pos + 2] != b"P6":
+        raise PpmParseError(f"not a P6 image (magic {data[pos : pos + 2]!r})", pos)
+    pos += 2
     fields = []
     for name in ("width", "height", "maxval"):
         token, start, pos = _next_token(data, pos)
@@ -105,19 +114,16 @@ def parse_ppm(data):
             f"truncated payload: expected {expected} bytes, got {len(payload)}", pos
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Image(pixels.copy())
+    return Image(pixels.copy()), pos + expected
 
 
-def load_image(path):
-    with open(path, "rb") as fh:
-        return parse_ppm(fh.read())
-
-
-def save_image(image, path):
-    header = f"P6\n{image.width} {image.height}\n255\n".encode()
+def save_ppm(images, path):
+    """Write ``images`` to one multi-image binary PPM file: each image's ``P6`` header and
+    pixels, in order."""
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(image.pixels.tobytes())
+        for image in images:
+            fh.write(b"P6\n%d %d\n255\n" % (image.width, image.height))
+            fh.write(image.pixels.tobytes())
 
 
 def extract_patches(image, stride):
@@ -403,110 +409,124 @@ def split(dataset, seed):
 
 
 def save_dataset(dataset, directory):
-    """Write PPM images plus a manifest.json naming them; return the names of the files
-    written."""
+    """Write one multi-image PPM file per domain, holding that domain's image of every
+    triplet in triplet order, plus a manifest.json naming the files and the triplet count;
+    return the names of the files written."""
     os.makedirs(directory, exist_ok=True)
-    entries = []
-    for i, triplet in enumerate(dataset.triplets):
-        paths = {}
-        for domain in dataset.domain_ids:
-            name = f"triplet_{i:05d}_{domain}.ppm"
-            save_image(triplet[domain], os.path.join(directory, name))
-            paths[domain] = name
-        entries.append({"id": i, "paths": paths})
+    paths = {domain: f"domain_{domain}.ppm" for domain in dataset.domain_ids}
+    for domain, name in paths.items():
+        save_ppm([triplet[domain] for triplet in dataset.triplets], os.path.join(directory, name))
     manifest = dict(dataset.manifest)
-    manifest["domains"] = list(dataset.domain_ids)
-    manifest["triplets"] = entries
+    manifest.update(domains=list(dataset.domain_ids), paths=paths, triplets=len(dataset))
     write_json(os.path.join(directory, "manifest.json"), manifest)
-    return [*(name for entry in entries for name in entry["paths"].values()), "manifest.json"]
+    return [*paths.values(), "manifest.json"]
 
 
-def listed_value(record, key, kind, path, where="the root"):
-    """``record[key]`` of a parsed listing, checked to be a ``kind``; a UsageError names the
-    listing file and the key."""
+def listed_value(record, key, kind, path, where="the root", bound=""):
+    """``record[key]`` of a parsed listing, checked to be a ``kind`` within ``bound``; a
+    UsageError names the listing file and the key."""
     value = record.get(key) if isinstance(record, dict) and isinstance(key, str) else None
-    return checked(value, kind, f"malformed dataset listing {path}: {key!r} of {where}")
+    return checked(value, kind, f"malformed dataset listing {path}: {key!r} of {where}", bound)
 
 
-def read_listing(directory, name, names_key, entries_key):
+def read_listing(directory, name, names_key):
     """An image set's listing file ``name`` in ``directory`` as (its path, the parsed object,
-    its names, its entries).  A UsageError names the file and the key unless ``names_key``
-    is a non-empty list of distinct strings and ``entries_key`` a non-empty list."""
+    its names).  A UsageError names the file and the key unless ``names_key`` is a non-empty
+    list of distinct strings."""
     path = os.path.join(directory, name)
     doc = read_json_object(path, "dataset listing")
     names = listed_value(doc, names_key, list, path)
     if not names or not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
         raise UsageError(f"malformed dataset listing {path}: {names_key!r} of the root must "
                          f"be a non-empty list of distinct strings, got {names!r}")
-    entries = listed_value(doc, entries_key, list, path)
-    if not entries:
-        raise UsageError(f"malformed dataset listing {path}: {entries_key!r} is empty")
-    return path, doc, names, entries
+    return path, doc, names
 
 
-def load_listed_image(path):
-    """An image a dataset or labelled set lists.  A UsageError names the file when it cannot
-    be read or parsed, or when a side is not a multiple of 8: every stage cuts whole 8x8
-    patches."""
+def _too_few(path, count, listing, why):
+    return UsageError(f"image file {path} holds fewer than the {count} images {listing} "
+                      f"lists in it: {why}")
+
+
+def _map_image_file(path, count, listing):
+    """A read-only mapping of the image file at ``path``; a UsageError names the file when
+    it cannot be read or is empty."""
     try:
-        image = load_image(path)
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size == 0:  # which mmap cannot map
+                raise _too_few(path, count, listing, "it is empty")
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as exc:
-        raise UsageError(f"cannot read listed image {path}: {exc.strerror}") from None
-    except PpmParseError as exc:
-        raise UsageError(f"malformed listed image {path}: {exc}") from None
-    if image.width % 8 or image.height % 8:
-        raise UsageError(f"listed image {path} is {image.width}x{image.height}: each side "
-                         "must be a multiple of 8")
-    return image
+        raise UsageError(f"cannot read image file {path}: {exc.strerror}") from None
 
 
-def load_listed_images(paths, listing, count):
-    """The ``count`` images at ``paths``, an iterable, each through ``load_listed_image``.
+def load_listed_images(listing, paths, count):
+    """The images of the multi-image PPM files at ``paths``, ``count`` in each, which the
+    listing file ``listing`` names: one (len(paths), count, height, width, 3) uint8
+    ``mapped_array``, made once the first image fixes the size, so the set's pixels go back
+    to the system when the set is dropped.
 
-    An image set holds one size: a UsageError names the listing and both files
-    when an image's size differs from the first's.  The images are the rows of
-    one (count, height, width, 3) ``mapped_array``, made once the first image
-    fixes the size, so the set's pixels go back to the system when the set is
-    dropped.
+    Each file is read through one read-only mapping, ``parse_ppm`` once per image, and the
+    mapping gives back the pages it has read every ``_WINDOW`` bytes, so no more of a file
+    than that stays resident beside the block.  A UsageError names the file, and the image
+    by its index, when the file cannot be read, an image is malformed or truncated, a side
+    is not a multiple of 8 (every stage cuts whole 8x8 patches), an image's size differs
+    from the first image's (an image set holds one size), the file holds fewer than
+    ``count`` images, or bytes follow the last of them.
     """
-    images = []
-    for i, path in enumerate(paths):
-        image = load_listed_image(path)
-        if not images:
-            first_path = path
-            block = mapped_array((count, *image.pixels.shape), np.uint8)
-        elif image.pixels.shape != images[0].pixels.shape:
-            first = images[0]
-            raise UsageError(
-                f"malformed dataset listing {listing}: {path} is {image.width}x{image.height} "
-                f"but {first_path} is {first.width}x{first.height}: the images must have one size"
-            )
-        block[i] = image.pixels
-        images.append(Image(block[i]))
-    return images
+    block = None
+    for f, path in enumerate(paths):
+        with _map_image_file(path, count, listing) as data:
+            pos = released = 0
+            for i in range(count):
+                if pos == len(data):
+                    raise _too_few(path, count, listing,
+                                   f"it ends after image {i - 1}, at byte offset {pos}")
+                try:
+                    image, pos = parse_ppm(data, pos)
+                except PpmParseError as exc:
+                    raise UsageError(f"malformed image {i} of {path}: {exc}") from None
+                if image.width % 8 or image.height % 8:
+                    raise UsageError(f"image {i} of {path} is {image.width}x{image.height}: "
+                                     "each side must be a multiple of 8")
+                if block is None:
+                    if count * image.pixels.nbytes > len(data):  # before the block is made
+                        raise _too_few(path, count, listing, f"its {len(data)} bytes hold at "
+                                       f"most {len(data) // image.pixels.nbytes} "
+                                       f"{image.width}x{image.height} images")
+                    block = mapped_array((len(paths), count, *image.pixels.shape), np.uint8)
+                elif image.pixels.shape != block.shape[2:]:
+                    height, width = block.shape[2:4]
+                    raise UsageError(
+                        f"malformed dataset listing {listing}: image {i} of {path} is "
+                        f"{image.width}x{image.height} but image 0 of {paths[0]} is "
+                        f"{width}x{height}: the images must have one size")
+                block[f, i] = image.pixels
+                if pos - released >= _WINDOW:
+                    page = pos - pos % mmap.PAGESIZE
+                    data.madvise(mmap.MADV_DONTNEED, released, page - released)
+                    released = page
+            if pos != len(data):
+                raise UsageError(f"image file {path} has {len(data) - pos} bytes after its "
+                                 f"{count} listed images (byte offset {pos})")
+    return block
 
 
 def load_dataset(directory):
     """Read a dataset written by ``save_dataset``.
 
     Raises a UsageError, naming the file, when the manifest is missing or
-    malformed (it needs ``domains``, a non-empty list of distinct names, and a
-    non-empty ``triplets`` list whose ``paths`` name one image per domain), or
-    an image it lists fails ``load_listed_images``.
+    malformed (it needs ``domains``, a non-empty list of distinct names,
+    ``paths``, naming one image file per domain, and ``triplets``, the count of
+    images in each file, at least 1), or an image file it names fails
+    ``load_listed_images``.
     """
-    listing, manifest, domains, listed = read_listing(directory, "manifest.json", "domains",
-                                                      "triplets")
-
-    def paths():  # one image per triplet and domain, in that order, checked as it is read
-        for i, entry in enumerate(listed):
-            files = listed_value(entry, "paths", dict, listing, f"triplet {i}")
-            for d in domains:
-                name = listed_value(files, d, str, listing, f"triplet {i} paths")
-                yield os.path.join(directory, name)
-
-    n = len(domains)
-    images = load_listed_images(paths(), listing, len(listed) * n)
-    triplets = [dict(zip(domains, images[i : i + n])) for i in range(0, len(images), n)]
+    listing, manifest, domains = read_listing(directory, "manifest.json", "domains")
+    files = listed_value(manifest, "paths", dict, listing)
+    paths = [os.path.join(directory, listed_value(files, d, str, listing, "'paths'"))
+             for d in domains]
+    count = listed_value(manifest, "triplets", int, listing, bound=">= 1")
+    block = load_listed_images(listing, paths, count)
+    triplets = [{d: Image(block[k, t]) for k, d in enumerate(domains)} for t in range(count)]
     return TripletDataset(domain_ids=list(domains), triplets=triplets, manifest=manifest)
 
 

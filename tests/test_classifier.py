@@ -190,7 +190,9 @@ def test_labels_json_is_a_sorted_key_result_document(tmp_path):
     text = (tmp_path / "labels.json").read_text()
     doc = json.loads(text)
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert list(doc["items"][0]) == ["label", "path"]
+    assert list(doc) == ["classes", "items", "path"]
+    assert doc["path"] == "images.ppm" and doc["items"] == [{"label": 0}, {"label": 1},
+                                                            {"label": 2}]
 
 
 def test_labeled_set_validation():

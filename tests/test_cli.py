@@ -27,15 +27,15 @@ def tiny_dataset(tmp_path_factory):
 def test_synth_outputs_and_manifest(tiny_dataset):
     manifest = json.loads((tiny_dataset / "manifest.json").read_text())
     assert manifest["domains"] == ["A", "B", "C"]
-    assert len(manifest["triplets"]) == 6
-    assert manifest["triplets"][0]["paths"]["A"] == "triplet_00000_A.ppm"
+    assert manifest["triplets"] == 6
+    assert manifest["paths"] == {"A": "domain_A.ppm", "B": "domain_B.ppm", "C": "domain_C.ppm"}
     assert "clamp_count" in manifest["generator"]
 
     run = json.loads((tiny_dataset / "run_manifest.json").read_text())
     assert run["command"] == "synth"
     assert run["seed"] == 3
     assert "duration_s" in run and "versions" in run
-    assert "manifest.json" in run["outputs"]
+    assert run["outputs"] == ["domain_A.ppm", "domain_B.ppm", "domain_C.ppm", "manifest.json"]
 
 
 def test_config_file_and_flag_override(tiny_dataset, tmp_path):
@@ -47,15 +47,13 @@ def test_config_file_and_flag_override(tiny_dataset, tmp_path):
     assert (out / "manifest.json").read_bytes() == (
         tiny_dataset / "manifest.json"
     ).read_bytes()
-    assert (out / "triplet_00000_B.ppm").read_bytes() == (
-        tiny_dataset / "triplet_00000_B.ppm"
-    ).read_bytes()
+    assert (out / "domain_B.ppm").read_bytes() == (tiny_dataset / "domain_B.ppm").read_bytes()
 
     # a flag must win over the config file
     out3 = tmp_path / "ds3"
     assert main(["synth", "--config", str(config), "--triplets", "2",
                  "--out-dir", str(out3)]) == 0
-    assert len(json.loads((out3 / "manifest.json").read_text())["triplets"]) == 2
+    assert json.loads((out3 / "manifest.json").read_text())["triplets"] == 2
 
 
 def test_unknown_config_keys_rejected(tmp_path):
@@ -382,8 +380,7 @@ def _truncated_ppm_dataset(tmp_path):
     ds = tmp_path / "bad_ds"
     ds.mkdir()
     (ds / "manifest.json").write_text(json.dumps({
-        "domains": ["A"],
-        "triplets": [{"id": 0, "paths": {"A": "img.ppm"}}],
+        "domains": ["A"], "paths": {"A": "img.ppm"}, "triplets": 1,
     }))
     (ds / "img.ppm").write_bytes(b"P6\n4 4\n255\n\x00")
     return ds
@@ -500,28 +497,31 @@ def test_dataset_of_mixed_image_sizes_is_usage_error(tmp_path, capsys, command, 
     # rejected at load, whichever split the odd triplet falls in
     ds = tmp_path / "ds"
     assert main(["synth", "--triplets", "3", "--size", "16", "--out-dir", str(ds)]) == 0
-    triplets = json.loads((ds / "manifest.json").read_text())["triplets"]
-    for name in triplets[2]["paths"].values():  # a whole triplet, each domain the same size
-        dataset.save_image(dataset.Image(np.zeros((24, 24, 3), np.uint8)), ds / name)
+    loaded = dataset.load_dataset(ds)
+    paths = json.loads((ds / "manifest.json").read_text())["paths"]
+    odd = dataset.Image(np.zeros((24, 24, 3), np.uint8))
+    for domain, name in paths.items():  # a whole triplet, each domain the same size
+        images = [t[domain] for t in loaded.triplets]
+        dataset.save_ppm([*images[:2], odd], ds / name)
     code = main([command, "--dataset", str(ds), *extra, "--out-dir", str(tmp_path / "o")])
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "UsageError"
     message = record["error"]["message"]
-    first, odd = ds / triplets[0]["paths"]["A"], ds / triplets[2]["paths"]["A"]
+    first = ds / paths["A"]
     assert str(ds / "manifest.json") in message
-    assert f"{odd} is 24x24" in message and f"{first} is 16x16" in message
+    assert f"image 2 of {first} is 24x24" in message and f"image 0 of {first} is 16x16" in message
 
 
 @pytest.mark.parametrize("fault", ["missing", "resized"])
 def test_broken_dataset_image_is_usage_error(tiny_dataset, tmp_path, capsys, fault):
     ds = tmp_path / "ds"
     shutil.copytree(tiny_dataset, ds)
-    image = ds / "triplet_00002_B.ppm"
+    image = ds / "domain_B.ppm"
     if fault == "missing":
         image.unlink()
     else:
-        dataset.save_image(dataset.Image(np.zeros((16, 16, 3), np.uint8)), image)
+        dataset.save_ppm([dataset.Image(np.zeros((16, 16, 3), np.uint8))] * 6, image)
     code = main(["eval-hsd", "--dataset", str(ds), "--pixels", "50",
                  "--out-dir", str(tmp_path / "o")])
     assert code == 2
@@ -533,8 +533,8 @@ def test_broken_dataset_image_is_usage_error(tiny_dataset, tmp_path, capsys, fau
 #: fault name -> (writer of a bad listed image, a part of the message it gives)
 BAD_IMAGES = {
     "truncated": (lambda path: path.write_bytes(b"P6\n8 8\n255\n\x00"), "truncated payload"),
-    "12px": (lambda path: dataset.save_image(dataset.Image(np.zeros((12, 12, 3), np.uint8)),
-                                             path), "is 12x12"),
+    "12px": (lambda path: dataset.save_ppm([dataset.Image(np.zeros((12, 12, 3), np.uint8))],
+                                           path), "image 0 of"),
 }
 
 
@@ -547,8 +547,8 @@ def test_bad_listed_image_is_usage_error(tiny_dataset, tmp_path, capsys, fault):
     shutil.copytree(tiny_dataset, ds)
     classifier.save_labeled_set(classifier.generate_labeled_set(2, size=16, seed=1), labeled)
     for image, command in [
-        (ds / "triplet_00002_B.ppm", ["eval-nfmse", "--dataset", ds, "--model", model]),
-        (labeled / "image_00001.ppm", ["train-clf", "--model", model, "--labeled-dir", labeled]),
+        (ds / "domain_B.ppm", ["eval-nfmse", "--dataset", ds, "--model", model]),
+        (labeled / "images.ppm", ["train-clf", "--model", model, "--labeled-dir", labeled]),
     ]:
         write(image)
         assert main([*map(str, command), "--out-dir", str(tmp_path / "o")]) == 2
@@ -734,7 +734,7 @@ def test_broken_labeled_set_is_usage_error(tmp_path, capsys, fault):
     if fault == "no-labels":
         broken.unlink()
     elif fault == "missing-image":
-        broken = labeled / json.loads(broken.read_text())["items"][1]["path"]
+        broken = labeled / json.loads(broken.read_text())["path"]
         broken.unlink()
     else:
         broken.write_text("{bad")
@@ -747,10 +747,12 @@ def test_labeled_set_of_mixed_sizes_is_usage_error(tmp_path, capsys):
     model = tmp_path / "model.json"
     _save_model(model)
     labeled = tmp_path / "labeled"
-    classifier.save_labeled_set(classifier.generate_labeled_set(2, size=16, seed=1), labeled)
-    items = json.loads((labeled / "labels.json").read_text())["items"]
-    first, odd = labeled / items[0]["path"], labeled / items[3]["path"]
-    dataset.save_image(dataset.Image(np.zeros((24, 24, 3), np.uint8)), odd)
+    data = classifier.generate_labeled_set(2, size=16, seed=1)
+    classifier.save_labeled_set(data, labeled)
+    path = labeled / json.loads((labeled / "labels.json").read_text())["path"]
+    images = list(data.images)
+    images[3] = dataset.Image(np.zeros((24, 24, 3), np.uint8))
+    dataset.save_ppm(images, path)
     code = main(["train-clf", "--model", str(model), "--labeled-dir", str(labeled),
                  "--epochs", "1", "--out-dir", str(tmp_path / "o")])
     assert code == 2
@@ -758,7 +760,7 @@ def test_labeled_set_of_mixed_sizes_is_usage_error(tmp_path, capsys):
     assert record["error"]["type"] == "UsageError"
     message = record["error"]["message"]
     assert str(labeled / "labels.json") in message
-    assert f"{odd} is 24x24" in message and f"{first} is 16x16" in message
+    assert f"image 3 of {path} is 24x24" in message and f"image 0 of {path} is 16x16" in message
 
 
 def test_malformed_dataset_manifest_is_usage_error(tiny_dataset, tmp_path, capsys):
@@ -776,23 +778,31 @@ def _assert_listing_error(code, capsys, listing, key):
     assert str(listing) in record["error"]["message"] and key in record["error"]["message"]
 
 
+#: a one-domain manifest but for the key a case leaves out or changes
+_PATHS = {"paths": {"A": "domain_A.ppm"}}
+
+
 @pytest.mark.parametrize("document, key", [
     pytest.param([], "object", id="root-list"),
-    pytest.param({"domains": ["A"]}, "'triplets'", id="no-triplets"),
-    pytest.param({"triplets": [{"paths": {"A": "triplet_00000_A.ppm"}}]}, "'domains'",
-                 id="no-domains"),
-    pytest.param({"domains": "A", "triplets": []}, "'domains'", id="domains-string"),
-    pytest.param({"domains": ["A"], "triplets": [{"id": 0}]}, "'paths'", id="no-paths"),
-    pytest.param({"domains": ["A"], "triplets": [7]}, "'paths'", id="triplet-number"),
-    pytest.param({"domains": ["A", "B"], "triplets": [{"paths": {"A": "triplet_00000_A.ppm"}}]},
-                 "'B'", id="no-path-for-domain"),
-    pytest.param({"domains": ["A", "B"], "triplets": []}, "'triplets' is empty", id="no-triplet"),
-    pytest.param({"domains": [], "triplets": [{"paths": {}}]}, "'domains'", id="domains-empty"),
-    pytest.param({"domains": ["A", "A", "B"], "triplets": [{"paths": {
-        "A": "triplet_00000_A.ppm", "B": "triplet_00000_B.ppm"}}]}, "'domains'",
+    pytest.param({"domains": ["A"], **_PATHS}, "'triplets'", id="no-triplets"),
+    pytest.param({**_PATHS, "triplets": 1}, "'domains'", id="no-domains"),
+    pytest.param({"domains": "A", **_PATHS, "triplets": 1}, "'domains'", id="domains-string"),
+    pytest.param({"domains": ["A"], "triplets": 1}, "'paths'", id="no-paths"),
+    pytest.param({"domains": ["A"], **_PATHS, "triplets": [{"id": 0}]}, "'triplets'",
+                 id="triplet-number"),
+    pytest.param({"domains": ["A", "B"], **_PATHS, "triplets": 1}, "'B' of 'paths'",
+                 id="no-path-for-domain"),
+    pytest.param({"domains": ["A"], **_PATHS, "triplets": 0}, "'triplets' of the root must "
+                 "be an integer >= 1", id="no-triplet"),
+    pytest.param({"domains": [], **_PATHS, "triplets": 1}, "'domains'", id="domains-empty"),
+    pytest.param({"domains": ["A", "A", "B"], "paths": {
+        "A": "domain_A.ppm", "B": "domain_B.ppm"}, "triplets": 1}, "'domains'",
         id="domains-repeated"),
-    pytest.param({"domains": [1, 2], "triplets": [{"paths": {}}]}, "'domains'",
+    pytest.param({"domains": [1, 2], **_PATHS, "triplets": 1}, "'domains'",
                  id="domains-not-strings"),
+    pytest.param({"domains": ["A", "B", "C"], "triplets": [{"id": 0, "paths": {
+        "A": "triplet_00000_A.ppm", "B": "triplet_00000_B.ppm", "C": "triplet_00000_C.ppm"}}]},
+        "'paths'", id="per-image-layout"),
 ])
 def test_malformed_manifest_structure_is_usage_error(tiny_dataset, tmp_path, capsys, document,
                                                      key):
@@ -803,33 +813,36 @@ def test_malformed_manifest_structure_is_usage_error(tiny_dataset, tmp_path, cap
     _assert_listing_error(code, capsys, ds / "manifest.json", key)
 
 
+#: a one-image labelled set's listing but for the key a case leaves out or changes
+_ONE = {"path": "images.ppm", "items": [{"label": 0}]}
+
+
 @pytest.mark.parametrize("document, key", [
     pytest.param([], "object", id="root-list"),
-    pytest.param({"classes": ["a"]}, "'items'", id="no-items"),
-    pytest.param({"items": [{"path": "image_00000.ppm", "label": 0}]}, "'classes'",
-                 id="no-classes"),
+    pytest.param({"classes": ["a"], "path": "images.ppm"}, "'items'", id="no-items"),
+    pytest.param(_ONE, "'classes'", id="no-classes"),
     pytest.param({"classes": ["a"], "items": [{"label": 0}]}, "'path'", id="no-path"),
-    pytest.param({"classes": ["a"], "items": [{"path": "image_00000.ppm"}]}, "'label'",
-                 id="no-label"),
-    pytest.param({"classes": ["a"], "items": [{"path": "image_00000.ppm", "label": True}]},
-                 "'label'", id="label-bool"),
-    pytest.param({"classes": ["a"], "items": [{"path": "image_00000.ppm", "label": -1}]},
-                 "class set", id="label-negative"),
-    pytest.param({"classes": ["a"], "items": [{"path": "image_00000.ppm", "label": 1}]},
-                 "class set", id="label-too-large"),
-    pytest.param({"classes": ["a"], "items": []}, "'items' is empty", id="no-item"),
-    pytest.param({"classes": [], "items": [{"path": "image_00000.ppm", "label": 0}]},
-                 "'classes'", id="classes-empty"),
-    pytest.param({"classes": [1, 2], "items": [{"path": "image_00000.ppm", "label": 0}]},
-                 "'classes'", id="classes-not-strings"),
-    pytest.param({"classes": ["a", "a"], "items": [{"path": "image_00000.ppm", "label": 0}]},
-                 "'classes'", id="classes-repeated"),
+    pytest.param({"classes": ["a"], **_ONE, "items": [{}]}, "'label'", id="no-label"),
+    pytest.param({"classes": ["a"], **_ONE, "items": [{"label": True}]}, "'label'",
+                 id="label-bool"),
+    pytest.param({"classes": ["a"], **_ONE, "items": [{"label": -1}]}, "class set",
+                 id="label-negative"),
+    pytest.param({"classes": ["a"], **_ONE, "items": [{"label": 1}]}, "class set",
+                 id="label-too-large"),
+    pytest.param({"classes": ["a"], **_ONE, "items": []}, "'items' is empty", id="no-item"),
+    pytest.param({"classes": [], **_ONE}, "'classes'", id="classes-empty"),
+    pytest.param({"classes": [1, 2], **_ONE}, "'classes'", id="classes-not-strings"),
+    pytest.param({"classes": ["a", "a"], **_ONE}, "'classes'", id="classes-repeated"),
+    pytest.param({"classes": ["a"], "items": [{"path": "image_00000.ppm", "label": 0}]},
+                 "'path'", id="per-image-layout"),
 ])
 def test_malformed_labels_structure_is_usage_error(tmp_path, capsys, document, key):
     model = tmp_path / "model.json"
     _save_model(model)
     labeled = tmp_path / "labeled"
-    classifier.save_labeled_set(classifier.generate_labeled_set(2, seed=1), labeled)
+    data = classifier.generate_labeled_set(1, seed=1)  # one image, as the listings list
+    classifier.save_labeled_set(classifier.LabeledImageSet(
+        data.images[:1], data.labels[:1], data.class_names), labeled)
     (labeled / "labels.json").write_text(json.dumps(document))
     code = main(["train-clf", "--model", str(model), "--labeled-dir", str(labeled),
                  "--epochs", "1", "--out-dir", str(tmp_path / "o")])

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import mmap
 import tracemalloc
 import weakref
@@ -21,12 +22,12 @@ from staininv.dataset import (
     gcn,
     generate_base_images,
     load_dataset,
-    load_image,
+    load_listed_images,
     mapped_array,
     parse_ppm,
     perturb_image,
     save_dataset,
-    save_image,
+    save_ppm,
     scale_to_pm1,
     split,
     split_order,
@@ -44,19 +45,33 @@ def _random_image(rng, h=16, w=16):
 # --- ppm ---
 
 
+def _read_set(path, count, listing="listing.json"):
+    """The images of one multi-image file, as ``load_listed_images`` reads them."""
+    return list(load_listed_images(listing, [path], count)[0])
+
+
 def test_ppm_roundtrip(tmp_path):
-    img = _random_image(np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    images = [_random_image(rng) for _ in range(3)]
     path = tmp_path / "img.ppm"
-    save_image(img, path)
-    back = load_image(path)
-    assert np.array_equal(back.pixels, img.pixels)
+    save_ppm(images, path)
+    back = _read_set(path, 3)
+    assert all(np.array_equal(a, b.pixels) for a, b in zip(back, images))
+    data = path.read_bytes()
+    pos = 0
+    for image in images:  # the file is the images' P6 streams, back to back
+        parsed, end = parse_ppm(data, pos)
+        assert np.array_equal(parsed.pixels, image.pixels)
+        assert data[pos:end] == b"P6\n16 16\n255\n" + image.pixels.tobytes()
+        pos = end
+    assert pos == len(data)
 
 
 def test_ppm_white_pixel_bytes(tmp_path):
     img = Image(np.full((1, 1, 3), 255, dtype=np.uint8))
     path = tmp_path / "white.ppm"
-    save_image(img, path)
-    assert path.read_bytes() == b"P6\n1 1\n255\n\xff\xff\xff"
+    save_ppm([img, img], path)
+    assert path.read_bytes() == b"P6\n1 1\n255\n\xff\xff\xff" * 2
 
 
 def test_ppm_truncated_payload_names_counts():
@@ -68,6 +83,8 @@ def test_ppm_truncated_payload_names_counts():
 def test_ppm_bad_magic_offset():
     with pytest.raises(PpmParseError, match="byte offset 0"):
         parse_ppm(b"P5\n1 1\n255\n\x00")
+    with pytest.raises(PpmParseError, match="byte offset 14"):  # offsets count from the start
+        parse_ppm(b"P6\n1 1\n255\n\x00\x00\x00P5\n1 1\n255\n\x00", 14)
 
 
 def test_ppm_bad_token_offset():
@@ -80,16 +97,17 @@ def test_ppm_bad_token_offset():
 
 
 def test_ppm_comments_in_header():
-    img = parse_ppm(b"P6\n# a comment\n1 1\n255\n\x01\x02\x03")
+    img, end = parse_ppm(b"P6\n# a comment\n1 1\n255\n\x01\x02\x03trailing")
     assert img.pixels.tolist() == [[[1, 2, 3]]]
+    assert end == 26
 
 
-#: (operation, position, byte) edits applied in order to a valid PPM; the bytes
-#: favour those that steer the header tokenizer
+#: (operation, position, byte) edits applied in order to a valid two-image stream; the
+#: bytes favour those that steer the header tokenizer
 _PPM_EDITS = st.lists(
     st.tuples(
         st.sampled_from(["replace", "insert", "delete", "truncate"]),
-        st.integers(0, 48),
+        st.integers(0, 96),
         st.sampled_from(list(b"0123456789 \t\n\r#-+_Px\x00\xff")),
     ),
     max_size=4,
@@ -98,16 +116,17 @@ _PPM_EDITS = st.lists(
 
 @settings(max_examples=600, deadline=None)
 @given(
-    width=st.integers(1, 4),
-    height=st.integers(1, 4),
+    sizes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=2, max_size=2),
     edits=_PPM_EDITS,
-    raw=st.none() | st.binary(max_size=48),
+    raw=st.none() | st.binary(max_size=96),
 )
-def test_property_parse_ppm_raises_only_ppm_parse_error(width, height, edits, raw):
-    # mutated valid files, or raw bytes: either an Image or a PpmParseError
-    data = bytearray(raw if raw is not None else b"P6\n%d %d\n255\n" % (width, height))
+def test_property_parse_ppm_raises_only_ppm_parse_error(sizes, edits, raw):
+    # a mutated stream of two valid images, or raw bytes: parsed image by image, each
+    # step gives an Image and the next offset, or a PpmParseError
+    data = bytearray(raw if raw is not None else b"")
     if raw is None:
-        data += bytes(range(3 * width * height))
+        for width, height in sizes:
+            data += b"P6\n%d %d\n255\n" % (width, height) + bytes(range(3 * width * height))
         for op, pos, byte in edits:
             pos = min(pos, len(data))
             if op == "replace":
@@ -118,11 +137,16 @@ def test_property_parse_ppm_raises_only_ppm_parse_error(width, height, edits, ra
                 del data[pos : pos + 1]
             else:
                 del data[pos:]
-    try:
-        image = parse_ppm(bytes(data))
-    except PpmParseError:
-        return
-    assert isinstance(image, Image)
+    data, pos = bytes(data), 0
+    for _ in sizes:
+        try:
+            image, end = parse_ppm(data, pos)
+        except PpmParseError as exc:
+            assert pos <= exc.offset <= len(data)
+            return
+        assert isinstance(image, Image)
+        assert pos < end <= len(data)
+        pos = end
 
 
 def test_image_validation():
@@ -474,9 +498,147 @@ def test_save_load_dataset_roundtrip(tmp_path):
 
 
 def test_load_dataset_rejects_an_empty_listing(tmp_path):
-    (tmp_path / "manifest.json").write_text('{"domains": ["A", "B"], "triplets": []}')
-    with pytest.raises(UsageError, match=r"manifest\.json.*'triplets' is empty"):
+    (tmp_path / "manifest.json").write_text(
+        '{"domains": ["A", "B"], "paths": {"A": "a.ppm", "B": "b.ppm"}, "triplets": 0}')
+    with pytest.raises(UsageError, match=r"manifest\.json: 'triplets' .* >= 1, got 0"):
         load_dataset(tmp_path)
+
+
+def test_saved_dataset_is_one_file_per_domain_of_the_per_image_streams(tmp_path):
+    # the layout pinned: each domain file is, in triplet order, every image's
+    # "P6\n{w} {h}\n255\n" header and pixel bytes, which are the bytes of the per-image
+    # files of the layout before it (the digests are of those files, concatenated); the
+    # manifest names the files and the count.  A labelled set's images.ppm is the same.
+    base = generate_base_images(3, 16, seed=20)
+    ds = synth_triplets(base, dataset.PERTURBATIONS, seed=20)
+    names = save_dataset(ds, tmp_path / "ds")
+    assert names == ["domain_A.ppm", "domain_B.ppm", "domain_C.ppm", "manifest.json"]
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == names
+    digests = {
+        "A": "f9b52166d1d7c0cf2e870cb0fbab373900ffc67c070240210d60cd23da553d6e",
+        "B": "d86641ba6490c10539912d5d6f2c6fdec842f3fee8b41c6d801f274362a14e41",
+        "C": "16310be85ba36350b6e588682a2a2c0822f9334741b90d7365320e0a4f60cc2b",
+    }
+    for domain, digest in digests.items():
+        data = (tmp_path / "ds" / f"domain_{domain}.ppm").read_bytes()
+        assert data == b"".join(b"P6\n16 16\n255\n" + t[domain].pixels.tobytes()
+                                for t in ds.triplets)
+        assert hashlib.sha256(data).hexdigest() == digest
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    assert manifest["paths"] == {d: f"domain_{d}.ppm" for d in "ABC"}
+    assert manifest["triplets"] == 3
+
+    labeled = classifier.generate_labeled_set(2, size=16, seed=3)
+    classifier.save_labeled_set(labeled, tmp_path / "labeled")
+    data = (tmp_path / "labeled" / "images.ppm").read_bytes()
+    assert data == b"".join(b"P6\n16 16\n255\n" + image.pixels.tobytes()
+                            for image in labeled.images)
+    assert hashlib.sha256(data).hexdigest() == (
+        "c4c1061e93c4ec324b89223e982b744274e2fee1e386f869e10d79596e296fe4")
+
+
+def _grey(side):
+    return Image(np.zeros((side, side, 3), np.uint8))
+
+
+def test_multi_image_file_holding_fewer_images_than_listed(tmp_path):
+    first, short = tmp_path / "first.ppm", tmp_path / "short.ppm"
+    save_ppm([_grey(8)] * 3, first)
+    save_ppm([_grey(8)] * 2, short)  # 203 bytes an image
+    with pytest.raises(UsageError) as err:
+        load_listed_images("manifest.json", [first, short], 3)
+    assert (f"image file {short} holds fewer than the 3 images manifest.json lists in it: it "
+            "ends after image 1, at byte offset 406") in str(err.value)
+    # the first file of a set is checked before the set's block is made, so a count it
+    # could never hold fails at once
+    with pytest.raises(UsageError, match=f"{short} holds fewer than the 10000000000 images "
+                                         "listing.json lists in it: its 406 bytes hold at "
+                                         "most 2 8x8 images"):
+        _read_set(short, 10**10)
+    short.write_bytes(b"")
+    with pytest.raises(UsageError, match=f"{short} holds fewer than the 1 images "
+                                         "listing.json lists in it: it is empty"):
+        _read_set(short, 1)
+    with pytest.raises(UsageError, match=f"cannot read image file {tmp_path / 'absent.ppm'}"):
+        _read_set(tmp_path / "absent.ppm", 1)
+
+
+def test_multi_image_file_with_bytes_after_its_listed_images(tmp_path):
+    path = tmp_path / "set.ppm"
+    save_ppm([_grey(8), _grey(8)], path)
+    with pytest.raises(UsageError, match="has 203 bytes after its 1 listed images "
+                                         r"\(byte offset 203\)"):
+        _read_set(path, 1)
+    path.write_bytes(path.read_bytes() + b"\n")
+    with pytest.raises(UsageError, match=f"image file {path} has 1 bytes after its 2 listed "
+                                         r"images \(byte offset 406\)"):
+        _read_set(path, 2)
+
+
+def test_truncated_image_in_the_middle_names_file_index_and_offset(tmp_path):
+    # the set's second file is the broken one, so the first file's size check passes
+    whole, path = tmp_path / "whole.ppm", tmp_path / "set.ppm"
+    image = b"P6\n8 8\n255\n" + bytes(192)  # 203 bytes, its pixels at offset 11
+    whole.write_bytes(image * 3)
+    path.write_bytes(image + image[:13])  # the file ends 2 bytes into image 1's pixels
+    with pytest.raises(UsageError) as err:
+        load_listed_images("listing.json", [whole, path], 3)
+    assert (f"malformed image 1 of {path}: truncated payload: expected 192 bytes, got 2 "
+            "(byte offset 214)") in str(err.value)
+    # followed by another image, the short image's pixels run into it, and the error is
+    # at the offset where the image after the short one would start
+    path.write_bytes(image + image[:-100] + image)
+    with pytest.raises(UsageError) as err:
+        load_listed_images("listing.json", [whole, path], 3)
+    assert (f"malformed image 2 of {path}: not a P6 image (magic b'\\x00\\x00') "
+            "(byte offset 406)") in str(err.value)
+
+
+def test_image_of_another_size_partway_through_a_file(tmp_path):
+    path = tmp_path / "set.ppm"
+    save_ppm([_grey(8), _grey(8), _grey(16), _grey(8)], path)
+    with pytest.raises(UsageError) as err:
+        _read_set(path, 4, "manifest.json")
+    assert (f"malformed dataset listing manifest.json: image 2 of {path} is 16x16 but "
+            f"image 0 of {path} is 8x8: the images must have one size") in str(err.value)
+    # across files too: the first image of the set fixes the size
+    first = tmp_path / "first.ppm"
+    save_ppm([_grey(16)] * 4, first)
+    with pytest.raises(UsageError, match=f"image 0 of {path} is 8x8 but image 0 of {first} "
+                                         "is 16x16"):
+        load_listed_images("manifest.json", [first, path], 4)
+
+
+def test_image_side_not_a_multiple_of_8_names_its_index(tmp_path):
+    path = tmp_path / "set.ppm"
+    save_ppm([_grey(8), _grey(12)], path)
+    with pytest.raises(UsageError, match=f"image 1 of {path} is 12x12: each side must be a "
+                                         "multiple of 8"):
+        _read_set(path, 2)
+
+
+def test_reader_gives_back_the_mapped_pages_of_each_window(tmp_path, monkeypatch):
+    # the whole file is read, and the pages of each window read are given back in order
+    advised = []
+
+    class Recording(mmap.mmap):
+        def madvise(self, option, start, length):
+            advised.append((option, start, length))
+            return super().madvise(option, start, length)
+
+    rng = np.random.default_rng(4)
+    images = [_random_image(rng) for _ in range(40)]  # 781 bytes each: 8 windows of 4 KB
+    path = tmp_path / "set.ppm"
+    save_ppm(images, path)
+    monkeypatch.setattr(dataset, "_WINDOW", 4096)
+    monkeypatch.setattr(mmap, "mmap", Recording)
+    back = load_listed_images("listing", [path], 40)
+    assert all(np.array_equal(a, b.pixels) for a, b in zip(back[0], images))
+    assert {option for option, _, _ in advised} == {mmap.MADV_DONTNEED}
+    starts = [start for _, start, _ in advised]
+    assert starts == [0, *np.cumsum([length for _, _, length in advised])[:-1]]
+    assert len(advised) >= 4 and all(start % mmap.PAGESIZE == 0 for start in starts)
+    assert starts[-1] + advised[-1][2] > 40 * 781 - 2 * 4096
 
 
 def test_generate_base_images_deterministic():
@@ -551,12 +713,15 @@ def test_synth_rejects_base_images_of_two_sizes():
 
 def test_loaded_images_are_rows_of_one_block_given_back_with_the_set(tmp_path):
     base = generate_base_images(3, 16, seed=20)
-    names = save_dataset(synth_triplets(base, dataset.PERTURBATIONS, seed=20), tmp_path / "ds")
+    save_dataset(synth_triplets(base, dataset.PERTURBATIONS, seed=20), tmp_path / "ds")
     ds = load_dataset(tmp_path / "ds")
-    images = [t[d] for t in ds.triplets for d in ds.domain_ids]  # in the listing's order
+    images = [t[d] for d in ds.domain_ids for t in ds.triplets]  # in the files' order
     _assert_one_mapped_block(images)
-    for image, name in zip(images, names):
-        assert np.array_equal(image.pixels, parse_ppm((tmp_path / "ds" / name).read_bytes()).pixels)
+    data = b"".join((tmp_path / "ds" / f"domain_{d}.ppm").read_bytes() for d in ds.domain_ids)
+    pos = 0
+    for image in images:
+        parsed, pos = parse_ppm(data, pos)
+        assert np.array_equal(image.pixels, parsed.pixels)
     released = weakref.ref(_mapping(images[0].pixels))
     del ds, images, image
     assert released() is None
@@ -565,6 +730,7 @@ def test_loaded_images_are_rows_of_one_block_given_back_with_the_set(tmp_path):
     classifier.save_labeled_set(labeled, tmp_path / "labeled")
     back = classifier.load_labeled_set(tmp_path / "labeled")
     _assert_one_mapped_block(back.images)
-    for i, image in enumerate(back.images):
-        data = (tmp_path / "labeled" / f"image_{i:05d}.ppm").read_bytes()
-        assert np.array_equal(image.pixels, parse_ppm(data).pixels)
+    data, pos = (tmp_path / "labeled" / "images.ppm").read_bytes(), 0
+    for image in back.images:
+        parsed, pos = parse_ppm(data, pos)
+        assert np.array_equal(image.pixels, parsed.pixels)
