@@ -41,7 +41,7 @@ SETTINGS = {
     "mcae.epochs": Setting(int, mcae.McaeTrainConfig.epochs, ">= 0"),
     "mcae.lr": Setting(float, mcae.McaeTrainConfig.lr, "> 0"),
     "mcae.batch": Setting(int, mcae.McaeTrainConfig.batch, ">= 1"),
-    "mcae.stride": Setting(int, mcae.McaeTrainConfig.stride, ">= 1"),
+    "mcae.stride": Setting(int, 4, ">= 1"),
     "mcae.k": Setting(int, mcae.McaeTrainConfig.k, ">= 1"),
     "mcae.kmeans_sample": Setting(int, mcae.McaeTrainConfig.kmeans_sample, ">= 1"),
     "stanosa.epochs": Setting(int, stanosa.StanosaTrainConfig.epochs, ">= 0"),
@@ -341,7 +341,7 @@ def cmd_train_cyclegan_toy(args, s, out_dir, seed):
                       [[row[c] for c in columns] for row in history])
 
     def mean_colour(patches):
-        return persist.float_strings(patches.reshape(-1, 16, 3).mean((0, 1)))
+        return patches.reshape(-1, 16, 3).mean((0, 1)).tolist()
 
     summary = {
         "mean_colour_a": mean_colour(domain_a),
@@ -439,9 +439,9 @@ def main(argv=None):
         spec = COMMANDS[args.command]
         try:
             os.makedirs(args.out_dir, exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # a ValueError for a name with a NUL
             raise UsageError(f"--out-dir {args.out_dir} cannot be made a directory: "
-                             f"{exc.strerror}") from None
+                             f"{getattr(exc, 'strerror', exc)}") from None
         outputs = spec.run(args, settings.get(spec.block, {}), args.out_dir, settings["seed"])
     except Exception as exc:  # noqa: BLE001 - report and signal failure
         print(_error_record(exc), file=sys.stderr)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .colour import hsd_forward, hsd_inverse_clamped, od_to_rgb, rgb_to_od
 from .numerics import derive_seed
-from .persist import UsageError, checked, read_json_object, write_json
+from .persist import UsageError, checked, open_input, read_json_object, write_json
 
 GCN_GUARD = 1e-8
 ZCA_EPSILON = 1e-5
@@ -451,7 +451,7 @@ def _map_image_file(path, count, listing):
     """A read-only mapping of the image file at ``path``; a UsageError names the file when
     it cannot be read or is empty."""
     try:
-        with open(path, "rb") as fh:
+        with open_input(path, "image file", "rb") as fh:
             if os.fstat(fh.fileno()).st_size == 0:  # which mmap cannot map
                 raise _too_few(path, count, listing, "it is empty")
             return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)

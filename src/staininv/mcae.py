@@ -293,7 +293,6 @@ class McaeTrainConfig:
     epochs: int = 300
     lr: float = 0.0002
     batch: int = 64  # triplets per minibatch
-    stride: int = 4  # sub-patch stride during training
     k: int = 10
     kmeans_sample: int = 10000
     seed: int = 0

@@ -1,16 +1,19 @@
 """Artifact formats: model files, CSV tables and JSON result documents.
 
 Model files are versioned JSON (``mcae-v1``, ``stanosa-v1``,
-``clf-head-v2``) of dense layer records, the one record format.  Their
-floats are written as decimals with 17 significant digits, which uniquely
-identifies every finite double, so save -> load reproduces parameters
-bit-for-bit.  CSV cells use the same 17 digits;
-small result documents (summaries, manifests) are indented JSON with
-sorted keys.  PPM images keep their own reader and writer (``dataset``).
+``clf-head-v2``) of dense layer records, the one record format.  Every
+JSON file is written by the standard library's encoder, whose floats are
+the shortest decimals that reload to the same double, so save -> load
+reproduces parameters bit-for-bit (a file of 17-digit decimals loads to
+the same bits too).  Model files are one line; small result documents
+(summaries, manifests) are indented with sorted keys.  CSV cells are
+written with 17 significant digits, which identify every finite double
+as well.  PPM images keep their own reader and writer (``dataset``).
 
 Every check of outside input goes through this module: it raises the one
-error type, UsageError, and reads JSON with the one object reader (config
-files, listings), the one value check and the model-file reader.
+error type, UsageError, opens input files with the one opener, and reads
+JSON with the one object reader (config files, listings), the one value
+check and the model-file reader.
 """
 
 import csv
@@ -68,16 +71,23 @@ def checked(value, kind, what, bound=""):
     return value
 
 
+def open_input(path, what, mode="r"):
+    """The input file at ``path``, open; a UsageError names the ``what`` and the file when
+    it cannot be opened."""
+    try:
+        return open(path, mode)
+    except (OSError, ValueError) as exc:  # open refuses a name with a NUL by a ValueError
+        raise UsageError(f"cannot read {what} {path}: {getattr(exc, 'strerror', exc)}") from None
+
+
 def read_json_object(path, what):
     """The JSON object in a file; a UsageError names the ``what`` and the file when it
     cannot be read, is not JSON, or holds another kind of value."""
-    try:
-        with open(path) as fh:
+    with open_input(path, what) as fh:
+        try:
             doc = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise UsageError(f"malformed {what} {path}: {exc}") from None
+        except ValueError as exc:
+            raise UsageError(f"malformed {what} {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"malformed {what} {path}: the root must be a JSON object")
     return doc
@@ -85,11 +95,6 @@ def read_json_object(path, what):
 
 def format_float(value):
     return format(float(value), ".17g")
-
-
-def float_strings(values):
-    """Floats as 17-significant-digit strings, for JSON that keeps them as text."""
-    return [format_float(v) for v in values]
 
 
 def write_csv(path, header, rows):
@@ -110,49 +115,14 @@ def write_json(path, doc):
         fh.write("\n")
 
 
-def _encode(obj, pieces, indent):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            pieces.append(f'{pad}  {json.dumps(key)}: ')
-            _encode(value, pieces, indent + 1)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            pieces.append("[]")
-            return
-        if all(type(value) is float for value in obj):
-            # a flat list of Python floats, as tolist() gives: format_float inline
-            pieces.append("[" + ", ".join([format(value, ".17g") for value in obj]) + "]")
-            return
-        pieces.append("[")
-        for i, value in enumerate(obj):
-            _encode(value, pieces, indent)
-            if i < len(obj) - 1:
-                pieces.append(", ")
-        pieces.append("]")
-    elif isinstance(obj, (bool, str)) or obj is None:
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(format_float(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dump_json(obj, path):
-    """Write a model document with every float at 17 significant digits."""
-    pieces = []
-    _encode(obj, pieces, 0)
-    pieces.append("\n")
+    """Write a model document in the standard library's JSON text: each float in its
+    shortest form that reloads to the same double.  A document with a NaN or an
+    infinity is refused with a ValueError, and one with a leaf JSON lacks (a numpy
+    int64 or float32, say) with a TypeError, before the file is opened."""
+    text = json.dumps(obj, allow_nan=False)
     with open(path, "w") as fh:
-        fh.write("".join(pieces))
+        fh.write(text + "\n")
 
 
 def load_json(path):

@@ -60,7 +60,7 @@ def run_desk(seed):
     model, mcae_log = mcae.train_mcae(
         model,
         dataset.patch_store(train, ds.domain_ids, 8),
-        mcae.McaeTrainConfig(epochs=50, lr=0.001, batch=32, stride=8, k=10, seed=seed),
+        mcae.McaeTrainConfig(epochs=50, lr=0.001, batch=32, k=10, seed=seed),
     )
     timings["mcae"] = time.perf_counter() - t1
 

@@ -1,6 +1,8 @@
 import argparse
 import csv
+import importlib.util
 import json
+import os
 import shutil
 import weakref
 from pathlib import Path
@@ -140,6 +142,40 @@ def test_out_dir_that_cannot_be_made_is_usage_error(tmp_path, capsys, inside):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"]["type"] == "UsageError"
     assert f"--out-dir {out}" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("target", ["manifest", "labels", "config", "out-dir"])
+def test_nul_in_a_file_name_is_usage_error(tiny_dataset, tmp_path, capsys, target):
+    # open and os.makedirs refuse a name holding a NUL character with a ValueError
+    out, name = str(tmp_path / "o"), "a\x00b"
+    if target == "manifest":
+        ds = tmp_path / "ds"
+        shutil.copytree(tiny_dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["paths"]["A"] = name
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["eval-hsd", "--dataset", str(ds)]
+        named = f"cannot read image file {os.path.join(ds, name)}"
+    elif target == "labels":
+        model, labeled = tmp_path / "model.json", tmp_path / "labeled"
+        _save_model(model)
+        classifier.save_labeled_set(classifier.generate_labeled_set(2, size=16, seed=1), labeled)
+        labels = json.loads((labeled / "labels.json").read_text())
+        labels["path"] = name
+        (labeled / "labels.json").write_text(json.dumps(labels))
+        argv = ["train-clf", "--model", str(model), "--labeled-dir", str(labeled)]
+        named = f"cannot read image file {os.path.join(labeled, name)}"
+    elif target == "config":
+        config = os.path.join(tmp_path, "c\x00.json")
+        argv, named = ["synth", "--config", config], f"cannot read config file {config}"
+    else:
+        out = os.path.join(tmp_path, "x\x00y")
+        argv, named = ["grad-check"], f"--out-dir {out} cannot be made a directory"
+    assert main([*argv, "--out-dir", out]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "UsageError"
+    assert named in record["error"]["message"]
+    assert record["error"]["message"].endswith("embedded null byte")
 
 
 def test_dataset_without_manifest_is_usage_error(tmp_path):
@@ -909,3 +945,14 @@ def test_readme_lists_every_setting():
         for name, setting in SETTINGS.items()
     ]
     assert rows == expected
+
+
+def test_digest_driver_runs_every_command():
+    # scripts/digest.py is the byte-identity check of a refactor: no subcommand may escape it
+    path = Path(__file__).resolve().parents[1] / "scripts" / "digest.py"
+    spec = importlib.util.spec_from_file_location("digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    runs = digest.stages("out", "labeled")
+    assert {name for name, _ in runs} == set(COMMANDS)
+    assert all(argv[0] == name for name, argv in runs)

@@ -370,7 +370,7 @@ def test_train_epoch_zero_fits_kmeans_without_stepping():
     model = mcae_init(ds.domain_ids, seed=4)
     before = [p.copy() for p in mcae_params(model)]
     model, log = train_mcae(model, patch_store(ds, ds.domain_ids, 8),
-                            McaeTrainConfig(epochs=0, stride=8, k=3, seed=0))
+                            McaeTrainConfig(epochs=0, k=3, seed=0))
     assert model.kmeans is not None and log == []
     assert all(np.array_equal(a, b) for a, b in zip(before, mcae_params(model)))
 
@@ -379,14 +379,14 @@ def test_train_keeps_float64_master_parameters():
     ds = _tiny_dataset(24)
     model = mcae_init(ds.domain_ids, seed=4)
     model, _ = train_mcae(model, patch_store(ds, ds.domain_ids, 8),
-                          McaeTrainConfig(epochs=1, batch=4, stride=8, k=3, seed=0))
+                          McaeTrainConfig(epochs=1, batch=4, k=3, seed=0))
     assert all(p.dtype == np.float64 for p in mcae_params(model))
     assert model.kmeans.centroids.dtype == np.float64
 
 
 def test_train_loss_decreases_and_log_length():
     ds = _tiny_dataset(21)
-    config = McaeTrainConfig(epochs=8, lr=0.002, batch=4, stride=8, k=3, seed=1)
+    config = McaeTrainConfig(epochs=8, lr=0.002, batch=4, k=3, seed=1)
     model, log = train_mcae(mcae_init(ds.domain_ids, seed=5), patch_store(ds, ds.domain_ids, 8),
                             config)
     assert len(log) == config.epochs
@@ -396,7 +396,7 @@ def test_train_loss_decreases_and_log_length():
 
 def test_train_deterministic_and_persistence_roundtrip(tmp_path):
     ds = _tiny_dataset(22)
-    config = McaeTrainConfig(epochs=2, batch=4, stride=8, k=3, seed=2)
+    config = McaeTrainConfig(epochs=2, batch=4, k=3, seed=2)
     store = patch_store(ds, ds.domain_ids, 8)
     model1, _ = train_mcae(mcae_init(ds.domain_ids, seed=6), store, config)
     model2, _ = train_mcae(mcae_init(ds.domain_ids, seed=6), store, config)
@@ -426,10 +426,10 @@ def test_train_keeps_the_patch_store_in_bytes():
     model = mcae_init(ds.domain_ids, seed=7)
     store_bytes = 3 * n * 49 * 192  # stride 4 on 32 px: 7 x 7 sub-patches
     moment_bytes = 2 * sum(p.nbytes for p in mcae_params(model))
-    config = McaeTrainConfig(epochs=0, batch=batch, stride=4, k=3, kmeans_sample=60, seed=3)
+    config = McaeTrainConfig(epochs=0, batch=batch, k=3, kmeans_sample=60, seed=3)
     tracemalloc.start()
     try:
-        train_mcae(model, patch_store(ds, ds.domain_ids, config.stride), config)
+        train_mcae(model, patch_store(ds, ds.domain_ids, 4), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,7 +484,7 @@ def test_refit_peaks_below_the_float64_size_of_its_sample():
 
 def test_trained_model_beats_untrained_on_feature_loss():
     ds = _tiny_dataset(24, n=16)
-    config = McaeTrainConfig(epochs=15, lr=0.003, batch=4, stride=8, k=3, seed=3)
+    config = McaeTrainConfig(epochs=15, lr=0.003, batch=4, k=3, seed=3)
     trained, _ = train_mcae(mcae_init(ds.domain_ids, seed=7), patch_store(ds, ds.domain_ids, 8),
                             config)
     untrained = mcae_init(ds.domain_ids, seed=7)
@@ -517,7 +517,7 @@ def test_feature_extractor_checksum_and_encoding():
 
 def test_train_rejects_zero_batch():
     ds = _tiny_dataset(25, n=4)
-    config = McaeTrainConfig(epochs=1, batch=0, stride=8, k=3, kmeans_sample=50)
+    config = McaeTrainConfig(epochs=1, batch=0, k=3, kmeans_sample=50)
     with pytest.raises(ValueError, match="batch"):
         train_mcae(mcae_init(ds.domain_ids, seed=0), patch_store(ds, ds.domain_ids, 8), config)
 

@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from staininv.numerics import LEAKY_SLOPE, DenseLayer
+from staininv import cli, cyclegan, mcae
+from staininv.numerics import LEAKY_SLOPE, DenseLayer, derive_seed, mlp_forward
 from staininv.persist import (
     UsageError,
     autoencoder_stacks,
@@ -46,25 +47,78 @@ def test_dump_load_roundtrip(tmp_path):
     assert json.loads(path.read_text()) == doc
 
 
-def test_dump_json_float_list_fast_path_writes_the_same_bytes(tmp_path):
-    # lists of Python floats take the joined fast path; the same values as
-    # np.float64 leaves take the per-element path
-    rng = np.random.default_rng(5)
-    values = [float(v) for v in rng.normal(size=9)] + [0.1, -0.0, 1e-310, 2.0]
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+@example([-0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1])
+def test_dump_json_roundtrips_every_finite_double_bitwise(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "floats.json"
+    dump_json({"values": values, "first": values[0]}, path)
+    back = load_json(path)
+    assert np.array(back["values"]).view(np.uint64).tolist() == (
+        np.array(values).view(np.uint64).tolist())
+    assert np.float64(back["first"]).view(np.uint64) == np.float64(values[0]).view(np.uint64)
 
-    def doc(leaves):
-        return {
-            "flat": leaves,
-            "nested": {"rows": [leaves, leaves[:3]], "n": 3, "flag": False,
-                       "f32": [np.float32(0.1), np.float32(-2.5)], "one": np.float64(0.3)},
-            "mixed": [1, True, 0.5, np.float32(1.5)],
-        }
 
-    fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
-    dump_json(doc(values), fast)
-    dump_json(doc([np.float64(v) for v in values]), slow)
-    assert fast.read_bytes() == slow.read_bytes()
-    assert load_json(fast)["flat"] == values
+def _seventeen_digit_text(obj):
+    """A document as model files were written before the standard library's encoder:
+    every float at 17 significant digits (the indentation aside)."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_seventeen_digit_text(v)}"
+                               for k, v in obj.items()) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(_seventeen_digit_text, obj)) + "]"
+    return format_float(obj) if type(obj) is float else json.dumps(obj)
+
+
+def test_model_file_in_17_digit_text_loads_to_the_same_weights(tmp_path):
+    model = mcae.mcae_init(["A", "B"], seed=0, input_dim=48)
+    model.kmeans = mcae.KMeansState(np.random.default_rng(6).normal(size=(3, model.feature_dim)))
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    mcae.save_mcae(model, new)
+    old.write_text(_seventeen_digit_text(json.loads(new.read_text())) + "\n")
+    assert len(old.read_bytes()) > len(new.read_bytes())
+    want = np.concatenate([p.ravel() for p in mcae.mcae_params(model)] +
+                          [model.kmeans.centroids.ravel()]).view(np.uint64)
+    for path in (new, old):
+        back = mcae.load_mcae(path)
+        got = np.concatenate([p.ravel() for p in mcae.mcae_params(back)] +
+                             [back.kmeans.centroids.ravel()]).view(np.uint64)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("leaf", [float("nan"), float("inf"), -float("inf")])
+def test_dump_json_refuses_a_non_finite_float_and_leaves_no_file(tmp_path, leaf):
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError):
+        dump_json({"format": "test-v1", "weights": [0.5, leaf]}, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("leaf", [np.float32(0.5), np.int64(3)])
+def test_dump_json_refuses_a_numpy_scalar_and_leaves_no_file(tmp_path, leaf):
+    # every writer hands over tolist() values; np.float64, a float subclass, is written
+    path = tmp_path / "model.json"
+    with pytest.raises(TypeError):
+        dump_json({"format": "test-v1", "leaf": leaf}, path)
+    assert not path.exists()
+
+
+def test_cyclegan_summary_holds_the_means_as_numbers(tmp_path, monkeypatch):
+    trained = []
+    original = cyclegan.train_cyclegan
+    monkeypatch.setattr(cyclegan, "train_cyclegan",
+                        lambda *args: trained.append(original(*args)) or trained[-1])
+    assert cli.main(["train-cyclegan-toy", "--epochs", "1", "--patches", "64", "--seed", "3",
+                     "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "cyclegan_summary.json").read_text())
+    domain_a, domain_b = cli._toy_colour_domains(64, derive_seed(3, "cyclegan-data"))
+    means = {"mean_colour_a": domain_a, "mean_colour_b": domain_b,
+             "mean_colour_f_of_a": mlp_forward(trained[0][0], domain_a)}
+    assert set(summary) == set(means)
+    for key, patches in means.items():
+        assert all(type(v) is float for v in summary[key])
+        want = patches.reshape(-1, 16, 3).mean((0, 1))
+        assert np.array(summary[key]).view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_dense_record_roundtrip_bitwise():
