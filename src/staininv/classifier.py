@@ -16,8 +16,8 @@ import numpy as np
 
 from . import persist
 from .dataset import (
-    Image, extract_patches, listed_value, load_listed_images, mapped_array, paint_blobs,
-    read_listing, save_ppm, split_order,
+    BlobTexture, Image, extract_patches, listed_value, load_listed_images, mapped_array,
+    paint_textures, read_listing, save_ppm, split_order,
 )
 from .numerics import (
     DenseLayer,
@@ -115,29 +115,29 @@ class LabeledImageSet:
         return len(self.images)
 
 
-def generate_labeled_set(n_per_class, size=32, seed=0):
-    """Three synthetic texture classes with distinct colour statistics, as the rows of one
-    ``dataset.mapped_array``."""
-    palettes = [
-        # (background ranges, blob ranges) per class: reddish / purple / green-tan
-        (((205, 240), (140, 175), (140, 175)), ((150, 200), (50, 100), (60, 110))),
-        (((150, 185), (130, 165), (200, 240)), ((60, 100), (40, 80), (140, 190))),
-        (((190, 225), (195, 235), (140, 175)), ((90, 140), (130, 180), (60, 110))),
+#: the labelled set's classes, each a texture with its own colour statistics
+CLASS_TEXTURES = {
+    name: BlobTexture(background=background, wash=None, count=(3, 9), radius=(0.08, 0.22),
+                      colours=colours, opacity=0.8, noise=3.0, bounds=(2, 253))
+    for name, background, colours in [
+        ("eosin_rich", ((205, 240), (140, 175), (140, 175)), ((150, 200), (50, 100), (60, 110))),
+        ("haematoxylin_rich", ((150, 185), (130, 165), (200, 240)),
+         ((60, 100), (40, 80), (140, 190))),
+        ("counterstain", ((190, 225), (195, 235), (140, 175)), ((90, 140), (130, 180), (60, 110))),
     ]
-    class_names = ["eosin_rich", "haematoxylin_rich", "counterstain"]
-    block = mapped_array((len(palettes) * n_per_class, size, size, 3), np.uint8)
-    for label, (bg, blob) in enumerate(palettes):
-        for i in range(n_per_class):
-            rng = np.random.default_rng(derive_seed(seed, f"labeled-{label}-{i}"))
-            base = np.empty((size, size, 3))
-            for ch in range(3):
-                base[..., ch] = rng.uniform(*bg[ch])
-            base = paint_blobs(base, rng, (3, 9), (0.08, 0.22), blob, 0.8)
-            base += rng.normal(0.0, 3.0, size=base.shape)
-            block[label * n_per_class + i] = np.clip(np.rint(base), 2, 253)
+}
+
+
+def generate_labeled_set(n_per_class, size=32, seed=0):
+    """``n_per_class`` images of each of the ``CLASS_TEXTURES``, as the rows of one
+    ``dataset.mapped_array``."""
+    block = mapped_array((len(CLASS_TEXTURES) * n_per_class, size, size, 3), np.uint8)
+    for label, texture in enumerate(CLASS_TEXTURES.values()):
+        paint_textures(block[label * n_per_class : (label + 1) * n_per_class], texture,
+                       (derive_seed(seed, f"labeled-{label}-{i}") for i in range(n_per_class)))
     return LabeledImageSet(images=[Image(pixels) for pixels in block],
-                           labels=np.repeat(np.arange(len(palettes)), n_per_class),
-                           class_names=class_names)
+                           labels=np.repeat(np.arange(len(CLASS_TEXTURES)), n_per_class),
+                           class_names=list(CLASS_TEXTURES))
 
 
 def split_labeled(dataset, seed=0):

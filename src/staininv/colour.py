@@ -33,11 +33,22 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
+#: the optical density of each byte value, as ``rgb_to_od`` computes it for float input
+_BYTE_OD = -np.log((np.arange(256.0) + 1.0) / 256.0)
+
+
 def rgb_to_od(rgb):
-    """Map 8-bit channel values (..., 3) to optical densities."""
-    arr = np.asarray(rgb, dtype=np.float64)
+    """Map 8-bit channel values (..., 3) to optical densities.
+
+    A uint8 array is looked up in a 256-entry table, which gives the same bits as the
+    float path; other input is converted to float64 and must lie in [0, 255].
+    """
+    arr = np.asarray(rgb)
     if arr.shape[-1] != 3:
         raise ValueError("expected RGB triples along the last axis")
+    if arr.dtype == np.uint8:
+        return _BYTE_OD.take(arr)
+    arr = arr.astype(np.float64, copy=False)
     if arr.min() < 0 or arr.max() > 255:
         raise ValueError("channel values must lie in [0, 255]")
     return -np.log((arr + 1.0) / 256.0)

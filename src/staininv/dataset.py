@@ -8,8 +8,14 @@ datasets pair one image per domain for the same underlying texture; the
 synthetic generator perturbs a base image's chroma in HSD space so that
 aligned domains share their density plane by construction, which gives the
 evaluation suite an exact oracle.
+
+The base images, and the classifier's labelled sets, are ``BlobTexture``
+parameter sets painted by one painter, ``paint_textures``: each image draws
+from its own seeded generator, and a chunk of images is blended
+channel-first, a blob of every image at a time.
 """
 
+import itertools
 import math
 import mmap
 import os
@@ -530,42 +536,122 @@ def load_dataset(directory):
     return TripletDataset(domain_ids=list(domains), triplets=triplets, manifest=manifest)
 
 
+@dataclass(frozen=True)
+class BlobTexture:
+    """One family of synthetic textures: a flat background, an optional linear wash,
+    alpha-blended Gaussian blobs and per-pixel noise, rounded and clipped to bytes.
+
+    Every span is a ``(lo, hi)`` pair drawn uniformly; ``count`` is the blob count's
+    half-open integer range and ``radius`` the blob radius as fractions of the side.
+    """
+
+    background: tuple  # one span per channel
+    wash: tuple  # span of the wash's x and y gradients, or None for no wash
+    count: tuple
+    radius: tuple
+    colours: tuple  # one span per channel
+    opacity: float
+    noise: float  # standard deviation of the Gaussian pixel noise
+    bounds: tuple  # the clip range of the rounded values
+
+
+#: the nuclei-like blobs on a pale eosin-toned background of ``generate_base_images``, with
+#: a slow horizontal/vertical wash so patches are not globally constant
+BASE_TEXTURE = BlobTexture(
+    background=((195, 235), (155, 200), (175, 220)), wash=(-12, 12), count=(5, 12),
+    radius=(0.06, 0.2), colours=((70, 140), (40, 90), (110, 180)), opacity=0.85, noise=2.5,
+    bounds=(3, 252),
+)
+_PAINT_CHUNK = 32  # images painted together, channel-first: 32 float64 32 px images are 0.8 MB
+
+
 def generate_base_images(count, size, seed):
-    """Seeded nuclei-like blob textures on a pale eosin-toned background, as the rows of
-    one ``mapped_array``."""
+    """Seeded ``BASE_TEXTURE`` images, as the rows of one ``mapped_array``."""
     block = mapped_array((count, size, size, 3), np.uint8)
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    for i in range(count):
-        rng = np.random.default_rng(derive_seed(seed, f"base-{i}"))
-        base = np.empty((size, size, 3))
-        base[..., 0] = rng.uniform(195, 235)
-        base[..., 1] = rng.uniform(155, 200)
-        base[..., 2] = rng.uniform(175, 220)
-        # slow horizontal/vertical wash so patches are not globally constant
-        wash = rng.uniform(-12, 12, size=2)
-        base += (wash[0] * (xx / size) + wash[1] * (yy / size))[..., None]
-        base = paint_blobs(
-            base, rng, (5, 12), (0.06, 0.2), ((70, 140), (40, 90), (110, 180)), 0.85
-        )
-        base += rng.normal(0.0, 2.5, size=base.shape)
-        block[i] = np.clip(np.rint(base), 3, 252)
+    paint_textures(block, BASE_TEXTURE, (derive_seed(seed, f"base-{i}") for i in range(count)))
     return [Image(pixels) for pixels in block]
 
 
-def paint_blobs(base, rng, count, radius, colours, opacity):
-    """Alpha-blend random Gaussian blobs onto a square (size, size, 3) image.
+def _spans(spans):
+    """The low ends and widths of ``(lo, hi)`` spans, as ``Generator.uniform`` computes them."""
+    lo = np.array([float(a) for a, _ in spans])
+    return lo, np.array([float(b) for _, b in spans]) - lo
 
-    Draws from ``rng``, in order: the blob count in ``[count[0], count[1])``,
-    then per blob its centre, its radius as a fraction of the side within
-    ``radius``, and one colour value per channel within ``colours``.
+
+def paint_textures(block, texture, seeds):
+    """Paint ``block``'s (n, size, size, 3) uint8 rows with ``texture``, row i from its own
+    generator ``np.random.default_rng`` of the i-th of the iterable ``seeds``, which is read
+    a chunk at a time.
+
+    Each generator draws, in order: ``random`` for the background's three channels and,
+    with a wash, its x and y gradients; ``integers`` for the blob count; ``random`` for
+    each blob's centre x and y, radius and three colour values; ``normal`` for the noise,
+    in (size, size, 3) order.  A uniform value in a span is ``lo + (hi - lo) * u`` from
+    ``random``, which is what ``Generator.uniform`` computes, and the values are those of
+    one image painted alone with a ``uniform`` call per value.
+
+    ``_PAINT_CHUNK`` images at a time are painted channel-first and sorted by blob count,
+    so the images that still have a k-th blob are a prefix of the chunk and each round
+    blends one blob into each of them in place.  Each blob's Gaussian denominator is
+    ``2.0 * (r / 2.0) ** 2`` on the Python float, as the one-image painter computed it:
+    that power is libm's ``pow``, which for about 8 in 10,000 radii differs in the last
+    bit from numpy's square, and a pixel on a rounding boundary then changes its byte.
     """
-    size = base.shape[0]
+    n, size = block.shape[:2]
     coords = np.arange(size, dtype=np.float64)
-    for _ in range(int(rng.integers(*count))):
-        cx, cy = rng.uniform(0, size, size=2)
-        r = rng.uniform(radius[0] * size, radius[1] * size)
-        colour = np.array([rng.uniform(*span) for span in colours])
-        d2 = (coords - cx) ** 2 + ((coords - cy) ** 2)[:, None]
-        alpha = opacity * np.exp(-d2 / (2.0 * (r / 2.0) ** 2))
-        base = (1.0 - alpha[..., None]) * base + alpha[..., None] * colour
-    return base
+    ramp = coords / size  # the wash's gradient runs from 0 to (size - 1) / size
+    background = (*texture.background, *([texture.wash] * 2 if texture.wash else []))
+    bg_lo, bg_width = _spans(background)
+    blob_lo, blob_width = _spans([
+        (0, size), (0, size), (texture.radius[0] * size, texture.radius[1] * size),
+        *texture.colours,
+    ])
+    # working buffers reused by every chunk, in mappings of their own (see ``mapped_array``):
+    # freed malloc blocks of this size would raise glibc's mmap threshold for later stages
+    base_buf, scratch = mapped_array((2, _PAINT_CHUNK, 3, size, size), np.float64)
+    alpha_buf, keep_buf = mapped_array((2, _PAINT_CHUNK, size, size), np.float64)
+    seeds = iter(seeds)
+    for start in range(0, n, _PAINT_CHUNK):
+        rngs = [np.random.default_rng(s) for s in itertools.islice(seeds, _PAINT_CHUNK)]
+        flat = bg_lo + bg_width * np.array([rng.random(len(background)) for rng in rngs])
+        blobs = []
+        for rng in rngs:
+            params = blob_lo + blob_width * rng.random(6 * int(rng.integers(*texture.count))
+                                                       ).reshape(-1, 6)
+            params[:, 2] = [2.0 * (r / 2.0) ** 2 for r in params[:, 2].tolist()]
+            blobs.append(params)
+        counts = np.array([len(b) for b in blobs])
+        order = np.argsort(-counts, kind="stable")
+        flat = flat[order]
+        chunk = len(rngs)
+        base = base_buf[:chunk]
+        base[...] = flat[:, :3, None, None]
+        if texture.wash:
+            base += (flat[:, 3, None, None] * ramp + flat[:, 4, None, None] * ramp[:, None]
+                     )[:, None]
+        table = np.zeros((chunk, counts.max(initial=0), 6))
+        for j, i in enumerate(order):
+            table[j, : counts[i]] = blobs[i]
+        for k in range(table.shape[1]):
+            live = np.count_nonzero(counts > k)  # the first ``live`` images in ``order``
+            cx, cy, denom = table[:live, k, :3].T
+            dx = coords - cx[:, None]
+            dx *= dx
+            dy = coords - cy[:, None]
+            dy *= dy
+            alpha = np.add(dx[:, None, :], dy[:, :, None], out=alpha_buf[:live])
+            np.negative(alpha, out=alpha)
+            alpha /= denom[:, None, None]
+            np.exp(alpha, out=alpha)
+            alpha *= texture.opacity
+            painted = base[:live]
+            painted *= np.subtract(1.0, alpha, out=keep_buf[:live])[:, None]
+            painted += np.multiply(alpha[:, None], table[:live, k, 3:, None, None],
+                                   out=scratch[:live])
+        out = scratch[:chunk].reshape(chunk, size, size, 3)
+        for j, i in enumerate(order):
+            out[j] = rngs[i].normal(0.0, texture.noise, size=(size, size, 3))
+        out += base.transpose(0, 2, 3, 1)
+        np.rint(out, out=out)
+        np.clip(out, *texture.bounds, out=out)
+        block[start + order] = out

@@ -21,8 +21,8 @@ the same order.  Adam and ``fit`` take that vector and one gradient of
 its shape, Adam's state is two vectors and a step count, the mirror is
 refreshed by one ``np.copyto`` a step, and a step's gradients go into
 views of one zeroed vector.  ``dense_forward`` and ``dense_backward``
-work in place on their own buffers; ``apply_activation`` and
-``activation_derivative`` are the reference forms they match bit for bit.
+work in place on their own buffers; the tests check their activation
+forms bit for bit against the plain numpy expressions.
 """
 
 import hashlib
@@ -57,33 +57,8 @@ def _check_activation(name):
         raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
 
 
-def apply_activation(name, pre):
-    if name == "tanh":
-        return np.tanh(pre)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-pre))
-    if name == "leaky_relu":
-        return np.where(pre >= 0.0, pre, LEAKY_SLOPE * pre)
-    if name == "linear":
-        return pre
-    _check_activation(name)
-
-
-def activation_derivative(name, out):
-    """d activation / d pre-activation, elementwise, from the activation output."""
-    if name == "tanh":
-        return 1.0 - out * out
-    if name == "sigmoid":
-        return out * (1.0 - out)
-    if name == "leaky_relu":
-        return np.where(out >= 0.0, out.dtype.type(1.0), out.dtype.type(LEAKY_SLOPE))
-    if name == "linear":
-        return np.ones_like(out)
-    _check_activation(name)
-
-
 def _activate_in_place(name, pre):
-    """``apply_activation(name, pre)``, bit for bit, written over ``pre`` and returned."""
+    """The activation of ``pre``, written over it and returned."""
     if name == "tanh":
         return np.tanh(pre, out=pre)
     if name == "sigmoid":
@@ -98,8 +73,8 @@ def _activate_in_place(name, pre):
 
 
 def _times_derivative(name, upstream, out):
-    """``upstream * activation_derivative(name, out)``, bit for bit, in one new buffer
-    (``upstream`` itself for ``linear``)."""
+    """``upstream`` times the activation's derivative, computed from its output ``out``, in
+    one new buffer (``upstream`` itself for ``linear``)."""
     if name == "tanh":
         dpre = np.multiply(out, out)
         np.subtract(1.0, dpre, out=dpre)

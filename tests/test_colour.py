@@ -46,6 +46,15 @@ def test_od_rgb_roundtrip_exact_on_bytes():
     assert np.array_equal(od_to_rgb(rgb_to_od(rgb)), rgb)
 
 
+def test_od_byte_table_matches_the_float_path_on_every_byte():
+    rgb = np.stack([np.arange(256)] * 3, axis=-1).astype(np.uint8)
+    image = np.random.default_rng(4).permutation(rgb.reshape(-1)).reshape(16, 16, 3)
+    for pixels in (rgb, image):
+        od = rgb_to_od(pixels)
+        assert od.dtype == np.float64 and od.shape == pixels.shape
+        assert od.tobytes() == rgb_to_od(pixels.astype(np.float64)).tobytes()
+
+
 def test_hsd_grey_pixel_exact():
     for a in (0.017, 0.3, 1.7321, 2.55):
         hsd = hsd_forward([a, a, a])

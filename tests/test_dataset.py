@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import mmap
@@ -35,6 +36,7 @@ from staininv.dataset import (
     zca_apply,
     zca_fit,
 )
+from staininv.numerics import derive_seed
 from staininv.persist import UsageError
 
 
@@ -645,6 +647,120 @@ def test_generate_base_images_deterministic():
     a = generate_base_images(2, 16, seed=21)
     b = generate_base_images(2, 16, seed=21)
     assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
+
+
+# --- the chunked texture painter against the per-image reference ---
+
+
+def _paint_blobs(base, rng, count, radius, colours, opacity):
+    """The per-image reference: alpha-blend random Gaussian blobs onto a square
+    (size, size, 3) image, one ``uniform`` call per value."""
+    size = base.shape[0]
+    coords = np.arange(size, dtype=np.float64)
+    for _ in range(int(rng.integers(*count))):
+        cx, cy = rng.uniform(0, size, size=2)
+        r = rng.uniform(radius[0] * size, radius[1] * size)
+        colour = np.array([rng.uniform(*span) for span in colours])
+        d2 = (coords - cx) ** 2 + ((coords - cy) ** 2)[:, None]
+        alpha = opacity * np.exp(-d2 / (2.0 * (r / 2.0) ** 2))
+        base = (1.0 - alpha[..., None]) * base + alpha[..., None] * colour
+    return base
+
+
+def _reference_texture(texture, size, seed):
+    """One image of ``texture``, painted alone in (size, size, 3) layout."""
+    rng = np.random.default_rng(seed)
+    base = np.empty((size, size, 3))
+    for ch in range(3):
+        base[..., ch] = rng.uniform(*texture.background[ch])
+    if texture.wash:
+        yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+        wash = rng.uniform(*texture.wash, size=2)
+        base += (wash[0] * (xx / size) + wash[1] * (yy / size))[..., None]
+    base = _paint_blobs(base, rng, texture.count, texture.radius, texture.colours,
+                        texture.opacity)
+    base += rng.normal(0.0, texture.noise, size=base.shape)
+    return np.clip(np.rint(base), *texture.bounds).astype(np.uint8)
+
+
+def _assert_painted_as_reference(texture, size, seeds):
+    block = mapped_array((len(seeds), size, size, 3), np.uint8)
+    dataset.paint_textures(block, texture, seeds)
+    for pixels, seed in zip(block, seeds):
+        assert pixels.tobytes() == _reference_texture(texture, size, seed).tobytes()
+
+
+TEXTURES = {"base": dataset.BASE_TEXTURE, **classifier.CLASS_TEXTURES}
+CHUNK = dataset._PAINT_CHUNK
+
+
+@pytest.mark.parametrize("size", [8, 16, 32])
+@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("texture", TEXTURES)
+def test_painter_matches_the_per_image_reference_bit_for_bit(texture, count, size):
+    _assert_painted_as_reference(TEXTURES[texture], size, [1000 * size + i for i in range(count)])
+
+
+def test_painter_chunk_holding_every_blob_count_matches_the_reference():
+    # one image of each count 5..11, in no sorted order
+    first = {}
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        rng.random(5)
+        first.setdefault(int(rng.integers(*dataset.BASE_TEXTURE.count)), seed)
+    assert sorted(first) == list(range(5, 12))
+    seeds = [first[c] for c in (8, 5, 11, 7, 6, 10, 9)]
+    _assert_painted_as_reference(dataset.BASE_TEXTURE, 16, seeds)
+
+
+def test_painter_blob_denominator_is_the_python_power_not_the_square():
+    r = 3.182658757015062
+    power, square = 2.0 * (r / 2.0) ** 2, 2.0 * np.square(r / 2.0)
+    assert power != square
+    # one blob of radius r on a black noiseless ground: a pixel is alpha * colour, and this
+    # colour puts one pixel's value on a rounding boundary between the two denominators
+    colour = 18.923014239648108
+    texture = dataset.BlobTexture(
+        background=((0, 0),) * 3, wash=None, count=(1, 2), radius=(r / 32, r / 32),
+        colours=((colour, colour),) * 3, opacity=0.85, noise=0.0, bounds=(0, 255),
+    )
+    _assert_painted_as_reference(texture, 32, [0])
+    block = mapped_array((1, 32, 32, 3), np.uint8)
+    dataset.paint_textures(block, texture, [0])
+    rng = np.random.default_rng(0)
+    rng.random(3)
+    rng.integers(1, 2)
+    cx, cy = 32.0 * rng.random(6)[:2]
+    coords = np.arange(32.0)
+    d2 = (coords - cx) ** 2 + ((coords - cy) ** 2)[:, None]
+    by_square = np.rint(np.exp(-d2 / square) * 0.85 * colour)
+    assert np.count_nonzero(block[0, ..., 0] != by_square) == 1
+
+
+def test_generators_paint_their_textures_from_their_named_seeds():
+    base = generate_base_images(3, 16, seed=4)
+    for i, image in enumerate(base):
+        assert image.pixels.tobytes() == _reference_texture(
+            dataset.BASE_TEXTURE, 16, derive_seed(4, f"base-{i}")).tobytes()
+    labeled = classifier.generate_labeled_set(2, size=8, seed=4)
+    assert labeled.class_names == list(classifier.CLASS_TEXTURES)
+    for k, image in enumerate(labeled.images):
+        texture = list(classifier.CLASS_TEXTURES.values())[k // 2]
+        assert image.pixels.tobytes() == _reference_texture(
+            texture, 8, derive_seed(4, f"labeled-{k // 2}-{k % 2}")).tobytes()
+
+
+def test_generate_base_images_holds_no_whole_set_float_array():
+    # 2,000 32 px images are 49 MB as float64; the uint8 block and the painter's chunk
+    # buffers are mappings, which tracemalloc does not trace
+    tracemalloc.start()
+    try:
+        images = generate_base_images(2000, 32, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(images) == 2000
+    assert peak < 4 * 2**20
 
 
 # --- image sets: the rows of one mapped block ---

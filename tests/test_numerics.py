@@ -13,9 +13,7 @@ from staininv.numerics import (
     _activate_in_place,
     _times_derivative,
     adam_init,
-    activation_derivative,
     adam_step,
-    apply_activation,
     conv2d_backward,
     conv2d_forward,
     dense_backward,
@@ -36,6 +34,33 @@ from staininv.numerics import (
 from staininv.persist import layer_from_record, layer_record
 
 GRAD_RTOL = 1e-4
+
+
+def apply_activation(name, pre):
+    """The reference form that ``_activate_in_place`` matches bit for bit."""
+    if name == "tanh":
+        return np.tanh(pre)
+    if name == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-pre))
+    if name == "leaky_relu":
+        return np.where(pre >= 0.0, pre, LEAKY_SLOPE * pre)
+    if name == "linear":
+        return pre
+    raise ValueError(f"unknown activation {name!r}")
+
+
+def activation_derivative(name, out):
+    """d activation / d pre-activation, elementwise, from the activation output: the
+    reference form that ``_times_derivative`` multiplies by, bit for bit."""
+    if name == "tanh":
+        return 1.0 - out * out
+    if name == "sigmoid":
+        return out * (1.0 - out)
+    if name == "leaky_relu":
+        return np.where(out >= 0.0, out.dtype.type(1.0), out.dtype.type(LEAKY_SLOPE))
+    if name == "linear":
+        return np.ones_like(out)
+    raise ValueError(f"unknown activation {name!r}")
 
 
 # --- the finite-difference oracle itself, against analytic gradients ---
