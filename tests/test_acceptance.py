@@ -13,15 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from staininv import classifier, cyclegan, dataset, mcae, metrics, stanosa
+from staininv import classifier, cyclegan, dataset, mcae, metrics
 from staininv.cli import _toy_colour_domains, main
 from staininv.colour import hsd_forward, hsd_inverse_clamped
+from staininv.experiment import RATIO_BOUND, pair_ratios, run_desk
 from staininv.gradcheck import run_grad_checks
-from staininv.metrics import (
-    nfmse,
-    nfmse_per_triplet,
-    normalize_feature_map,
-)
+from staininv.metrics import nfmse, normalize_feature_map
 from staininv.numerics import mlp_forward
 
 GRAD_TOL = 1e-4
@@ -29,7 +26,6 @@ HSD_TOL = 1e-12
 ZCA_OFFDIAG_TOL = 1e-6
 NFMSE_STAT_TOL = 0.05
 AFFINE_TOL = 1e-6
-RATIO_BOUND = 0.7
 DENSITY_SSIM_FLOOR = 0.999
 CYCLE_SHRINK = 0.5
 VAL_ACCURACY_FLOOR = 0.9
@@ -40,57 +36,6 @@ def _report(criterion, detail):
 
 
 # ---------------------------------------------------------------- fixture
-
-
-def run_desk(seed):
-    """2,000 chromatic-only 32x32 triplets; 50-epoch MCAE and baseline.
-
-    Criterion 5 is ``run_desk(2024)``; ``scripts/seed_sweep.py`` runs it at
-    other seeds.
-    """
-    timings = {}
-    t0 = time.perf_counter()
-    base = dataset.generate_base_images(2000, 32, seed=seed)
-    ds = dataset.synth_triplets(base, dataset.PERTURBATIONS, seed=seed)
-    train, test = dataset.split(ds, seed=seed)
-    timings["synth"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    model = mcae.mcae_init(ds.domain_ids, seed=seed)
-    model, mcae_log = mcae.train_mcae(
-        model,
-        dataset.patch_store(train, ds.domain_ids, 8),
-        mcae.McaeTrainConfig(epochs=50, lr=0.001, batch=32, k=10, seed=seed),
-    )
-    timings["mcae"] = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
-    patches = dataset.patch_store(train, ["A"], 8).reshape(-1, 192)
-    baseline = stanosa.stanosa_init(seed=seed)
-    baseline, stanosa_log = stanosa.train_stanosa(
-        baseline,
-        patches,
-        stanosa.StanosaTrainConfig(epochs=50, lr=0.001, batch=256, seed=seed),
-    )
-    timings["stanosa"] = time.perf_counter() - t2
-
-    t3 = time.perf_counter()
-    mcae_ext = {d: mcae.feature_extractor(model, d) for d in ds.domain_ids}
-    stanosa_ext = {d: stanosa.feature_extractor(baseline) for d in ds.domain_ids}
-    _, mcae_summary = nfmse_per_triplet(mcae_ext, test)
-    _, stanosa_summary = nfmse_per_triplet(stanosa_ext, test)
-    timings["eval"] = time.perf_counter() - t3
-    return {
-        "dataset": ds,
-        "test": test,
-        "model": model,
-        "baseline": baseline,
-        "mcae_log": mcae_log,
-        "stanosa_log": stanosa_log,
-        "mcae_summary": mcae_summary,
-        "stanosa_summary": stanosa_summary,
-        "timings": timings,
-    }
 
 
 @pytest.fixture(scope="module")
@@ -172,24 +117,21 @@ def test_criterion_04_nfmse_analytics():
 def test_criterion_05_mcae_beats_stanosa(desk_run):
     """MCAE cross-domain NFMSE below RATIO_BOUND times the baseline's on every pair.
 
-    The fixture runs at seed 2024.  ``SEED_SWEEP.json`` (``scripts/seed_sweep.py``,
-    the same fixture at seeds 2024-2033) shows the bound holding at 9 of those 10
-    seeds: seed 2028 breaks it on A-C, at a ratio of 0.762.  So the claim rests on
-    most seeds, not on every one.
+    The fixture is ``staininv.experiment.run_desk(2024)``.  ``SEED_SWEEP.json``
+    (``scripts/seed_sweep.py``, the same experiment at seeds 2024-2033) shows the
+    bound holding at 9 of those 10 seeds: seed 2028 breaks it on A-C, at a ratio
+    of 0.762.  So the claim rests on most seeds, not on every one.
     """
-    ratios = {}
-    for pair in ("A-B", "A-C", "B-C"):
-        ours = desk_run["mcae_summary"][pair]["mean"]
-        theirs = desk_run["stanosa_summary"][pair]["mean"]
-        assert ours < theirs, f"{pair}: {ours:.4f} !< {theirs:.4f}"
-        ratios[pair] = ours / theirs
-        assert ratios[pair] < RATIO_BOUND, f"{pair}: ratio {ratios[pair]:.3f}"
+    records = pair_ratios(desk_run)
+    for pair, r in records.items():
+        assert r["mcae"] < r["stanosa"], f"{pair}: {r['mcae']:.4f} !< {r['stanosa']:.4f}"
+        assert r["ratio"] < RATIO_BOUND, f"{pair}: ratio {r['ratio']:.3f}"
     total = sum(desk_run["timings"].values())
     assert total < 600.0
     _report(
         5,
         "ratios "
-        + ", ".join(f"{p}={r:.3f}" for p, r in ratios.items())
+        + ", ".join(f"{p}={r['ratio']:.3f}" for p, r in records.items())
         + f", runtime {total:.0f}s",
     )
 

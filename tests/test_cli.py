@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staininv import classifier, dataset, gradcheck, mcae, persist, stanosa
+from staininv import classifier, dataset, experiment, gradcheck, mcae, persist, stanosa
 from staininv.cli import (
     COMMANDS, SETTINGS, UsageError, build_parser, describe, flag, load_config, main, resolve,
 )
@@ -947,12 +947,33 @@ def test_readme_lists_every_setting():
     assert rows == expected
 
 
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_digest_driver_runs_every_command():
     # scripts/digest.py is the byte-identity check of a refactor: no subcommand may escape it
-    path = Path(__file__).resolve().parents[1] / "scripts" / "digest.py"
-    spec = importlib.util.spec_from_file_location("digest", path)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    digest = _load_script("digest")
     runs = digest.stages("out", "labeled")
     assert {name for name, _ in runs} == set(COMMANDS)
     assert all(argv[0] == name for name, argv in runs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seeds", "2024", "--out", "missing/SEED_SWEEP.json"],
+    ["--seeds", "2024", "2024", "--out", "SEED_SWEEP.json"],
+], ids=["missing-out-directory", "repeated-seed"])
+def test_seed_sweep_rejects_bad_arguments_before_any_cell(argv, tmp_path, monkeypatch):
+    # a cell takes about 50 s, so a bad --out or a repeated seed must stop the sweep at once
+    sweep = _load_script("seed_sweep")
+    monkeypatch.setattr(experiment, "run_desk", lambda seed: pytest.fail(f"cell {seed} ran"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.argv", ["seed_sweep.py", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        sweep.main()
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "SEED_SWEEP.json").exists()
