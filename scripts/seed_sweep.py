@@ -4,14 +4,16 @@
 Each seed runs ``staininv.experiment.run_desk(seed)``, the desk experiment
 whose seed 2024 is criterion 5: 2,000 chromatic-only 32 px triplets, an 80/20
 split, the 50-epoch MCAE and the 50-epoch GCN+ZCA baseline, both evaluated on
-the held-out split.  The JSON written to --out holds, per seed, both models'
-mean NFMSE and their ratio for each pair, and per pair the min, median and
-max ratio over the seeds.  Criterion 5 needs every ratio below
-``experiment.RATIO_BOUND``.  The printed summary sets each pair's median
-beside the paper's full-scale ratio (``metrics.REFERENCE_NFMSE``).
+the held-out split.  The JSON written to --out, which has no default, holds,
+per seed, both models' mean NFMSE and their ratio for each pair, and per pair
+the min, median and max ratio over the seeds.  So a sweep writes over the
+committed ten-seed ``SEED_SWEEP.json`` only when --out names it.  Criterion
+5 needs every ratio below ``experiment.RATIO_BOUND``.  The printed summary
+sets each pair's median beside the paper's full-scale ratio
+(``metrics.REFERENCE_NFMSE``).
 
     PYTHONPATH=src python scripts/seed_sweep.py --seeds 2024 2025 2026 2027 \\
-        --out SEED_SWEEP.json
+        --out sweep.json
 
 A seed takes about 50 s on a 2-core machine.  The arguments are checked
 before the first seed runs.
@@ -31,7 +33,7 @@ from staininv.metrics import REFERENCE_NFMSE
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[2024, 2025, 2026, 2027])
-    parser.add_argument("--out", default="SEED_SWEEP.json")
+    parser.add_argument("--out", required=True, help="the JSON file to write")
     args = parser.parse_args()
     repeated = sorted({s for s in args.seeds if args.seeds.count(s) > 1})
     if repeated:

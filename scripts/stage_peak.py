@@ -4,7 +4,9 @@
 Runs ``synth --triplets N --size 32``, then each named stage on that dataset,
 every one in a child process of its own, and prints one JSON object whose
 ``peak_rss_mb`` maps each stage, ``synth`` first, to the peak resident set
-size of its own process (``ru_maxrss`` of that child, in MB).  The trainers
+size of its own process (``ru_maxrss`` of that child, in MB), and whose
+``wall_s`` maps it to the wall seconds of that process, timed around it by
+this script, interpreter start and package import included.  The trainers
 run with ``--epochs 0``, so their peak is their set-up: loading the images,
 splitting them and cutting the patch store.  The other settings are the
 defaults, so ``--triplets 20000`` measures the full protocol's set-up.
@@ -23,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import staininv
 
@@ -34,15 +37,18 @@ STAGES = {
 }
 
 
-def peak_mb(argv, env):
-    """Run ``staininv <argv>`` in a child process; return its own peak RSS in MB."""
+def run_stage(argv, env):
+    """Run ``staininv <argv>`` in a child process; return its own peak RSS in MB and its
+    wall seconds."""
+    start = time.perf_counter()
     child = subprocess.Popen([sys.executable, "-m", "staininv.cli", *argv], env=env,
                              stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)  # the child's own rusage, not every child's
+    wall = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
     if child.returncode != 0:
         raise SystemExit(f"staininv {' '.join(argv)} exited {child.returncode}")
-    return usage.ru_maxrss / 1024.0
+    return usage.ru_maxrss / 1024.0, round(wall, 3)
 
 
 def main():
@@ -61,15 +67,18 @@ def main():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     seed = ["--seed", str(args.seed)]
-    peaks = {}
+    peaks, walls = {}, {}
     with tempfile.TemporaryDirectory() as work:
         dataset = os.path.join(work, "dataset")
-        peaks["synth"] = peak_mb(["synth", "--triplets", str(args.triplets), "--size", "32",
-                                  *seed, "--out-dir", dataset], env)
+        runs = {"synth": ["synth", "--triplets", str(args.triplets), "--size", "32", *seed,
+                          "--out-dir", dataset]}
         for stage in args.stages or STAGES:
-            peaks[stage] = peak_mb([stage, "--dataset", dataset, *STAGES[stage], *seed,
-                                    "--out-dir", os.path.join(work, stage)], env)
-    print(json.dumps({"triplets": args.triplets, "seed": args.seed, "peak_rss_mb": peaks}))
+            runs[stage] = [stage, "--dataset", dataset, *STAGES[stage], *seed,
+                           "--out-dir", os.path.join(work, stage)]
+        for stage, argv in runs.items():
+            peaks[stage], walls[stage] = run_stage(argv, env)
+    print(json.dumps({"triplets": args.triplets, "seed": args.seed, "peak_rss_mb": peaks,
+                      "wall_s": walls}))
     return 0
 
 

@@ -54,11 +54,20 @@ def rgb_to_od(rgb):
     return -np.log((arr + 1.0) / 256.0)
 
 
-def od_to_rgb(od):
-    """Inverse of ``rgb_to_od`` with rounding and clamping to 8-bit range."""
+def od_to_rgb(od, work=None):
+    """Inverse of ``rgb_to_od`` with rounding and clamping to 8-bit range.
+
+    The float steps are worked in place in ``work`` when it is given, a float64 array
+    of ``od``'s shape that may be ``od`` itself, so no float array is made.
+    """
     arr = np.asarray(od, dtype=np.float64)
-    values = np.rint(256.0 * np.exp(-arr) - 1.0)
-    return np.clip(values, 0, 255).astype(np.uint8)
+    values = np.negative(arr, out=work)
+    np.exp(values, out=values)
+    values *= 256.0
+    values -= 1.0
+    np.rint(values, out=values)
+    np.clip(values, 0, 255, out=values)
+    return values.astype(np.uint8)
 
 
 @dataclass
@@ -92,22 +101,38 @@ def hsd_forward(od):
     return HsdImage(c_x=c_x, c_y=c_y, density=density, background=background)
 
 
-def hsd_inverse_clamped(hsd):
-    """HSD planes -> optical densities, negatives clamped to zero.
+def hsd_inverse_clamped(hsd, out=None):
+    """HSD planes -> optical densities (..., 3), negatives clamped to zero.
 
     Returns the densities and the number of pixels that had a channel below
     zero (beyond round-off), i.e. chromatic coordinates outside the OD gamut.
+    The three channels are worked out as planes of ``out`` when it is given, a
+    float64 ``(3, ...)`` array apart from the input planes, and of a new one
+    otherwise; the densities returned are a view of it, so no other array of
+    their size is made.
     """
     c_x = np.asarray(hsd.c_x, dtype=np.float64)
     c_y = np.asarray(hsd.c_y, dtype=np.float64)
     density = np.asarray(hsd.density, dtype=np.float64)
-    # Factoring density out keeps grey pixels (c_x = c_y = 0) exact.
-    od_r = density * (c_x + 1.0)
-    od_g = density * (3.0 - (c_x + 1.0) + SQRT3 * c_y) / 2.0
-    od_b = density * (3.0 - (c_x + 1.0) - SQRT3 * c_y) / 2.0
-    od = np.stack([od_r, od_g, od_b], axis=-1)
-    clamped = int(np.count_nonzero((od < -1e-12).any(axis=-1)))
-    return np.maximum(od, 0.0), clamped
+    if out is None:
+        out = np.empty((3, *np.broadcast_shapes(c_x.shape, c_y.shape, density.shape)))
+    od_r, od_g, od_b = (out[i, ...] for i in range(3))  # views, 0-d ones included
+    # od_r = density * (c_x + 1) and od_g, od_b = density * (3 - (c_x + 1) ± sqrt(3) c_y) / 2,
+    # each in the steps of that expression: factoring density out keeps grey pixels
+    # (c_x = c_y = 0) exact.  od_r holds sqrt(3) c_y until od_g and od_b have read it.
+    np.add(c_x, 1.0, out=od_b)
+    np.subtract(3.0, od_b, out=od_b)
+    np.multiply(SQRT3, c_y, out=od_r)
+    np.add(od_b, od_r, out=od_g)
+    np.subtract(od_b, od_r, out=od_b)
+    for plane in (od_g, od_b):
+        plane *= density
+        plane /= 2.0
+    np.add(c_x, 1.0, out=od_r)
+    od_r *= density
+    clamped = int(np.count_nonzero((out < -1e-12).any(axis=0)))
+    np.maximum(out, 0.0, out=out)
+    return np.moveaxis(out, 0, -1), clamped
 
 
 def ssim(a, b):

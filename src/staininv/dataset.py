@@ -7,7 +7,11 @@ between them, so a dataset of any size is one file per domain.  Triplet
 datasets pair one image per domain for the same underlying texture; the
 synthetic generator perturbs a base image's chroma in HSD space so that
 aligned domains share their density plane by construction, which gives the
-evaluation suite an exact oracle.
+evaluation suite an exact oracle.  ``perturb_block`` writes a domain's twins
+a chunk of images at a time: each image's HSD planes come from its own
+``hsd_forward`` call, and the perturbation and the way back to bytes run on
+the whole chunk, in the steps of one image, so every twin has the bytes of
+perturbing its image alone.
 
 The base images, and the classifier's labelled sets, are ``BlobTexture``
 parameter sets painted by one painter, ``paint_textures``: each image draws
@@ -19,11 +23,11 @@ import itertools
 import math
 import mmap
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .colour import hsd_forward, hsd_inverse_clamped, od_to_rgb, rgb_to_od
+from .colour import HsdImage, hsd_forward, hsd_inverse_clamped, od_to_rgb, rgb_to_od
 from .numerics import derive_seed
 from .persist import UsageError, checked, open_input, read_json_object, write_json
 
@@ -34,6 +38,7 @@ _WINDOW = 1 << 20  # bytes of a mapped image file read before its pages are give
 REFERENCE_DOMAIN = "A"  # the unperturbed domain of every synthetic triplet
 TRAIN_FRACTION = 0.8  # share of triplets in the train split
 PATCH = 8  # side of every square patch: an 8 x 8 RGB patch is 192 values
+_PAINT_CHUNK = 32  # images painted or perturbed together: 32 float64 32 px images are 0.8 MB
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -323,18 +328,48 @@ PERTURBATIONS = {
 }
 
 
-def perturb_image(image, perturbation):
-    """Apply a stain perturbation to an RGB image; returns (image, clamp count)."""
-    hsd = hsd_forward(rgb_to_od(image.pixels))
-    cos_t = np.cos(perturbation.rotation)
-    sin_t = np.sin(perturbation.rotation)
-    c_x = cos_t * hsd.c_x - sin_t * hsd.c_y
-    c_y = sin_t * hsd.c_x + cos_t * hsd.c_y
-    c_x = c_x * perturbation.scale[0] + perturbation.offset[0]
-    c_y = c_y * perturbation.scale[1] + perturbation.offset[1]
-    density = hsd.density * perturbation.density_gain
-    od, clamped = hsd_inverse_clamped(replace(hsd, c_x=c_x, c_y=c_y, density=density))
-    return Image(od_to_rgb(od)), clamped
+def perturb_block(images, perturbation, out):
+    """Write the stain-perturbed twins of ``images``, a sequence of Images of one size,
+    into the (n, height, width, 3) uint8 rows of ``out``; return the count of pixels
+    clamped at zero OD.
+
+    Each image's HSD planes come from a ``hsd_forward`` call of its own.  The rotation,
+    scale and offset of the chroma plane, the density gain, ``hsd_inverse_clamped`` and
+    ``od_to_rgb`` then run on ``_PAINT_CHUNK`` images at a time, in place and in the order
+    of the steps of one image, so every byte is that of perturbing the image alone.  The
+    chunk's float planes are one ``mapped_array``, reused by every chunk, for the reason
+    the painter's buffers are (see ``paint_textures``).
+    """
+    shape = out.shape[1:]
+    if any(image.pixels.shape != shape for image in images):
+        raise ValueError("the images differ in size: a dataset holds one image size")
+    cos_t, sin_t = np.cos(perturbation.rotation), np.sin(perturbation.rotation)
+    # the chunk's three OD planes, whose first two hold hsd_forward's c_x and c_y until
+    # they are rotated, then the perturbed c_x, c_y and density planes
+    planes = mapped_array((6, _PAINT_CHUNK, *shape[:2]), np.float64)
+    clamped = 0
+    for start in range(0, len(images), _PAINT_CHUNK):
+        chunk = images[start : start + _PAINT_CHUNK]
+        od, (c_x, c_y, density) = planes[:3, : len(chunk)], planes[3:, : len(chunk)]
+        x, y = od[0], od[1]
+        for j, image in enumerate(chunk):
+            hsd = hsd_forward(rgb_to_od(image.pixels))
+            x[j], y[j], density[j] = hsd.c_x, hsd.c_y, hsd.density
+        # c_x = cos_t * x - sin_t * y and c_y = sin_t * x + cos_t * y
+        np.multiply(cos_t, x, out=c_x)
+        c_x -= np.multiply(sin_t, y, out=c_y)
+        np.multiply(cos_t, y, out=y)
+        np.multiply(sin_t, x, out=c_y)
+        c_y += y
+        c_x *= perturbation.scale[0]
+        c_x += perturbation.offset[0]
+        c_y *= perturbation.scale[1]
+        c_y += perturbation.offset[1]
+        density *= perturbation.density_gain
+        # the inverse does not read the background mask
+        clamped += hsd_inverse_clamped(HsdImage(c_x, c_y, density, None), out=od)[1]
+        out[start : start + len(chunk)] = np.moveaxis(od_to_rgb(od, work=od), 0, -1)
+    return clamped
 
 
 @dataclass
@@ -360,27 +395,22 @@ def synth_triplets(base_images, perturbations, seed):
     """Build aligned triplets: each base image as ``REFERENCE_DOMAIN`` plus one perturbed twin.
 
     ``perturbations`` maps each non-reference domain id to its
-    StainPerturbation.  Out-of-gamut pixels are clamped at zero OD and
-    counted in the manifest.  The base images must have one size: the twins
-    are rows of one ``mapped_array``.
+    StainPerturbation.  Each domain's twins come from one ``perturb_block``
+    call.  Out-of-gamut pixels are clamped at zero OD and counted in the
+    manifest.  The base images must have one size: the twins are rows of one
+    ``mapped_array``.
     """
     if REFERENCE_DOMAIN in perturbations:
         raise ValueError("reference domain must not carry a perturbation")
     domain_ids = [REFERENCE_DOMAIN, *perturbations]
     shape = base_images[0].pixels.shape if base_images else (0, 0, 3)
     twins = mapped_array((len(perturbations), len(base_images), *shape), np.uint8)
-    triplets = []
-    clamp_count = 0
-    for i, base in enumerate(base_images):
-        if base.pixels.shape != shape:
-            raise ValueError("the images differ in size: a dataset holds one image size")
-        group = {REFERENCE_DOMAIN: base}
-        for p, (domain, pert) in enumerate(perturbations.items()):
-            mapped, clamped = perturb_image(base, pert)
-            clamp_count += clamped
-            twins[p, i] = mapped.pixels
-            group[domain] = Image(twins[p, i])
-        triplets.append(group)
+    clamp_count = sum(perturb_block(base_images, perturbation, block)
+                      for perturbation, block in zip(perturbations.values(), twins))
+    triplets = [
+        {REFERENCE_DOMAIN: base, **{d: Image(twins[p, i]) for p, d in enumerate(perturbations)}}
+        for i, base in enumerate(base_images)
+    ]
     manifest = {
         "domains": domain_ids,
         "generator": {
@@ -562,7 +592,6 @@ BASE_TEXTURE = BlobTexture(
     radius=(0.06, 0.2), colours=((70, 140), (40, 90), (110, 180)), opacity=0.85, noise=2.5,
     bounds=(3, 252),
 )
-_PAINT_CHUNK = 32  # images painted together, channel-first: 32 float64 32 px images are 0.8 MB
 
 
 def generate_base_images(count, size, seed):

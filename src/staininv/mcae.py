@@ -166,21 +166,6 @@ def mcae_init(domain_ids, seed, input_dim=192, hidden_dim=100, feature_dim=10):
     return McaeModel(domain_ids=list(domain_ids), encoders=encoders, decoders=decoders)
 
 
-def _float_array(values):
-    """float32 arrays as they are, anything else as float64."""
-    values = np.asarray(values)
-    return values if values.dtype == np.float32 else values.astype(np.float64, copy=False)
-
-
-def reconstruction_loss(original, reconstructed):
-    """Mean squared error over all entries, summed in float64."""
-    a = _float_array(original)
-    b = _float_array(reconstructed)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2, dtype=np.float64))
-
-
 def feature_loss(z):
     """Per-element mean squared difference of non-anchor domains to domain 0."""
     z = np.asarray(z, dtype=np.float64)
@@ -257,7 +242,7 @@ def combined_loss_and_grads(model, patches, labels=None, grads=None):
     z = np.stack(features)
     if labels is None:
         labels = kmeans_assign(model.kmeans, z[0])
-    # reconstruction_loss(target, recons): the squares of -diff are those of diff
+    # the mean squared error of target and reconstruction: the squares of -diff are those of diff
     rec = float(np.mean(np.square(diff), dtype=np.float64))
     feat = feature_loss(z)
     clu = cluster_loss(z, model.kmeans, labels)

@@ -966,9 +966,11 @@ def test_digest_driver_runs_every_command():
 @pytest.mark.parametrize("argv", [
     ["--seeds", "2024", "--out", "missing/SEED_SWEEP.json"],
     ["--seeds", "2024", "2024", "--out", "SEED_SWEEP.json"],
-], ids=["missing-out-directory", "repeated-seed"])
+    ["--seeds", "2024"],
+], ids=["missing-out-directory", "repeated-seed", "no-out"])
 def test_seed_sweep_rejects_bad_arguments_before_any_cell(argv, tmp_path, monkeypatch):
-    # a cell takes about 50 s, so a bad --out or a repeated seed must stop the sweep at once
+    # a cell takes about 50 s, so a bad --out or a repeated seed must stop the sweep at once;
+    # --out has no default, so a sweep never writes over the committed SEED_SWEEP.json
     sweep = _load_script("seed_sweep")
     monkeypatch.setattr(experiment, "run_desk", lambda seed: pytest.fail(f"cell {seed} ran"))
     monkeypatch.chdir(tmp_path)

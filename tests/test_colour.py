@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from staininv import dataset
 from staininv.colour import (
+    SQRT3,
     SSIM_K1,
     SSIM_K2,
     SSIM_WINDOW,
@@ -98,6 +99,45 @@ def test_hsd_inverse_gamut_error():
     bad = HsdImage(np.float64(-1.5), np.float64(0.0), np.float64(1.0), np.False_)
     od, clamped = hsd_inverse_clamped(bad)
     assert clamped == 1 and od.min() == 0.0
+
+
+def _inverse_by_stacking(hsd):
+    """The interleaved form of ``hsd_inverse_clamped``: the oracle of its planar form."""
+    c_x = np.asarray(hsd.c_x, dtype=np.float64)
+    c_y = np.asarray(hsd.c_y, dtype=np.float64)
+    density = np.asarray(hsd.density, dtype=np.float64)
+    od_r = density * (c_x + 1.0)
+    od_g = density * (3.0 - (c_x + 1.0) + SQRT3 * c_y) / 2.0
+    od_b = density * (3.0 - (c_x + 1.0) - SQRT3 * c_y) / 2.0
+    od = np.stack([od_r, od_g, od_b], axis=-1)
+    clamped = int(np.count_nonzero((od < -1e-12).any(axis=-1)))
+    return np.maximum(od, 0.0), clamped
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (50,), (9, 13), (4, 8, 8)])
+def test_hsd_inverse_planes_match_the_stacked_form_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape))
+    # small chroma, where c_x + 1 rounds, and chroma wide enough that every channel leaves
+    # the gamut somewhere, with zero densities and grey pixels among them
+    hsd = HsdImage(rng.normal(0.0, 1.2, shape), rng.normal(0.0, 1.0, shape),
+                   rng.choice([0.0, 0.3, 1.7, 4.0], shape), None)
+    if len(shape) > 1:
+        hsd.c_x.flat[0] = hsd.c_y.flat[0] = 0.0
+    want, want_clamped = _inverse_by_stacking(hsd)
+    for out in (None, np.full((3, *shape), np.nan)):
+        got, clamped = hsd_inverse_clamped(hsd, out=out)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert clamped == want_clamped
+    assert want_clamped > 0 or np.size(hsd.density) < 2
+
+
+def test_od_to_rgb_worked_in_place_matches_the_expression_bit_for_bit():
+    od = np.random.default_rng(3).uniform(0.0, 6.0, (5, 7, 3))
+    want = np.clip(np.rint(256.0 * np.exp(-od) - 1.0), 0, 255).astype(np.uint8)
+    assert od_to_rgb(od).tobytes() == want.tobytes()
+    assert od_to_rgb(od, work=np.empty_like(od)).tobytes() == want.tobytes()
+    handed_over = od.copy()
+    assert od_to_rgb(handed_over, work=handed_over).tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from staininv import classifier, dataset
-from staininv.colour import hsd_forward, rgb_to_od
+from staininv.colour import hsd_forward, hsd_inverse_clamped, od_to_rgb, rgb_to_od
 from staininv.dataset import (
     GCN_GUARD,
     PATCH,
@@ -26,7 +26,6 @@ from staininv.dataset import (
     load_listed_images,
     mapped_array,
     parse_ppm,
-    perturb_image,
     save_dataset,
     save_ppm,
     scale_to_pm1,
@@ -384,6 +383,22 @@ def test_zca_matrix_symmetric():
 # --- perturbation / synthesis ---
 
 
+def perturb_image(image, perturbation):
+    """One image's stain perturbation as (image, clamp count), step by step: the reference
+    of ``dataset.perturb_block``, which takes the same steps a chunk of images at a time."""
+    hsd = hsd_forward(rgb_to_od(image.pixels))
+    cos_t = np.cos(perturbation.rotation)
+    sin_t = np.sin(perturbation.rotation)
+    c_x = cos_t * hsd.c_x - sin_t * hsd.c_y
+    c_y = sin_t * hsd.c_x + cos_t * hsd.c_y
+    c_x = c_x * perturbation.scale[0] + perturbation.offset[0]
+    c_y = c_y * perturbation.scale[1] + perturbation.offset[1]
+    density = hsd.density * perturbation.density_gain
+    od, clamped = hsd_inverse_clamped(
+        dataclasses.replace(hsd, c_x=c_x, c_y=c_y, density=density))
+    return Image(od_to_rgb(od)), clamped
+
+
 def test_identity_perturbation_is_byte_exact():
     img = generate_base_images(1, 16, seed=11)[0]
     mapped, clamped = perturb_image(img, StainPerturbation())
@@ -428,8 +443,46 @@ def test_synth_manifest_and_validation():
     assert ds.domain_ids == ["A", "B", "C"]
     assert ds.manifest["generator"]["seed"] == 15
     assert "clamp_count" in ds.manifest["generator"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^reference domain must not carry a perturbation$"):
         synth_triplets(base, {"A": StainPerturbation()}, seed=0)
+
+
+#: the synthetic domains and a twin whose density gain is not 1
+GAINED = {**dataset.PERTURBATIONS, "D": StainPerturbation(
+    rotation=0.2, scale=(1.1, 0.9), offset=(0.05, -0.03), density_gain=1.4)}
+
+
+def test_chunked_synth_matches_the_per_image_reference_bit_for_bit():
+    # 70 triplets are two full chunks and a short one
+    base = generate_base_images(70, 32, seed=1)
+    ds = synth_triplets(base, GAINED, seed=1)
+    total = 0
+    for domain, perturbation in GAINED.items():
+        for triplet, image in zip(ds.triplets, base):
+            twin, clamped = perturb_image(image, perturbation)
+            assert triplet[domain].pixels.tobytes() == twin.pixels.tobytes()
+            total += clamped
+    assert ds.manifest["generator"]["clamp_count"] == total > 0
+
+
+def test_perturb_block_counts_the_clamped_pixels_of_every_chunk():
+    base = generate_base_images(2 * dataset._PAINT_CHUNK + 6, 8, seed=2)
+    out = mapped_array((len(base), 8, 8, 3), np.uint8)
+    perturbation = StainPerturbation(offset=(-1.2, 0.0))  # takes most pixels out of gamut
+    clamped = dataset.perturb_block(base, perturbation, out)
+    reference = [perturb_image(image, perturbation) for image in base]
+    assert clamped == sum(count for _, count in reference) > 0
+    assert out.tobytes() == b"".join(twin.pixels.tobytes() for twin, _ in reference)
+
+
+def test_perturb_block_rejects_an_image_of_another_size_in_a_later_chunk():
+    base = generate_base_images(40, 16, seed=5)
+    base[dataset._PAINT_CHUNK + 3] = generate_base_images(1, 8, seed=5)[0]
+    with pytest.raises(ValueError, match="one image size"):
+        dataset.perturb_block(base, GAINED["B"], mapped_array((40, 16, 16, 3), np.uint8))
+    with pytest.raises(ValueError, match="^the images differ in size: a dataset holds one "
+                                         "image size$"):
+        synth_triplets(base, dataset.PERTURBATIONS, seed=5)
 
 
 def test_triplet_dataset_invariants():

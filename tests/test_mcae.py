@@ -25,7 +25,6 @@ from staininv.mcae import (
     load_mcae,
     mcae_init,
     mcae_params,
-    reconstruction_loss,
     save_mcae,
     train_mcae,
 )
@@ -175,6 +174,22 @@ def test_encode_deterministic():
 
 
 # --- losses ---
+
+
+def _float_array(values):
+    """float32 arrays as they are, anything else as float64."""
+    values = np.asarray(values)
+    return values if values.dtype == np.float32 else values.astype(np.float64, copy=False)
+
+
+def reconstruction_loss(original, reconstructed):
+    """Mean squared error over all entries, summed in float64: the reference of
+    ``combined_loss_and_grads``' reconstruction term, which it computes inline."""
+    a = _float_array(original)
+    b = _float_array(reconstructed)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    return float(np.mean((a - b) ** 2, dtype=np.float64))
 
 
 def test_reconstruction_loss_values():
